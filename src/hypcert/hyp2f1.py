@@ -16,12 +16,20 @@ together:
 Series termination is tail-aware: the plain series stops only when the
 current term times the geometric tail bound 1/(1-x) is below tolerance,
 which is what makes zero-balanced cases (e = 0) trustworthy at x = 0.999.
+
+``hyp2f1`` takes one point at a time.  ``Hyp2f1Kernel`` fixes (a, b, c)
+and evaluates many points: the series and the unit-excess expansion
+become polynomials with precomputed coefficients, run by Horner's rule
+over an array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .special import gamma
@@ -68,6 +76,14 @@ def _near_nonpos_int(z: float, guard: float) -> bool:
     return z < 0.5 and abs(z - round(z)) < guard
 
 
+def _check_pole(c: float) -> None:
+    """The one domain check on the third parameter, shared by every entry."""
+    if _near_nonpos_int(c, _C_GUARD):
+        raise DomainError(
+            f"third parameter {c!r} is within {_C_GUARD} of a non-positive integer"
+        )
+
+
 @dataclass(frozen=True)
 class HypParams:
     """Parameter triple (a, b; c) with the c-pole invariant enforced."""
@@ -77,11 +93,7 @@ class HypParams:
     c: float
 
     def __post_init__(self) -> None:
-        if _near_nonpos_int(self.c, _C_GUARD):
-            raise DomainError(
-                f"third parameter {self.c!r} is within {_C_GUARD} of a "
-                "non-positive integer"
-            )
+        _check_pole(self.c)
 
     @property
     def excess(self) -> float:
@@ -127,11 +139,14 @@ _PSI_1 = _digamma(1.0)  # -EulerGamma
 _PSI_2 = _digamma(2.0)  # 1 - EulerGamma
 
 
-def _raw_series(a: float, b: float, c: float, x: float, cfg: SeriesConfig) -> float:
+def _raw_series(
+    a: float, b: float, c: float, x: float, cfg: SeriesConfig
+) -> tuple[float, int]:
     """Power series with Kahan compensation and a geometric tail bound.
 
     Stops once |term| / (1 - x) <= rel_tol * |sum| twice in a row; raises
-    ConvergenceError when the budget runs out first.
+    ConvergenceError when the budget runs out first.  Returns the sum and
+    the highest power of x it holds.
     """
     s = 1.0
     comp = 0.0
@@ -148,7 +163,7 @@ def _raw_series(a: float, b: float, c: float, x: float, cfg: SeriesConfig) -> fl
         if abs(t) * tail <= cfg.rel_tol * abs(s):
             ok_streak += 1
             if ok_streak >= 2:
-                return s
+                return s, n + 1
         else:
             ok_streak = 0
     raise ConvergenceError(
@@ -159,7 +174,7 @@ def _raw_series(a: float, b: float, c: float, x: float, cfg: SeriesConfig) -> fl
 
 def _log_connection_unit_excess(
     a: float, b: float, x: float, cfg: SeriesConfig
-) -> float:
+) -> tuple[float, int]:
     """F(a, b; a+b+1; x) near x = 1 via the logarithmic expansion in w = 1-x.
 
     F = A + B*w * sum_k coef_k * w^k * (ln w + d_k), with
@@ -167,13 +182,15 @@ def _log_connection_unit_excess(
         coef_0 = 1,  coef_{k+1} = coef_k (a+1+k)(b+1+k) / ((k+1)(k+2)),
         d_0 = psi(a+1) + psi(b+1) - psi(1) - psi(2),
         d_{k+1} = d_k + 1/(a+1+k) + 1/(b+1+k) - 1/(k+1) - 1/(k+2).
+
+    Returns the value and the highest k the sum holds.
     """
     w = 1.0 - x
     c = a + b + 1.0
     A = gamma(c) / (gamma(a + 1.0) * gamma(b + 1.0))
     B = a * b * A
     if B == 0.0 or w == 0.0:
-        return A
+        return A, 0
     lw = math.log(w)
     dk = _digamma(a + 1.0) + _digamma(b + 1.0) - _PSI_1 - _PSI_2
     coef = 1.0
@@ -192,7 +209,7 @@ def _log_connection_unit_excess(
         if abs(bw * term) * tail <= cfg.rel_tol * max(abs(f_partial), 1e-300):
             ok_streak += 1
             if ok_streak >= 2:
-                return A + bw * s
+                return A + bw * s, k
         else:
             ok_streak = 0
         dk += (
@@ -222,7 +239,7 @@ def _connection_noninteger(
         # both sub-series would sit on a coefficient pole; retreat to the
         # plain series where its contract still applies
         if x <= 0.99:
-            return _raw_series(a, b, c, x, cfg)
+            return _raw_series(a, b, c, x, cfg)[0]
         raise ConvergenceError(
             f"excess {e!r} too close to an integer for the connection formula"
         )
@@ -230,14 +247,14 @@ def _connection_noninteger(
         gamma(c)
         * gamma(e)
         / (gamma(c - a) * gamma(c - b))
-        * _raw_series(a, b, 1.0 - e, w, cfg)
+        * _raw_series(a, b, 1.0 - e, w, cfg)[0]
     )
     second = (
         gamma(c)
         * gamma(-e)
         / (gamma(a) * gamma(b))
         * math.pow(w, e)
-        * _raw_series(c - a, c - b, 1.0 + e, w, cfg)
+        * _raw_series(c - a, c - b, 1.0 + e, w, cfg)[0]
     )
     return first + second
 
@@ -253,10 +270,7 @@ def hyp2f1(a: float, b: float, c: float, x: float, cfg: SeriesConfig | None = No
     """
     if cfg is None:
         cfg = DEFAULT_SERIES
-    if _near_nonpos_int(c, _C_GUARD):
-        raise DomainError(
-            f"third parameter {c!r} is within {_C_GUARD} of a non-positive integer"
-        )
+    _check_pole(c)
     if not (0.0 <= x < 1.0):
         raise DomainError(f"argument must satisfy 0 <= x < 1, got {x!r}")
     if x == 0.0:
@@ -266,19 +280,167 @@ def hyp2f1(a: float, b: float, c: float, x: float, cfg: SeriesConfig | None = No
     # associativity-safe under swapping)
     if b < a:
         a, b = b, a
-    # terminating polynomial: a or b a non-positive integer
-    if (a <= 0.0 and a == round(a)) or (b <= 0.0 and b == round(b)):
-        return _raw_series(a, b, c, x, cfg)
-    if x <= cfg.switch_point:
-        return _raw_series(a, b, c, x, cfg)
+    if _terminating(a, b) or x <= cfg.switch_point:
+        return _raw_series(a, b, c, x, cfg)[0]
     e = c - a - b
     m = round(e)
     if abs(e - m) <= _EXCESS_SNAP:
         if m == 1:
-            return _log_connection_unit_excess(a, b, x, cfg)
+            return _log_connection_unit_excess(a, b, x, cfg)[0]
         # integer excess != 1: budgeted plain series only
-        return _raw_series(a, b, c, x, cfg)
+        return _raw_series(a, b, c, x, cfg)[0]
     return _connection_noninteger(a, b, c, x, cfg)
+
+
+def _terminating(a: float, b: float) -> bool:
+    """a or b a non-positive integer: the series is a polynomial."""
+    return (a <= 0.0 and a == round(a)) or (b <= 0.0 and b == round(b))
+
+
+def _ln(w):
+    """math.log of a float, or of each entry of a 1-D array, so that both
+    evaluation paths of Hyp2f1Kernel take the same logarithm."""
+    if isinstance(w, np.ndarray):
+        return np.fromiter(map(math.log, w.tolist()), float, w.size)
+    return math.log(w)
+
+
+class Hyp2f1Kernel:
+    """F(a, b; c; .) for fixed parameters, at one point or over an array.
+
+    Points go to regimes exactly as in hyp2f1.  In the two regimes the
+    comparison family lives in, the power series (x <= switch_point) and
+    the unit-excess logarithmic expansion (x beyond it), F is a polynomial
+    in x or in w = 1-x whose coefficients do not depend on the point.
+    They are built once, on first use, and evaluated by Horner's rule.
+    The truncation is where hyp2f1's own stopping rule stops at the
+    regime's worst argument, x = switch_point for the series and
+    w = 1 - switch_point for the expansion, so a value depends only on
+    (a, b, c, x, cfg).  Every point is then held to the stopping rule on
+    its last two terms and raises ConvergenceError if it misses it.
+    Terminating parameters, non-unit integer excess and non-integer
+    excess go to hyp2f1 point by point.
+
+    ``kernel(x)`` runs the same Horner code on a Python float as
+    ``kernel.array(xs)`` runs on an array: separate IEEE multiplies and
+    adds (NumPy fuses neither) and ``math.log`` on both paths, so a point
+    has the same bits alone or inside any array, and a single point costs
+    no NumPy call.
+    """
+
+    def __init__(self, a: float, b: float, c: float, cfg: SeriesConfig | None = None):
+        _check_pole(c)
+        if b < a:
+            a, b = b, a
+        self.a, self.b, self.c = a, b, c
+        self.cfg = DEFAULT_SERIES if cfg is None else cfg
+        e = c - a - b
+        self._horner = not _terminating(a, b)
+        self._unit_excess = (self._horner and abs(e - round(e)) <= _EXCESS_SNAP
+                             and round(e) == 1)
+
+    @cached_property
+    def _series(self):
+        """Coefficients t_N..t_0 of the power series, highest first."""
+        a, b, c, cfg = self.a, self.b, self.c, self.cfg
+        n_top = _raw_series(a, b, c, cfg.switch_point, cfg)[1]
+        coefs = [1.0]
+        for n in range(n_top):
+            coefs.append(coefs[-1] * ((a + n) * (b + n) / ((c + n) * (n + 1.0))))
+        return coefs[::-1]
+
+    @cached_property
+    def _log(self):
+        """A, B and the coefficients coef_k, coef_k*d_k (highest first) of
+        F = A + B*w*(ln w * sum coef_k w^k + sum coef_k d_k w^k), with the
+        (k, coef_k, d_k) of the last two terms."""
+        a, b, cfg = self.a, self.b, self.cfg
+        k_top = _log_connection_unit_excess(a, b, cfg.switch_point, cfg)[1]
+        A = gamma(a + b + 1.0) / (gamma(a + 1.0) * gamma(b + 1.0))
+        dk = _digamma(a + 1.0) + _digamma(b + 1.0) - _PSI_1 - _PSI_2
+        coef = 1.0
+        terms = []
+        for k in range(k_top + 1):
+            terms.append((k, coef, dk))
+            dk += (
+                1.0 / (a + 1.0 + k)
+                + 1.0 / (b + 1.0 + k)
+                - 1.0 / (k + 1.0)
+                - 1.0 / (k + 2.0)
+            )
+            coef *= (a + 1.0 + k) * (b + 1.0 + k) / ((k + 1.0) * (k + 2.0))
+        pq = [(ck, ck * d) for _, ck, d in reversed(terms)]
+        return A, a * b * A, pq, terms[-2:]
+
+    def _series_at(self, x):
+        coefs = self._series
+        acc = 0.0
+        for ck in coefs:
+            acc = acc * x + ck
+        tail = 1.0 / (1.0 - x)
+        top = len(coefs) - 1
+        for k in (top - 1, top):
+            self._require(abs(coefs[top - k]) * x ** k * tail
+                          <= self.cfg.rel_tol * abs(acc), x, "series")
+        return acc
+
+    def _log_at(self, x):
+        A, B, pq, last = self._log
+        w = 1.0 - x
+        lw = _ln(w)
+        p = q = 0.0
+        for pk, qk in pq:
+            p = p * w + pk
+            q = q * w + qk
+        bw = B * w
+        value = A + bw * (lw * p + q)
+        tail = 1.0 / (1.0 - w)
+        for k, ck, dk in last:
+            term = ck * w ** k * (lw + dk)
+            self._require(abs(bw * term) * tail
+                          <= self.cfg.rel_tol * (abs(value) + 1e-300), x, "log")
+        return value
+
+    def _require(self, ok, x, regime):
+        if isinstance(ok, np.ndarray):
+            if ok.all():
+                return
+            x = float(x[np.argmin(ok)])
+        elif ok:
+            return
+        raise ConvergenceError(
+            f"{regime} coefficients for ({self.a}, {self.b}; {self.c}) miss "
+            f"rel_tol={self.cfg.rel_tol} at x={x!r}"
+        )
+
+    def __call__(self, x: float) -> float:
+        if not (0.0 <= x < 1.0):
+            raise DomainError(f"argument must satisfy 0 <= x < 1, got {x!r}")
+        series = x <= self.cfg.switch_point
+        if self._horner and series:
+            return self._series_at(x)
+        if self._unit_excess and not series:
+            return self._log_at(x)
+        return hyp2f1(self.a, self.b, self.c, x, self.cfg)
+
+    def array(self, xs) -> np.ndarray:
+        """Values at every entry of the 1-D array ``xs``."""
+        xs = np.asarray(xs, dtype=float)
+        bad = ~((xs >= 0.0) & (xs < 1.0))
+        if bad.any():
+            raise DomainError(
+                f"argument must satisfy 0 <= x < 1, got {float(xs[bad][0])!r}"
+            )
+        out = np.empty_like(xs)
+        series = (xs <= self.cfg.switch_point) & self._horner
+        log = ~series & (xs > self.cfg.switch_point) & self._unit_excess
+        if series.any():
+            out[series] = self._series_at(xs[series])
+        if log.any():
+            out[log] = self._log_at(xs[log])
+        for i in np.flatnonzero(~(series | log)):
+            out[i] = hyp2f1(self.a, self.b, self.c, float(xs[i]), self.cfg)
+        return out
 
 
 def hyp2f1_at_one(a: float, b: float, c: float) -> float:
@@ -286,10 +448,7 @@ def hyp2f1_at_one(a: float, b: float, c: float) -> float:
 
     Requires positive excess c > a + b (the limit diverges otherwise).
     """
-    if _near_nonpos_int(c, _C_GUARD):
-        raise DomainError(
-            f"third parameter {c!r} is within {_C_GUARD} of a non-positive integer"
-        )
+    _check_pole(c)
     if not (c > a + b):
         raise DomainError(
             f"limit at 1 needs c > a + b, got c={c!r}, a+b={(a + b)!r}"
@@ -327,6 +486,7 @@ __all__ = [
     "SeriesConfig",
     "DEFAULT_SERIES",
     "HypParams",
+    "Hyp2f1Kernel",
     "hyp2f1",
     "hyp2f1_at_one",
     "hyp2f1_dx",

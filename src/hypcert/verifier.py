@@ -30,6 +30,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cached_property
 
 import numpy as np
 
@@ -44,14 +45,13 @@ from .constants import (
     delta1_alpha_variant,
     derive_params,
     f4,
-    f5,
     g,
     g1,
     Q,
     Q1,
 )
-from .errors import DomainError
-from .hyp2f1 import DEFAULT_SERIES, SeriesConfig, hyp2f1, hyp2f1_at_one
+from .errors import ConvergenceError, DomainError
+from .hyp2f1 import DEFAULT_SERIES, Hyp2f1Kernel, SeriesConfig, hyp2f1, hyp2f1_at_one
 from .special import beta as beta_fn
 from .special import ln_gamma
 
@@ -205,15 +205,35 @@ def _build_report(meta: dict, results) -> Report:
 # G and its envelopes
 
 
-def _pair_values(pp, ep, delta, x, cfg):
-    """(F_c, F_d, 1-x^c) at one abscissa; powers of x are formed through
-    expm1/log1p so that 1-x^c stays accurate at both ends."""
-    lx = math.log1p(x - 1.0)
-    w_c = -math.expm1(ep.c_exp * lx)
-    w_d = -math.expm1(ep.d_exp * lx)
-    p = pp.a + pp.b
-    f_c = hyp2f1(pp.a - 1.0, pp.b, p, w_c, cfg)
-    f_d = hyp2f1(pp.a - 1.0 - delta, pp.b + delta, p, w_d, cfg)
+def _elementwise(fn, xs: np.ndarray) -> np.ndarray:
+    """fn (a math-module formula) at each entry of a 1-D array, so that an
+    array and a single point get the same bits."""
+    return np.fromiter(map(fn, xs.tolist()), float, xs.size)
+
+
+def _one_minus_pow(e, x):
+    """1 - x^e of a float or (entrywise) of an array, formed through
+    expm1/log1p so that it stays accurate at both ends."""
+    if isinstance(x, np.ndarray):
+        return _elementwise(lambda v: -math.expm1(e * math.log1p(v - 1.0)), x)
+    return -math.expm1(e * math.log1p(x - 1.0))
+
+
+def _kernel_c(pp, cfg):
+    """The kernel of F_c = F(a-1, b; p; .)."""
+    return Hyp2f1Kernel(pp.a - 1.0, pp.b, pp.a + pp.b, cfg)
+
+
+def _kernel_d(pp, delta, cfg):
+    """The kernel of F_d = F(a-1-delta, b+delta; p; .)."""
+    return Hyp2f1Kernel(pp.a - 1.0 - delta, pp.b + delta, pp.a + pp.b, cfg)
+
+
+def _pair_values(pp, ep, delta, xs, cfg):
+    """(F_c, F_d, 1-x^c) over the abscissa array xs."""
+    w_c = _one_minus_pow(ep.c_exp, xs)
+    f_c = _kernel_c(pp, cfg).array(w_c)
+    f_d = _kernel_d(pp, delta, cfg).array(_one_minus_pow(ep.d_exp, xs))
     return f_c, f_d, w_c
 
 
@@ -225,14 +245,73 @@ def G_value(pp: ParamPair, ep: ExponentPair, delta: float, x: float,
         raise DomainError(f"need x in (0,1), got {x!r}")
     if delta == 0.0 and ep.c_exp == ep.d_exp:
         return 0.0
-    f_c, f_d, w_c = _pair_values(pp, ep, delta, x, cfg)
-    return (f_d - f_c) / w_c
+    f_c, f_d, w_c = _pair_values(pp, ep, delta, np.array([x]), cfg)
+    return float((f_d[0] - f_c[0]) / w_c[0])
 
 
-def _difference(pp, ep, delta, x, cfg):
-    """F_d - F_c at one abscissa (the sign-change object)."""
-    f_c, f_d, _ = _pair_values(pp, ep, delta, x, cfg)
-    return f_d - f_c
+class _Column:
+    """One (pair, exponent pair) and its hypergeometric values, each
+    computed once and on first use.
+
+    The abscissas are the grid and the scan (the grid together with the
+    near-1 tail, sorted), with 1-x^c and 1-x^d.  F_c is evaluated once over
+    the scan, F_d once per shift; G at a shift is read off the grid part.
+    Every value comes from one Hyp2f1Kernel per parameter triple, and a
+    single point (bisection) uses the same kernels, so it has the bits an
+    array would give it.  The checks of the column reduce these arrays;
+    a crossing result is kept per shift for sharpness to reuse.
+    """
+
+    def __init__(self, pp: ParamPair, ep: ExponentPair,
+                 grid: GridSpec = DEFAULT_GRID, cfg: SeriesConfig = DEFAULT_SERIES):
+        self.pp, self.ep, self.cfg = pp, ep, cfg
+        self.grid_xs = make_grid(grid)
+        # grid first, then tail: the stable sort keeps a tie in that order
+        xs = np.concatenate([self.grid_xs, _tail_abscissas(ep)])
+        self._order = np.argsort(xs, kind="stable")
+        self.scan_xs = xs[self._order]
+        self._w_c = _one_minus_pow(ep.c_exp, xs)
+        self._w_d = _one_minus_pow(ep.d_exp, xs)
+        self.kernel_c = _kernel_c(pp, cfg)
+        self._kernels_d = {}
+        self._f_d = {}
+        self.crossings = {}
+
+    @cached_property
+    def _f_c(self):
+        return self.kernel_c.array(self._w_c)
+
+    def kernel_d(self, delta):
+        """The kernel of F_d at shift delta."""
+        if delta not in self._kernels_d:
+            self._kernels_d[delta] = _kernel_d(self.pp, delta, self.cfg)
+        return self._kernels_d[delta]
+
+    def _fd(self, delta):
+        if delta not in self._f_d:
+            self._f_d[delta] = self.kernel_d(delta).array(self._w_d)
+        return self._f_d[delta]
+
+    def G(self, delta):
+        """G at the grid abscissas."""
+        n = len(self.grid_xs)
+        return (self._fd(delta)[:n] - self._f_c[:n]) / self._w_c[:n]
+
+    def differences(self, delta):
+        """F_d - F_c at the scan abscissas."""
+        return (self._fd(delta) - self._f_c)[self._order]
+
+    def difference_at(self, delta, x: float) -> float:
+        """F_d - F_c at one abscissa."""
+        return (self.kernel_d(delta)(_one_minus_pow(self.ep.d_exp, x))
+                - self.kernel_c(_one_minus_pow(self.ep.c_exp, x)))
+
+    def fpp_differences(self, delta, xs):
+        """f(x) = F(a-1-delta, b+delta; p; t(x)) - F(a-1, b; p; x) over the
+        array xs, with t(x) = 1-(1-x)^(d/c)."""
+        dc = self.ep.d_exp / self.ep.c_exp
+        t = _elementwise(lambda v: -math.expm1(dc * math.log1p(-v)), xs)
+        return self.kernel_d(delta).array(t) - self.kernel_c.array(xs)
 
 
 def _extrap_low(pp, ep, delta, cfg, s0=1e-9):
@@ -303,10 +382,14 @@ def _theorem_params(pp, ep, delta):
 
 def check_G_monotone(pp: ParamPair, ep: ExponentPair, delta: float,
                      grid: GridSpec = DEFAULT_GRID,
-                     cfg: SeriesConfig = DEFAULT_SERIES) -> CheckResult:
+                     cfg: SeriesConfig = DEFAULT_SERIES,
+                     column: _Column | None = None) -> CheckResult:
     """Strict decrease of G across the grid plus endpoint-limit agreement:
     G(0+) = c2(delta) and G(1-) = c1(delta), both to ENDPOINT_TOL via
-    endpoint extrapolation."""
+    endpoint extrapolation.
+
+    This and the checks below read their values from ``column``, the
+    _Column of (pp, ep), or from one they build from grid and cfg."""
     params = _theorem_params(pp, ep, delta)
     skip, dp, d1 = _admissibility_gate("G_monotone", params, pp, ep)
     if skip is not None:
@@ -314,18 +397,13 @@ def check_G_monotone(pp: ParamPair, ep: ExponentPair, delta: float,
     if not (pp.a - 1.0 < delta <= d1):
         return _skipped("G_monotone", params, "shift outside monotone range")
 
-    xs = make_grid(grid)
-    gs = [G_value(pp, ep, delta, float(x), cfg) for x in xs]
-
-    witnesses = []
-    margin = math.inf
-    for i in range(len(gs) - 1):
-        m = MONOTONE_SLACK - (gs[i + 1] - gs[i])
-        if m < margin:
-            margin = m
-            worst_pair = [float(xs[i]), gs[i + 1] - gs[i]]
-    if margin <= 0.0:
-        witnesses.append(worst_pair)
+    col = column if column is not None else _Column(pp, ep, grid, cfg)
+    xs, gs = col.grid_xs, col.G(delta)
+    steps = np.diff(gs)
+    slack = MONOTONE_SLACK - steps
+    i = int(np.argmin(slack))
+    margin = float(slack[i])
+    witnesses = [[float(xs[i]), float(steps[i])]] if margin <= 0.0 else []
 
     lo_err = abs(_extrap_low(pp, ep, delta, cfg) - c2(pp, delta))
     hi_err = abs(_extrap_high(xs, gs, ep.c_exp) - c1(pp, ep, delta))
@@ -340,7 +418,8 @@ def check_G_monotone(pp: ParamPair, ep: ExponentPair, delta: float,
 
 def check_sandwich(pp: ParamPair, ep: ExponentPair, delta: float,
                    grid: GridSpec = DEFAULT_GRID,
-                   cfg: SeriesConfig = DEFAULT_SERIES) -> CheckResult:
+                   cfg: SeriesConfig = DEFAULT_SERIES,
+                   column: _Column | None = None) -> CheckResult:
     """Two-sided envelope: at every grid point the difference quotient
     (F_d - F_c)/w lies strictly between c1 and c2 with margin above
     INTERIOR_MARGIN.  Margins are taken on the quotient rather than on F
@@ -354,20 +433,13 @@ def check_sandwich(pp: ParamPair, ep: ExponentPair, delta: float,
     if not (pp.a - 1.0 < delta <= d1):
         return _skipped("sandwich", params, "shift outside monotone range")
 
-    lo_const = c1(pp, ep, delta)
-    hi_const = c2(pp, delta)
-    xs = make_grid(grid)
-    margin = math.inf
-    witnesses = []
-    for x in xs:
-        f_c, f_d, w_c = _pair_values(pp, ep, delta, float(x), cfg)
-        quot = (f_d - f_c) / w_c
-        m = min(quot - lo_const, hi_const - quot)
-        if m - INTERIOR_MARGIN < margin:
-            margin = m - INTERIOR_MARGIN
-            worst = [float(x), m]
-    if margin <= 0.0:
-        witnesses.append(worst)
+    col = column if column is not None else _Column(pp, ep, grid, cfg)
+    quots = col.G(delta)
+    gap = np.minimum(quots - c1(pp, ep, delta), c2(pp, delta) - quots)
+    margins = gap - INTERIOR_MARGIN
+    i = int(np.argmin(margins))
+    margin = float(margins[i])
+    witnesses = [[float(col.grid_xs[i]), float(gap[i])]] if margin <= 0.0 else []
     return _result("sandwich", params, margin, witnesses, INTERIOR_MARGIN)
 
 
@@ -381,7 +453,8 @@ def _tail_abscissas(ep, n=160):
 
 def find_crossing(pp: ParamPair, ep: ExponentPair, delta: float,
                   grid: GridSpec = DEFAULT_GRID,
-                  cfg: SeriesConfig = DEFAULT_SERIES) -> CheckResult:
+                  cfg: SeriesConfig = DEFAULT_SERIES,
+                  column: _Column | None = None) -> CheckResult:
     """Both-sign witnesses for F_d - F_c when the shift exceeds the
     threshold: a point with difference > INTERIOR_MARGIN and one with
     difference < -INTERIOR_MARGIN, found by a clustered scan (plus a
@@ -393,27 +466,25 @@ def find_crossing(pp: ParamPair, ep: ExponentPair, delta: float,
     if not (d1 < delta < 0.0):
         return _skipped("crossing", params, "shift not above the threshold")
 
-    xs = [float(x) for x in make_grid(grid)]
-    xs.extend(_tail_abscissas(ep))
-    xs.sort()
-    ds = [_difference(pp, ep, delta, x, cfg) for x in xs]
-
-    i_pos = max(range(len(ds)), key=lambda i: ds[i])
-    i_neg = min(range(len(ds)), key=lambda i: ds[i])
-    best_pos, best_neg = ds[i_pos], ds[i_neg]
+    col = column if column is not None else _Column(pp, ep, grid, cfg)
+    if delta in col.crossings:
+        return col.crossings[delta]
+    xs, ds = col.scan_xs, col.differences(delta)
+    i_pos, i_neg = int(np.argmax(ds)), int(np.argmin(ds))
+    best_pos, best_neg = float(ds[i_pos]), float(ds[i_neg])
     margin = min(best_pos, -best_neg) - INTERIOR_MARGIN
-    witnesses = [[xs[i_pos], best_pos], [xs[i_neg], best_neg]]
+    witnesses = [[float(xs[i_pos]), best_pos], [float(xs[i_neg]), best_neg]]
 
     if margin > 0.0:
         # localize the sign change between the last strong positive and the
         # first strong negative
-        j = next(i for i in range(len(ds)) if ds[i] < -INTERIOR_MARGIN)
-        candidates = [i for i in range(j) if ds[i] > INTERIOR_MARGIN]
-        if candidates:
-            lo, hi = xs[candidates[-1]], xs[j]
+        j = int(np.argmax(ds < -INTERIOR_MARGIN))
+        strong = np.flatnonzero(ds[:j] > INTERIOR_MARGIN)
+        if strong.size:
+            lo, hi = float(xs[strong[-1]]), float(xs[j])
             for _ in range(48):
                 mid = 0.5 * (lo + hi)
-                dm = _difference(pp, ep, delta, mid, cfg)
+                dm = col.difference_at(delta, mid)
                 if dm > INTERIOR_MARGIN:
                     lo = mid
                 elif dm < -INTERIOR_MARGIN:
@@ -422,12 +493,15 @@ def find_crossing(pp: ParamPair, ep: ExponentPair, delta: float,
                     break
             witnesses.append(["crossing_near", 0.5 * (lo + hi)])
 
-    return _result("crossing", params, margin, witnesses, INTERIOR_MARGIN)
+    result = _result("crossing", params, margin, witnesses, INTERIOR_MARGIN)
+    col.crossings[delta] = result
+    return result
 
 
 def check_crossing_control(pp: ParamPair, ep: ExponentPair, delta: float,
                            grid: GridSpec = DEFAULT_GRID,
-                           cfg: SeriesConfig = DEFAULT_SERIES) -> CheckResult:
+                           cfg: SeriesConfig = DEFAULT_SERIES,
+                           column: _Column | None = None) -> CheckResult:
     """Absence control: just below the threshold no scanned point may show
     F_d - F_c < -INTERIOR_MARGIN (up to grid resolution)."""
     params = _theorem_params(pp, ep, delta)
@@ -437,19 +511,18 @@ def check_crossing_control(pp: ParamPair, ep: ExponentPair, delta: float,
     if not (pp.a - 1.0 < delta <= d1):
         return _skipped("crossing_control", params, "shift above the threshold")
 
-    xs = [float(x) for x in make_grid(grid)]
-    xs.extend(_tail_abscissas(ep))
-    xs.sort()
-    ds = [_difference(pp, ep, delta, x, cfg) for x in xs]
-    i_min = min(range(len(ds)), key=lambda i: ds[i])
-    margin = ds[i_min] + INTERIOR_MARGIN
-    witnesses = [] if margin > 0.0 else [[xs[i_min], ds[i_min]]]
+    col = column if column is not None else _Column(pp, ep, grid, cfg)
+    ds = col.differences(delta)
+    i_min = int(np.argmin(ds))
+    margin = float(ds[i_min]) + INTERIOR_MARGIN
+    witnesses = [] if margin > 0.0 else [[float(col.scan_xs[i_min]), float(ds[i_min])]]
     return _result("crossing_control", params, margin, witnesses, INTERIOR_MARGIN)
 
 
 def check_sharpness(pp: ParamPair, ep: ExponentPair, threshold_form: str = "beta",
                     grid: GridSpec = DEFAULT_GRID,
-                    cfg: SeriesConfig = DEFAULT_SERIES) -> CheckResult:
+                    cfg: SeriesConfig = DEFAULT_SERIES,
+                    column: _Column | None = None) -> CheckResult:
     """Supremum characterization of the threshold: at the candidate shift
     the strict inequality F_c < F_d holds grid-wide (tested on the
     difference quotient, whose margin stays scale-uniform where the raw
@@ -466,16 +539,11 @@ def check_sharpness(pp: ParamPair, ep: ExponentPair, threshold_form: str = "beta
         return skip
     cand = d1 if threshold_form == "beta" else delta1_alpha_variant(pp, ep)
 
-    witnesses = []
-    margin = math.inf
-
-    xs = [float(x) for x in make_grid(grid)]
-    quots = [G_value(pp, ep, cand, x, cfg) for x in xs]
-    i_min = min(range(len(quots)), key=lambda i: quots[i])
-    at_margin = quots[i_min] - INTERIOR_MARGIN
-    if at_margin <= 0.0:
-        witnesses.append([xs[i_min], quots[i_min]])
-    margin = min(margin, at_margin)
+    col = column if column is not None else _Column(pp, ep, grid, cfg)
+    quots = col.G(cand)
+    i_min = int(np.argmin(quots))
+    margin = float(quots[i_min]) - INTERIOR_MARGIN
+    witnesses = [[float(col.grid_xs[i_min]), float(quots[i_min])]] if margin <= 0.0 else []
 
     above = []
     for eps in (1e-3, 1e-2):
@@ -483,7 +551,7 @@ def check_sharpness(pp: ParamPair, ep: ExponentPair, threshold_form: str = "beta
         if nudged not in above:
             above.append(nudged)
     for nudged in above:
-        sub = find_crossing(pp, ep, nudged, grid, cfg)
+        sub = find_crossing(pp, ep, nudged, grid, cfg, column=col)
         if sub.status != "ok":
             # nudged shift fell outside (threshold, 0): counts as a failure
             # of the characterization at this form
@@ -531,10 +599,18 @@ def isolate_roots_f4(n_scan: int = 10_000):
     return roots[0], roots[1]
 
 
+def _f4_cofactor(a):
+    """q(a) = 4a^4 - 16a^3 + 23a^2 - 14a + 2, the quartic factor of
+    f4'(a) = -8(a-1)(a^2-2a+2) q(a).  The other factors are positive
+    together on (0,1), so f4' has the sign of q there."""
+    return ((4.0 * a - 16.0) * a + 23.0) * a * a - 14.0 * a + 2.0
+
+
 def check_f4_roots(n_scan: int = 10_000) -> CheckResult:
-    """Root isolation for f4 plus the structural facts about f5: f4 has
-    exactly two zeros in (0,1) with residual <= INTERIOR_MARGIN, and f5 is
-    increasing there with exactly one sign change."""
+    """Root isolation for f4: exactly two zeros in (0,1) with residual
+    <= INTERIOR_MARGIN, and f4' changes sign exactly once on a scan of
+    (0,1), between them -- so f4 rises to one maximum and falls again, and
+    the two isolated zeros are its only ones there."""
     params = {"n_scan": n_scan}
     try:
         a0, a1 = isolate_roots_f4(n_scan)
@@ -545,17 +621,11 @@ def check_f4_roots(n_scan: int = 10_000) -> CheckResult:
     witnesses = [[a0, f4(a0)], [a1, f4(a1)]]
 
     xs = np.linspace(1e-4, 1.0 - 1e-4, 2000)
-    f5_vals = [f5(float(x)) for x in xs]
-    f5_flips = sum(
-        1 for i in range(len(xs) - 1) if (f5_vals[i] < 0.0) != (f5_vals[i + 1] < 0.0)
-    )
-    f5_diff_min = min(f5_vals[i + 1] - f5_vals[i] for i in range(len(xs) - 1))
-    if f5_flips != 1:
+    negative = _f4_cofactor(xs) < 0.0
+    flips = np.flatnonzero(negative[:-1] != negative[1:])
+    if not (len(flips) == 1 and a0 < xs[flips[0]] and xs[flips[0] + 1] < a1):
         margin = min(margin, -1.0)
-        witnesses.append([f"f5 sign changes = {f5_flips}", 0.0])
-    margin = min(margin, f5_diff_min)
-    if f5_diff_min <= 0.0:
-        witnesses.append(["f5 non-increasing somewhere", f5_diff_min])
+        witnesses.append([f"f4' sign changes at {xs[flips].tolist()}", 0.0])
     return _result("f4_roots", params, margin, witnesses, INTERIOR_MARGIN)
 
 
@@ -715,7 +785,8 @@ def check_beta_convex(pp: ParamPair, n: int = 200) -> CheckResult:
 
 def check_fpp_positive(pp: ParamPair, ep: ExponentPair, delta: float,
                        n: int = 48, step: float = 1e-4,
-                       cfg: SeriesConfig = DEFAULT_SERIES) -> CheckResult:
+                       cfg: SeriesConfig = DEFAULT_SERIES,
+                       column: _Column | None = None) -> CheckResult:
     """Convexity of the difference along the c-argument: with
     t(x) = 1-(1-x)^(d/c), second centered differences of
     f(x) = F(a-1-delta, b+delta; p; t(x)) - F(a-1, b; p; x) must exceed
@@ -727,27 +798,15 @@ def check_fpp_positive(pp: ParamPair, ep: ExponentPair, delta: float,
     if not (pp.a - 1.0 < delta <= d1):
         return _skipped("fpp_positive", params, "shift outside monotone range")
 
-    a, b = pp.a, pp.b
-    p = a + b
-    u, v = a - delta, b + delta
-    dc = ep.d_exp / ep.c_exp
-
-    def diff_at(x):
-        t = -math.expm1(dc * math.log1p(-x))
-        return hyp2f1(u - 1.0, v, p, t, cfg) - hyp2f1(a - 1.0, b, p, x, cfg)
-
+    col = column if column is not None else _Column(pp, ep, cfg=cfg)
     xs = np.linspace(0.01, 0.95, n)
-    margin = math.inf
-    witnesses = []
-    for x in xs:
-        x = float(x)
-        second = (diff_at(x - step) - 2.0 * diff_at(x) + diff_at(x + step)) / step**2
-        m = second + 1e-6
-        if m < margin:
-            margin = m
-            worst = [x, second]
-    if margin <= 0.0:
-        witnesses.append(worst)
+    lo, mid, hi = col.fpp_differences(
+        delta, np.concatenate([xs - step, xs, xs + step])).reshape(3, n)
+    second = (lo - 2.0 * mid + hi) / step**2
+    margins = second + 1e-6
+    i = int(np.argmin(margins))
+    margin = float(margins[i])
+    witnesses = [[float(xs[i]), float(second[i])]] if margin <= 0.0 else []
     return _result("fpp_positive", params, margin, witnesses, 1e-6)
 
 
@@ -864,34 +923,70 @@ def build_tasks(config: VerifyConfig):
     return tasks
 
 
-def _execute_task(arg):
-    kind, params, config = arg
-    grid, cfg = config.grid, config.series
-    if kind == "f4_roots":
-        return check_f4_roots(params["n_scan"])
-    pp = ParamPair(params["a"], params["b"])
-    if kind == "beta_convex":
-        return check_beta_convex(pp)
-    if kind == "lemma_g":
-        return check_lemma_g(pp)
-    if kind == "lemma_g1":
-        return check_lemma_g1(pp)
-    ep = ExponentPair(params["c"], params["d"])
-    if kind == "G_monotone":
-        return check_G_monotone(pp, ep, params["delta"], grid, cfg)
-    if kind == "sandwich":
-        return check_sandwich(pp, ep, params["delta"], grid, cfg)
-    if kind == "fpp_positive":
-        return check_fpp_positive(pp, ep, params["delta"], cfg=cfg)
-    if kind == "lemma_Q":
-        return check_lemma_Q(pp, ep, params["delta"], params["N"])
-    if kind == "crossing":
-        return find_crossing(pp, ep, params["delta"], grid, cfg)
-    if kind == "crossing_control":
-        return check_crossing_control(pp, ep, params["delta"], grid, cfg)
-    if kind == "sharpness":
-        return check_sharpness(pp, ep, params["threshold_form"], grid, cfg)
-    raise DomainError(f"unknown check id {kind!r}")
+# check id -> call of its check function on (params, config, column); the
+# names resolve when called, so a wrapper bound to them later is used too
+_CALLS = {
+    "f4_roots": lambda t, cf, col: check_f4_roots(t["n_scan"]),
+    "beta_convex": lambda t, cf, col: check_beta_convex(_pair(t)),
+    "lemma_g": lambda t, cf, col: check_lemma_g(_pair(t)),
+    "lemma_g1": lambda t, cf, col: check_lemma_g1(_pair(t)),
+    "lemma_Q": lambda t, cf, col: check_lemma_Q(
+        _pair(t), _exponents(t), t["delta"], t["N"]),
+    "G_monotone": lambda t, cf, col: check_G_monotone(
+        _pair(t), _exponents(t), t["delta"], cf.grid, cf.series, col),
+    "sandwich": lambda t, cf, col: check_sandwich(
+        _pair(t), _exponents(t), t["delta"], cf.grid, cf.series, col),
+    "fpp_positive": lambda t, cf, col: check_fpp_positive(
+        _pair(t), _exponents(t), t["delta"], cfg=cf.series, column=col),
+    "crossing": lambda t, cf, col: find_crossing(
+        _pair(t), _exponents(t), t["delta"], cf.grid, cf.series, col),
+    "crossing_control": lambda t, cf, col: check_crossing_control(
+        _pair(t), _exponents(t), t["delta"], cf.grid, cf.series, col),
+    "sharpness": lambda t, cf, col: check_sharpness(
+        _pair(t), _exponents(t), t["threshold_form"], cf.grid, cf.series, col),
+}
+
+
+def _pair(params) -> ParamPair:
+    return ParamPair(params["a"], params["b"])
+
+
+def _exponents(params) -> ExponentPair:
+    return ExponentPair(params["c"], params["d"])
+
+
+def _error_result(check_id, params, exc) -> CheckResult:
+    """A task that raised: failed, with the error as status and witness."""
+    status = f"error: {type(exc).__name__}: {exc}"
+    return CheckResult(check_id, params, False, -1.0, [[status, 0.0]], 0.0, status)
+
+
+def _columns(tasks):
+    """Tasks grouped into pool items: those of one (pair, exponents)
+    column together, every other task alone; in first-seen order."""
+    groups = {}
+    for i, (check_id, params) in enumerate(tasks):
+        key = (params["a"], params["b"], params["c"], params["d"]) if "d" in params else i
+        groups.setdefault(key, []).append((check_id, params))
+    return list(groups.values())
+
+
+def _run_item(item):
+    """Results of one pool item.  The tasks of a column share one _Column,
+    dropped on return; a ConvergenceError or DomainError becomes an error
+    record of the task that raised it."""
+    tasks, config = item
+    _, params = tasks[0]
+    column = None
+    if "d" in params:
+        column = _Column(_pair(params), _exponents(params), config.grid, config.series)
+    results = []
+    for check_id, params in tasks:
+        try:
+            results.append(_CALLS[check_id](params, config, column))
+        except (ConvergenceError, DomainError) as exc:
+            results.append(_error_result(check_id, params, exc))
+    return results
 
 
 def _suite_meta(config: VerifyConfig) -> dict:
@@ -923,22 +1018,25 @@ def _suite_meta(config: VerifyConfig) -> dict:
 
 
 def _run_tasks(tasks, config):
-    args = [(kind, params, config) for kind, params in tasks]
+    items = [(group, config) for group in _columns(tasks)]
     workers = config.workers
     if workers is None:
         workers = os.cpu_count() or 1
-    if workers == 1 or len(args) < 2:
-        return [_execute_task(a) for a in args]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(args) // (4 * workers))
-        return list(pool.map(_execute_task, args, chunksize=chunk))
+    if workers == 1 or len(items) < 2:
+        batches = map(_run_item, items)
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, len(items) // (4 * workers))
+            batches = list(pool.map(_run_item, items, chunksize=chunk))
+    return [result for batch in batches for result in batch]
 
 
 def run_suite(config: VerifyConfig = DEFAULT_CONFIG) -> Report:
     """Run every check over the configured sample.  The report is
     byte-identical across worker counts (modulo the timestamp): results
-    are merged in canonical (check_id, params) order and each task is
-    computed independently."""
+    are merged in canonical (check_id, params) order, and the work is
+    scheduled per column (the tasks of one pair and exponent pair), whose
+    values do not depend on which worker computes them."""
     results = _run_tasks(build_tasks(config), config)
     return _build_report(_suite_meta(config), results)
 
@@ -961,14 +1059,12 @@ def sweep_rows(pp: ParamPair, ep: ExponentPair, delta: float,
                cfg: SeriesConfig = DEFAULT_SERIES):
     """Per-abscissa data for plotting/re-checking: yields tuples matching
     the CSV header a,b,c,d,delta,x,G,F_c,F_d,lower_env,upper_env."""
-    lo_const = c1(pp, ep, delta)
-    hi_const = c2(pp, delta)
-    for x in make_grid(grid):
-        x = float(x)
-        f_c, f_d, w_c = _pair_values(pp, ep, delta, x, cfg)
-        yield (pp.a, pp.b, ep.c_exp, ep.d_exp, delta, x,
-               (f_d - f_c) / w_c, f_c, f_d,
-               f_c + lo_const * w_c, f_c + hi_const * w_c)
+    xs = make_grid(grid)
+    f_c, f_d, w_c = _pair_values(pp, ep, delta, xs, cfg)
+    columns = (xs, (f_d - f_c) / w_c, f_c, f_d,
+               f_c + c1(pp, ep, delta) * w_c, f_c + c2(pp, delta) * w_c)
+    for row in zip(*(v.tolist() for v in columns)):
+        yield (pp.a, pp.b, ep.c_exp, ep.d_exp, delta, *row)
 
 
 SWEEP_HEADER = "a,b,c,d,delta,x,G,F_c,F_d,lower_env,upper_env"

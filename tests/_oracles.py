@@ -142,6 +142,70 @@ def case_boundary_exact(a: Fraction) -> Fraction:
     return 4 * h * (beta + p) - p ** 4
 
 
+# Polynomials in exact rational arithmetic: coefficient lists, lowest
+# degree first, entries Fraction (or int).
+
+def poly_trim(p):
+    p = [Fraction(c) for c in p]
+    while len(p) > 1 and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def poly_mul(*factors):
+    out = [Fraction(1)]
+    for q in factors:
+        prod = [Fraction(0)] * (len(out) + len(q) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(q):
+                prod[i + j] += x * y
+        out = prod
+    return poly_trim(out)
+
+
+def poly_add(p, q):
+    n = max(len(p), len(q))
+    return poly_trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
+                      for i in range(n)])
+
+
+def poly_deriv(p):
+    return poly_trim([i * c for i, c in enumerate(p)][1:] or [0])
+
+
+def poly_eval(p, x):
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def _poly_rem(p, q):
+    p = poly_trim(p)
+    while len(p) >= len(q) and any(p):
+        factor = p[-1] / q[-1]
+        shift = len(p) - len(q)
+        p = poly_trim([c - (factor * q[i - shift] if i >= shift else 0)
+                       for i, c in enumerate(p)][:-1] or [0])
+    return p
+
+
+def sturm_root_count(p, lo, hi):
+    """Distinct real roots of p in (lo, hi], exact, by Sturm's theorem."""
+    seq = [poly_trim(p), poly_deriv(p)]
+    while len(seq[-1]) > 1:
+        rem = _poly_rem(seq[-2], seq[-1])
+        if not any(rem):
+            break
+        seq.append([-c for c in rem])
+
+    def sign_changes(x):
+        signs = [v > 0 for v in (poly_eval(s, x) for s in seq) if v != 0]
+        return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+
+    return sign_changes(Fraction(lo)) - sign_changes(Fraction(hi))
+
+
 if __name__ == "__main__":
     # Print the reference values that are frozen into the tests.
     print("ln_gamma(7.25)      =", repr(stirling_ln_gamma(7.25)))

@@ -179,7 +179,7 @@ def test_acceptance_4_case_boundary_roots():
                  f"changes; exact sign change across (1/28, 1/27) and "
                  f"(13/25, 27/50): {flips[0]}/{flips[1]}; brackets contain "
                  f"the roots: {inside[0]}/{inside[1]}; {elapsed:.3f}s")
-    assert res.passed  # residuals <= 1e-12, two sign changes, f5 shape
+    assert res.passed  # residuals <= 1e-12, two sign changes, one turn of f4
     assert elapsed < 1.0
     assert all(flips), (
         "4h(beta+p) - p^4 at b = 1-a does not change sign across the "

@@ -5,11 +5,14 @@ subprocess smoke test.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hypcert
 from hypcert import ExponentPair, ParamPair, delta1, hyp2f1, G_value
 from hypcert.cli import main
 from hypcert.verifier import SWEEP_HEADER
@@ -231,10 +234,15 @@ def test_sweep_rejects_json_format(capsys):
 
 
 def test_module_invocation_smoke():
+    # the child imports the same package as this process, also when it
+    # came from pytest's pythonpath setting rather than the environment
+    src = str(Path(hypcert.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "hypcert", "eval", "--a", "0.5", "--b", "0.5",
          "--c", "1", "--x", "0.5"],
         capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert float(proc.stdout.strip()) == pytest.approx(1.180340599016096, rel=1e-13)

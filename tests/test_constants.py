@@ -8,6 +8,7 @@ polynomial arithmetic) before the implementation existed.
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -37,7 +38,15 @@ from hypcert import (
 )
 from hypcert.constants import A, Q, Q1, _threshold_root, g, g1, lemma_quadratic
 
-from _oracles import centered_diff
+from _oracles import (
+    case_boundary_exact,
+    centered_diff,
+    poly_add,
+    poly_deriv,
+    poly_eval,
+    poly_mul,
+    sturm_root_count,
+)
 
 EP23 = ExponentPair(2.0, 3.0)
 HALF = ParamPair(0.5, 0.5)
@@ -382,6 +391,27 @@ def test_f4_derivative_factorization():
         quartic = ((4.0 * a - 16.0) * a + 23.0) * a * a - 14.0 * a + 2.0
         closed = -8.0 * (a - 1.0) * (a * a - 2.0 * a + 2.0) * quartic
         assert fd == pytest.approx(closed, rel=1e-6, abs=1e-8), f"a={a}"
+
+
+def test_f4_derivative_factorization_exact():
+    # the same factorization as polynomials with rational coefficients
+    # (f4 built from its factors, and equal to the case boundary), and the
+    # fact check_f4_roots gates on: a^2-2a+2 has no root, so on (0,1) f4'
+    # has the sign of the quartic cofactor q, which has exactly one root
+    # there, between f4's two (brackets of gate 4); f4 rises to one maximum
+    # and falls again, and has no third root
+    a = [0, 1]
+    quad = [2, -2, 1]  # a^2 - 2a + 2
+    f4_poly = poly_add(poly_mul([0, 4], [2, -1], [1, -1], [1, -1], quad, quad), [-1])
+    q = [2, -14, 23, -16, 4]
+    assert poly_deriv(f4_poly) == poly_mul([-8], poly_add(a, [-1]), quad, q)
+    for i in range(1, 10):
+        x = Fraction(i, 10)
+        assert poly_eval(f4_poly, x) == case_boundary_exact(x)
+    assert sturm_root_count(f4_poly, 0, 1) == 2
+    assert sturm_root_count(q, 0, 1) == 1
+    assert sturm_root_count(q, Fraction(1, 27), Fraction(13, 25)) == 1
+    assert sturm_root_count(quad, 0, 1) == 0
 
 
 def test_f5_is_cofactor_of_flipped_variant():

@@ -7,6 +7,7 @@ closed forms F(a,b;b;x) = (1-x)^(-a), and finite differences.
 import math
 import random
 
+import numpy as np
 import pytest
 
 from hypcert import (
@@ -20,7 +21,7 @@ from hypcert import (
     hyp2f1_at_one,
     hyp2f1_dx,
 )
-from hypcert.hyp2f1 import HypParams
+from hypcert.hyp2f1 import DEFAULT_SERIES, Hyp2f1Kernel, HypParams
 
 from _oracles import agm_E, agm_K, centered_diff, pochhammer_series_2f1, quadrature_E
 
@@ -214,3 +215,102 @@ def test_series_config_validation():
 def test_evaluation_is_deterministic():
     args = (0.3, 0.9, 2.2, 0.77)
     assert hyp2f1(*args) == hyp2f1(*args)
+
+
+# ---------------------------------------------------------------------------
+# the fixed-parameter kernel (Horner over x-free coefficients)
+
+
+def _family_points(seed, n_params=40):
+    """Parameter triples of the comparison family, F(a-1-delta, b+delta;
+    a+b; .) with delta in [a-1, 0) (delta = 0 gives F_c itself), each with
+    abscissas in both regimes: a spread over (0, 1), points within a few
+    ulps and within 1e-6 of switch_point, and 1-x from 1e-8 to 0.2."""
+    rng = random.Random(seed)
+    sp = DEFAULT_SERIES.switch_point
+    near = [sp, math.nextafter(sp, 0.0), math.nextafter(sp, 1.0),
+            sp - 1e-6, sp + 1e-6]
+    out = []
+    for _ in range(n_params):
+        a = rng.uniform(0.05, 0.95)
+        b = rng.choice((1.0 - a, rng.uniform(1.0, 3.0)))
+        delta = rng.choice((0.0, rng.uniform(a - 1.0, 0.0)))
+        xs = ([rng.random() for _ in range(20)] + near
+              + [1.0 - 10.0 ** rng.uniform(-8.0, math.log10(0.2)) for _ in range(20)]
+              + [1.0 - 1e-8])
+        out.append(((a - 1.0 - delta, b + delta, a + b), xs))
+    return out
+
+
+def test_kernel_matches_scalar_on_family_points():
+    # tolerance fixed before the kernel was written: 4x the 5.1e-14 a
+    # prototype of it measured against the scalar path
+    worst = 0.0
+    for (a, b, c), xs in _family_points(11):
+        got = Hyp2f1Kernel(a, b, c).array(np.array(xs))
+        for x, v in zip(xs, got):
+            ref = hyp2f1(a, b, c, x)
+            worst = max(worst, abs(v - ref) / abs(ref))
+    assert worst <= 2e-13
+
+
+def test_kernel_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    sp = DEFAULT_SERIES.switch_point
+    worst = {True: 0.0, False: 0.0}
+    with mpmath.workdps(30):
+        for (a, b, c), xs in _family_points(12, n_params=12):
+            got = Hyp2f1Kernel(a, b, c).array(np.array(xs))
+            for x, v in zip(xs, got):
+                ref = mpmath.hyp2f1(a, b, c, x)
+                rel = float(abs((mpmath.mpf(v) - ref) / ref))
+                worst[x <= sp] = max(worst[x <= sp], rel)
+    # the scalar contract: 1e-12 up to switch_point, 1e-10 beyond
+    assert worst[True] <= 1e-12
+    assert worst[False] <= 1e-10
+
+
+def test_kernel_value_does_not_depend_on_company():
+    # one value, three ways: alone, through the per-point Python loop, and
+    # inside a larger shuffled array; bit-identical in every regime
+    # (terminating, non-integer excess and integer excess -1 included, the
+    # last only up to 0.99, where its contract ends)
+    rng = random.Random(13)
+    cases = [(params, 1.0 - 1e-8) for params, _ in _family_points(14, n_params=8)]
+    cases += [((-2.0, 1.3, 2.4), 0.999), ((0.5, 0.7, 1.7), 0.999), ((1.5, 1.0, 1.5), 0.99)]
+    for (a, b, c), top in cases:
+        kernel = Hyp2f1Kernel(a, b, c)
+        xs = [0.0] + [top * rng.random() for _ in range(60)] + [0.8, top]
+        many = list(xs)
+        rng.shuffle(many)
+        in_array = dict(zip(many, kernel.array(np.array(many)).tolist()))
+        for x in xs:
+            alone = kernel.array(np.array([x]))[0]
+            assert alone == kernel(x) == in_array[x], (a, b, c, x)
+
+
+def test_kernel_refuses_what_the_scalar_refuses():
+    with pytest.raises(DomainError) as scalar_err:
+        hyp2f1(0.5, 0.5, -2.0 + 1e-12, 0.5)
+    with pytest.raises(DomainError) as kernel_err:
+        Hyp2f1Kernel(0.5, 0.5, -2.0 + 1e-12)
+    assert str(kernel_err.value) == str(scalar_err.value)
+    kernel = Hyp2f1Kernel(0.5, 0.5, 1.0)
+    for bad in (1.0, -0.1, float("nan")):
+        with pytest.raises(DomainError):
+            kernel.array(np.array([0.3, bad]))
+        with pytest.raises(DomainError):
+            kernel(bad)
+
+
+def test_kernel_raises_on_a_point_its_truncation_misses():
+    # cut the series coefficients short: the per-point stopping check must
+    # raise instead of returning the truncated value
+    kernel = Hyp2f1Kernel(-0.5, 0.5, 1.0)
+    coefs = kernel._series
+    kernel.__dict__["_series"] = coefs[len(coefs) // 2:]
+    assert kernel(0.01) == pytest.approx(hyp2f1(-0.5, 0.5, 1.0, 0.01), rel=1e-15)
+    with pytest.raises(ConvergenceError):
+        kernel(0.8)
+    with pytest.raises(ConvergenceError):
+        kernel.array(np.array([0.01, 0.8]))

@@ -2,11 +2,13 @@
 extrapolation, the individual checks, and suite assembly/determinism."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hypcert import (
+    ConvergenceError,
     DomainError,
     ExponentPair,
     GridSpec,
@@ -20,12 +22,15 @@ from hypcert import (
     run_check,
     run_suite,
 )
+from hypcert import verifier
+from hypcert.cli import main
 from hypcert.verifier import (
     CHECK_IDS,
     DEFAULT_GRID,
     SWEEP_HEADER,
     _extrap_high,
     _extrap_low,
+    _f4_cofactor,
     build_tasks,
     check_beta_convex,
     check_crossing_control,
@@ -43,6 +48,8 @@ from hypcert.verifier import (
     sweep_rows,
 )
 from hypcert.hyp2f1 import DEFAULT_SERIES
+
+from _oracles import poly_eval
 
 HALF = ParamPair(0.5, 0.5)
 EP23 = ExponentPair(2.0, 3.0)
@@ -213,6 +220,16 @@ def test_f4_root_isolation():
     assert abs(res.witnesses[0][1]) <= 1e-12  # residual at the root
 
 
+def test_f4_gate_uses_the_cofactor_of_f4():
+    # check_f4_roots reads the sign of f4' from its quartic factor q; pin
+    # that factor to the q of the exact factorization (test_constants) at
+    # dyadic points, where the float evaluation is exact
+    q = [2, -14, 23, -16, 4]
+    for k in range(17):
+        a = Fraction(k, 16)
+        assert _f4_cofactor(float(a)) == poly_eval(q, a)
+
+
 def test_lemma_checks_pass_on_reference_pairs():
     for pp in (HALF, ParamPair(0.05, 0.95)):
         assert check_lemma_g(pp).passed
@@ -296,6 +313,81 @@ def test_report_identical_across_worker_counts(small_report):
     assert _strip_timestamp(parallel.to_json_text()) == _strip_timestamp(
         small_report.to_json_text()
     )
+
+
+def _direct_check(check_id, t, config):
+    """The record of one task from its public check function, which builds
+    its own column."""
+    if check_id == "f4_roots":
+        return check_f4_roots(t["n_scan"])
+    pp = ParamPair(t["a"], t["b"])
+    if check_id in ("beta_convex", "lemma_g", "lemma_g1"):
+        return {"beta_convex": check_beta_convex, "lemma_g": check_lemma_g,
+                "lemma_g1": check_lemma_g1}[check_id](pp)
+    ep = ExponentPair(t["c"], t["d"])
+    grid, cfg = config.grid, config.series
+    if check_id == "sharpness":
+        return check_sharpness(pp, ep, t["threshold_form"], grid, cfg)
+    if check_id == "lemma_Q":
+        return check_lemma_Q(pp, ep, t["delta"], t["N"])
+    if check_id == "fpp_positive":
+        return check_fpp_positive(pp, ep, t["delta"], cfg=cfg)
+    fn = {"G_monotone": check_G_monotone, "sandwich": check_sandwich,
+          "crossing": find_crossing, "crossing_control": check_crossing_control}[check_id]
+    return fn(pp, ep, t["delta"], grid, cfg)
+
+
+def test_suite_records_match_direct_checks(small_report):
+    # the suite shares one column among the checks of a (pair, exponents);
+    # each direct call builds its own -- the records must not differ
+    assert len(small_report.checks) == len(build_tasks(SMALL_CONFIG))
+    for rec in small_report.checks:
+        direct = _direct_check(rec.check_id, rec.params, SMALL_CONFIG)
+        assert (direct.passed, direct.status) == (rec.passed, rec.status)
+        assert direct.worst_margin == rec.worst_margin, rec.params
+        assert direct == rec
+
+
+def test_task_errors_become_failed_records(monkeypatch, small_report, tmp_path):
+    # one column's F_d kernels raise: its records that reach them become
+    # error records, every other record is untouched, and the run still
+    # reports every task and exits 1
+    tasks = build_tasks(SMALL_CONFIG)
+    target = next((t["a"], t["b"], t["c"], t["d"]) for kind, t in tasks
+                  if kind == "G_monotone" and t["b"] == 1.0)
+    original = verifier._Column.kernel_d
+
+    def kernel_d(self, delta):
+        if (self.pp.a, self.pp.b, self.ep.c_exp, self.ep.d_exp) == target:
+            raise ConvergenceError("forced for one column")
+        return original(self, delta)
+
+    monkeypatch.setattr(verifier._Column, "kernel_d", kernel_d)
+    report = run_suite(SMALL_CONFIG)
+    assert len(report.checks) == len(tasks)
+    assert not report.passed
+    n_errors = 0
+    for got, want in zip(report.checks, small_report.checks):
+        key = tuple(got.params.get(k) for k in ("a", "b", "c", "d"))
+        if key == target and got.check_id != "lemma_Q" and want.status == "ok":
+            n_errors += 1
+            assert not got.passed
+            assert got.status == "error: ConvergenceError: forced for one column"
+            assert got.witnesses
+        else:
+            assert got == want
+    assert n_errors >= 10
+
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("n_points = 128\na_values = 0.3, 0.5\nb_values = 1-a, 1.0\n"
+                   "ratios = 0.6, bound\n", encoding="utf-8")
+    out = tmp_path / "report.json"
+    rc = main(["verify", "--suite", "--workers", "1", "--config", str(cfg),
+               "--out", str(out)])
+    assert rc == 1
+    records = json.loads(out.read_text(encoding="utf-8"))["checks"]
+    assert len(records) == len(tasks)
+    assert sum(r["status"].startswith("error: ") for r in records) == n_errors
 
 
 def test_run_check_filters_to_one_id():
