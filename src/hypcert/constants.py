@@ -30,6 +30,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 from .special import beta as beta_fn
 from .special import ln_gamma
@@ -294,29 +296,54 @@ def f5(a: float) -> float:
     return ((4.0 * a - 16.0) * a + 15.0) * a * a + 2.0 * a - 2.0
 
 
+def _within(v, lo, hi) -> bool:
+    """lo <= v <= hi for a number, or for every entry of an array."""
+    if hasattr(v, "min"):
+        return bool(lo <= v.min() and v.max() <= hi)
+    return lo <= v <= hi
+
+
 def g1(y: float, dp: DerivedParams) -> float:
     """Boundary quadratic g1(y) = y^2 + (p^2/k) y + h(p+beta)/k^2 on the
-    interval [-h/(alpha k), 0].
+    interval [-h/(alpha k), 0]; y may be an array.
 
     Endpoint values: g1(0) = h(p+beta)/k^2 and
     g1(-h/(alpha k)) = beta^2 p (p+beta) / k^2."""
     lo = -dp.h / (dp.alpha * dp.k)
-    if not (lo - _EDGE_SLACK <= y <= _EDGE_SLACK):
+    if not _within(y, lo - _EDGE_SLACK, _EDGE_SLACK):
         raise DomainError(f"g1 argument {y!r} outside [{lo!r}, 0]")
     return y * y + (dp.p ** 2 / dp.k) * y + dp.h * (dp.p + dp.beta) / dp.k ** 2
 
 
 def g(x: float, y: float, dp: DerivedParams) -> float:
     """Two-variable quadratic g(x,y) = y^2 + ((p+1)x - 1) y + alpha*beta*x^2
-    on the closure of the wedge 0 < x < (beta+p)/k, -beta*x < y < 0.
+    on the closure of the wedge 0 < x < (beta+p)/k, -beta*x < y < 0; y may
+    be an array.
 
     Its slice at x = (beta+p)/k coincides with g1."""
     xmax = (dp.beta + dp.p) / dp.k
     if not (-_EDGE_SLACK <= x <= xmax + _EDGE_SLACK):
         raise DomainError(f"g argument x={x!r} outside [0, {xmax!r}]")
-    if not (-dp.beta * x - _EDGE_SLACK <= y <= _EDGE_SLACK):
+    if not _within(y, -dp.beta * x - _EDGE_SLACK, _EDGE_SLACK):
         raise DomainError(f"g argument y={y!r} outside [{-dp.beta * x!r}, 0]")
     return y * y + ((dp.p + 1.0) * x - 1.0) * y + dp.alpha * dp.beta * x * x
+
+
+def _check_index(n, name: str) -> None:
+    """n must be an integer >= 1, or an integer array of them."""
+    if hasattr(n, "dtype"):
+        ok = n.dtype.kind in "iu" and n.size > 0 and n.min() >= 1
+    else:
+        ok = isinstance(n, int) and not isinstance(n, bool) and n >= 1
+    if not ok:
+        raise DomainError(f"{name} needs an integer n >= 1, got {n!r}")
+
+
+def _q_factor(n, pp: ParamPair, ep: ExponentPair, delta: float):
+    """The polynomial factor (c/d - 1)(u+v+n) + u(v+1) of Q(n)."""
+    u = pp.a - delta
+    v = pp.b + delta
+    return (ep.ratio - 1.0) * (u + v + n) + u * (v + 1.0)
 
 
 def Q(n: int, pp: ParamPair, ep: ExponentPair, delta: float) -> float:
@@ -328,19 +355,39 @@ def Q(n: int, pp: ParamPair, ep: ExponentPair, delta: float) -> float:
     with u = a-delta, v = b+delta (all gamma arguments positive for n >= 1).
     Strictly decreasing in n and eventually below any bound, which is what
     forces the series-coefficient comparison."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"Q needs an integer n >= 1, got {n!r}")
+    _check_index(n, "Q")
+    return Q_ratio(n, pp, delta) * _q_factor(n, pp, ep, delta)
+
+
+def Q_ratio(n: int, pp: ParamPair, delta: float) -> float:
+    """The gamma factor R(n) = G(u+n-1) G(v+n) / (G(a+n-1) G(b+n)) of Q(n),
+    from four lgamma values."""
     a, b = pp.a, pp.b
     u = a - delta
     v = b + delta
-    r = ep.ratio
-    ratio_part = math.exp(
+    return math.exp(
         ln_gamma(u + n - 1.0)
         + ln_gamma(v + n)
         - ln_gamma(a + n - 1.0)
         - ln_gamma(b + n)
     )
-    return ratio_part * ((r - 1.0) * (u + v + n) + u * (v + 1.0))
+
+
+def Q_sequence(m: int, pp: ParamPair, ep: ExponentPair, delta: float):
+    """Arrays (R(n), Q(n)) for n = 1..m, R by its recurrence
+
+        R(n+1) = R(n) (u+n-1)(v+n) / ((a+n-1)(b+n))
+
+    from R(1) = Q_ratio(1): one lgamma anchor instead of four lgamma
+    values per n."""
+    _check_index(m, "Q_sequence")
+    u = pp.a - delta
+    v = pp.b + delta
+    ns = np.arange(1.0, m + 1.0)
+    n = ns[:-1]
+    steps = (u + n - 1.0) * (v + n) / ((pp.a + n - 1.0) * (pp.b + n))
+    ratios = Q_ratio(1, pp, delta) * np.concatenate([[1.0], np.cumprod(steps)])
+    return ratios, ratios * _q_factor(ns, pp, ep, delta)
 
 
 def A(pp: ParamPair, ep: ExponentPair, delta: float) -> float:
@@ -358,9 +405,10 @@ def Q1(n: int, pp: ParamPair, ep: ExponentPair, delta: float) -> float:
     """Difference quadratic: Q(n+1) - Q(n) equals
     [G(n+u-1) G(n+v) / (G(n+a) G(n+b+1))] * Q1(n) with
 
-        Q1(n) = (c/d - 1) n^2 + (c/d - 1) f1(delta) n + A."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"Q1 needs an integer n >= 1, got {n!r}")
+        Q1(n) = (c/d - 1) n^2 + (c/d - 1) f1(delta) n + A;
+
+    n may be an integer array."""
+    _check_index(n, "Q1")
     r = ep.ratio
     return (r - 1.0) * n * n + (r - 1.0) * f1(pp, delta) * n + A(pp, ep, delta)
 
@@ -405,6 +453,8 @@ __all__ = [
     "g1",
     "g",
     "Q",
+    "Q_ratio",
+    "Q_sequence",
     "Q1",
     "A",
     "lemma_quadratic",

@@ -10,7 +10,7 @@ together:
   contract is offered (x <= 0.99);
 * the logarithmic connection formula at unit excess (c = a + b + 1), the
   regime every comparison in this package lives in, accurate to ~1e-14
-  right up to 1 - 1e-8;
+  right up to the largest double below 1;
 * the reflection-based connection formula for non-integer excess.
 
 Series termination is tail-aware: the plain series stops only when the
@@ -19,13 +19,18 @@ which is what makes zero-balanced cases (e = 0) trustworthy at x = 0.999.
 
 ``hyp2f1`` takes one point at a time.  ``Hyp2f1Kernel`` fixes (a, b, c)
 and evaluates many points: the series and the unit-excess expansion
-become polynomials with precomputed coefficients, run by Horner's rule
-over an array.
+become polynomials with precomputed coefficients, run by Horner's rule.
+``evaluate`` serves many kernels at once with one Horner loop per regime
+over a (kernels x points) array, each kernel's coefficients padded with
+leading zeros to the longest list.  The padding leaves every bit as it
+was: for x >= 0, 0*x + 0 = +0, and the first real coefficient c then
+gives +0*x + c = c exactly, which is where the unpadded loop starts.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -263,10 +268,11 @@ def hyp2f1(a: float, b: float, c: float, x: float, cfg: SeriesConfig | None = No
     """Gauss hypergeometric F(a, b; c; x) for 0 <= x < 1.
 
     Accuracy: <= 1e-12 relative for x <= cfg.switch_point; <= 1e-10 relative
-    on [switch_point, 1 - 1e-8] when the excess c-a-b equals 1; the
-    non-integer-excess connection formula covers the rest, except that
-    non-unit integer excess beyond the switch point falls back to the plain
-    series and is only guaranteed up to x = 0.99.
+    on [switch_point, 1) when the excess c-a-b equals 1 (tested against
+    mpmath on comparison-family parameters up to 1 - 2**-53, the largest
+    double below 1); the non-integer-excess connection formula covers the
+    rest, except that non-unit integer excess beyond the switch point falls
+    back to the plain series and is only guaranteed up to x = 0.99.
     """
     if cfg is None:
         cfg = DEFAULT_SERIES
@@ -298,11 +304,91 @@ def _terminating(a: float, b: float) -> bool:
 
 
 def _ln(w):
-    """math.log of a float, or of each entry of a 1-D array, so that both
-    evaluation paths of Hyp2f1Kernel take the same logarithm."""
+    """math.log of a float, or of each entry of an array, so that every
+    evaluation path of Hyp2f1Kernel takes the same logarithm."""
     if isinstance(w, np.ndarray):
-        return np.fromiter(map(math.log, w.tolist()), float, w.size)
+        return np.fromiter(map(math.log, w.ravel().tolist()), float, w.size).reshape(w.shape)
     return math.log(w)
+
+
+def _horner(coefs, x):
+    """The polynomial with coefficients ``coefs`` (highest power first) at
+    x, one IEEE multiply and one add per step.  Either x is a float and the
+    coefficients floats, or x is a (rows, points) array and each
+    coefficient a (rows, 1) column.
+
+    A row padded with leading zero coefficients keeps its bits: for
+    x >= 0, 0*x + 0 = +0, and the first real coefficient c then gives
+    +0*x + c = c exactly, the unpadded loop's first step."""
+    acc = 0.0
+    for ck in coefs:
+        acc *= x
+        acc += ck
+    return acc
+
+
+# The power series: coefficients t_N..t_0 (highest first), the powers k
+# and coefficients c of its last two terms, and rel_tol.
+_Series = namedtuple("_Series", "coefs k c tol")
+
+# The unit-excess expansion F = A + B*w*(ln w * P(w) + Q(w)): coefficients
+# coef_k of P and coef_k*d_k of Q (highest first), the (k, coef_k, d_k) of
+# its last two terms, and rel_tol.
+_Log = namedtuple("_Log", "A B p q k c d tol")
+
+
+def _series_at(s, x):
+    """Value at x, and whether x meets the stopping rule of _raw_series on
+    both of the last two terms."""
+    value = _horner(s.coefs, x)
+    tail = 1.0 / (1.0 - x)
+    bound = s.tol * abs(value)
+    ok = True
+    for k, ck in zip(s.k, s.c):
+        ok = ok & (abs(ck) * x ** k * tail <= bound)
+    return value, ok
+
+
+def _log_at(s, x):
+    """Value at x, and whether x meets the stopping rule of
+    _log_connection_unit_excess on both of the last two terms."""
+    w = 1.0 - x
+    lw = _ln(w)
+    p = _horner(s.p, w)
+    q = _horner(s.q, w)
+    bw = s.B * w
+    value = s.A + bw * (lw * p + q)
+    tail = 1.0 / (1.0 - w)
+    bound = s.tol * (abs(value) + 1e-300)
+    ok = True
+    for k, ck, dk in zip(s.k, s.c, s.d):
+        ok = ok & (abs(bw * (ck * w ** k * (lw + dk))) * tail <= bound)
+    return value, ok
+
+
+_AT = {"series": _series_at, "log": _log_at}
+
+
+def _stack(sets):
+    """Coefficient sets of several kernels as one set over (rows, points)
+    arrays: coefficient lists right-aligned behind leading zeros in one
+    (depth, rows, 1) array, every other number a (rows, 1) column.  One
+    set stays as it is: its numbers broadcast over its one row."""
+    if len(sets) == 1:
+        return sets[0]
+    fields = []
+    for vals in zip(*sets):
+        if isinstance(vals[0], list):
+            depth = max(map(len, vals))
+            field = np.zeros((depth, len(vals), 1))
+            for i, v in enumerate(vals):
+                field[depth - len(v):, i, 0] = v
+        elif isinstance(vals[0], tuple):
+            field = tuple(np.array(v, dtype=float)[:, None] for v in zip(*vals))
+        else:
+            field = np.array(vals, dtype=float)[:, None]
+        fields.append(field)
+    return type(sets[0])(*fields)
 
 
 class Hyp2f1Kernel:
@@ -321,11 +407,13 @@ class Hyp2f1Kernel:
     Terminating parameters, non-unit integer excess and non-integer
     excess go to hyp2f1 point by point.
 
-    ``kernel(x)`` runs the same Horner code on a Python float as
-    ``kernel.array(xs)`` runs on an array: separate IEEE multiplies and
-    adds (NumPy fuses neither) and ``math.log`` on both paths, so a point
-    has the same bits alone or inside any array, and a single point costs
-    no NumPy call.
+    ``kernel(x)`` runs _horner on a Python float, with no NumPy call;
+    ``kernel.array(xs)`` is ``evaluate([(kernel, xs)])``, which runs the
+    same code on a (rows, points) array.  The steps are separate IEEE
+    multiplies and adds (NumPy fuses neither), padding a row with leading
+    zero coefficients does not change its bits (see _horner), and both
+    paths take ``math.log``, so a point has the same bits alone or inside
+    any array, stacked with any other kernels.
     """
 
     def __init__(self, a: float, b: float, c: float, cfg: SeriesConfig | None = None):
@@ -351,9 +439,6 @@ class Hyp2f1Kernel:
 
     @cached_property
     def _log(self):
-        """A, B and the coefficients coef_k, coef_k*d_k (highest first) of
-        F = A + B*w*(ln w * sum coef_k w^k + sum coef_k d_k w^k), with the
-        (k, coef_k, d_k) of the last two terms."""
         a, b, cfg = self.a, self.b, self.cfg
         k_top = _log_connection_unit_excess(a, b, cfg.switch_point, cfg)[1]
         A = gamma(a + b + 1.0) / (gamma(a + 1.0) * gamma(b + 1.0))
@@ -369,45 +454,27 @@ class Hyp2f1Kernel:
                 - 1.0 / (k + 2.0)
             )
             coef *= (a + 1.0 + k) * (b + 1.0 + k) / ((k + 1.0) * (k + 2.0))
-        pq = [(ck, ck * d) for _, ck, d in reversed(terms)]
-        return A, a * b * A, pq, terms[-2:]
+        p = [ck for _, ck, _ in reversed(terms)]
+        q = [ck * d for _, ck, d in reversed(terms)]
+        return _Log(A, a * b * A, p, q, *zip(*terms[-2:]), cfg.rel_tol)
 
-    def _series_at(self, x):
+    @cached_property
+    def _series_set(self):
         coefs = self._series
-        acc = 0.0
-        for ck in coefs:
-            acc = acc * x + ck
-        tail = 1.0 / (1.0 - x)
         top = len(coefs) - 1
-        for k in (top - 1, top):
-            self._require(abs(coefs[top - k]) * x ** k * tail
-                          <= self.cfg.rel_tol * abs(acc), x, "series")
-        return acc
+        return _Series(coefs, (top - 1, top), (coefs[1], coefs[0]), self.cfg.rel_tol)
 
-    def _log_at(self, x):
-        A, B, pq, last = self._log
-        w = 1.0 - x
-        lw = _ln(w)
-        p = q = 0.0
-        for pk, qk in pq:
-            p = p * w + pk
-            q = q * w + qk
-        bw = B * w
-        value = A + bw * (lw * p + q)
-        tail = 1.0 / (1.0 - w)
-        for k, ck, dk in last:
-            term = ck * w ** k * (lw + dk)
-            self._require(abs(bw * term) * tail
-                          <= self.cfg.rel_tol * (abs(value) + 1e-300), x, "log")
-        return value
+    def _coefs(self, regime):
+        """The coefficient set of a regime."""
+        return self._series_set if regime == "series" else self._log
 
-    def _require(self, ok, x, regime):
-        if isinstance(ok, np.ndarray):
-            if ok.all():
-                return
-            x = float(x[np.argmin(ok)])
-        elif ok:
-            return
+    def _regime(self, x) -> str | None:
+        """The Horner regime that covers x: "series", "log" or None."""
+        if x <= self.cfg.switch_point:
+            return "series" if self._horner else None
+        return "log" if self._unit_excess else None
+
+    def _miss(self, x, regime):
         raise ConvergenceError(
             f"{regime} coefficients for ({self.a}, {self.b}; {self.c}) miss "
             f"rel_tol={self.cfg.rel_tol} at x={x!r}"
@@ -416,15 +483,33 @@ class Hyp2f1Kernel:
     def __call__(self, x: float) -> float:
         if not (0.0 <= x < 1.0):
             raise DomainError(f"argument must satisfy 0 <= x < 1, got {x!r}")
-        series = x <= self.cfg.switch_point
-        if self._horner and series:
-            return self._series_at(x)
-        if self._unit_excess and not series:
-            return self._log_at(x)
-        return hyp2f1(self.a, self.b, self.c, x, self.cfg)
+        regime = self._regime(x)
+        if regime is None:
+            return hyp2f1(self.a, self.b, self.c, x, self.cfg)
+        value, ok = _AT[regime](self._coefs(regime), x)
+        if not ok:
+            self._miss(x, regime)
+        return value
 
     def array(self, xs) -> np.ndarray:
         """Values at every entry of the 1-D array ``xs``."""
+        return evaluate([(self, xs)])[0]
+
+
+def evaluate(requests) -> list:
+    """Values of many (kernel, xs) requests: one array per request, in
+    request order, each as ``kernel.array(xs)`` alone would give it.
+
+    Each Horner regime runs one loop over a (rows, points) array.  A row
+    belongs to one kernel and holds all of its points in the regime, from
+    every request that names it; its coefficients are padded with leading
+    zeros to the deepest row's (bit-neutral, see _horner), its points with
+    copies of its own last point.  The stopping rule is then checked on
+    real entries only, never on padding, and the first miss raises
+    ConvergenceError.  Points outside the Horner regimes go to hyp2f1 one
+    by one, after the stacked loops."""
+    outs, rows = [], {"series": {}, "log": {}}
+    for kernel, xs in requests:
         xs = np.asarray(xs, dtype=float)
         bad = ~((xs >= 0.0) & (xs < 1.0))
         if bad.any():
@@ -432,15 +517,38 @@ class Hyp2f1Kernel:
                 f"argument must satisfy 0 <= x < 1, got {float(xs[bad][0])!r}"
             )
         out = np.empty_like(xs)
-        series = (xs <= self.cfg.switch_point) & self._horner
-        log = ~series & (xs > self.cfg.switch_point) & self._unit_excess
-        if series.any():
-            out[series] = self._series_at(xs[series])
-        if log.any():
-            out[log] = self._log_at(xs[log])
-        for i in np.flatnonzero(~(series | log)):
-            out[i] = hyp2f1(self.a, self.b, self.c, float(xs[i]), self.cfg)
-        return out
+        series = (xs <= kernel.cfg.switch_point) & kernel._horner
+        log = ~series & (xs > kernel.cfg.switch_point) & kernel._unit_excess
+        for regime, mask in (("series", series), ("log", log)):
+            if mask.any():
+                rows[regime].setdefault(kernel, []).append((out, mask, xs[mask]))
+        outs.append((kernel, xs, out, ~(series | log)))
+
+    for regime, by_kernel in rows.items():
+        if not by_kernel:
+            continue
+        kernels = list(by_kernel)
+        pts = [np.concatenate([x for _, _, x in by_kernel[k]]) for k in kernels]
+        width = max(map(len, pts))
+        xs = np.empty((len(pts), width))
+        for row, p in zip(xs, pts):
+            row[:len(p)] = p
+            row[len(p):] = p[-1]
+        values, ok = _AT[regime](_stack([k._coefs(regime) for k in kernels]), xs)
+        miss = ~ok & (np.arange(width) < [[len(p)] for p in pts])
+        if miss.any():
+            i, j = np.argwhere(miss)[0]
+            kernels[i]._miss(float(xs[i, j]), regime)
+        for k, row in zip(kernels, values):
+            start = 0
+            for out, mask, x in by_kernel[k]:
+                out[mask] = row[start:start + len(x)]
+                start += len(x)
+
+    for kernel, xs, out, rest in outs:
+        for i in np.flatnonzero(rest):
+            out[i] = hyp2f1(kernel.a, kernel.b, kernel.c, float(xs[i]), kernel.cfg)
+    return [out for _, _, out, _ in outs]
 
 
 def hyp2f1_at_one(a: float, b: float, c: float) -> float:
@@ -487,6 +595,7 @@ __all__ = [
     "DEFAULT_SERIES",
     "HypParams",
     "Hyp2f1Kernel",
+    "evaluate",
     "hyp2f1",
     "hyp2f1_at_one",
     "hyp2f1_dx",

@@ -30,7 +30,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import cached_property
 
 import numpy as np
 
@@ -49,11 +48,13 @@ from .constants import (
     g1,
     Q,
     Q1,
+    Q_ratio,
+    Q_sequence,
 )
 from .errors import ConvergenceError, DomainError
-from .hyp2f1 import DEFAULT_SERIES, Hyp2f1Kernel, SeriesConfig, hyp2f1, hyp2f1_at_one
+from .hyp2f1 import (DEFAULT_SERIES, Hyp2f1Kernel, SeriesConfig, evaluate, hyp2f1,
+                     hyp2f1_at_one)
 from .special import beta as beta_fn
-from .special import ln_gamma
 
 # Strictness thresholds shared across checks: theorem inequalities are
 # strict, so interior margins must clear INTERIOR_MARGIN; consecutive-
@@ -232,8 +233,8 @@ def _kernel_d(pp, delta, cfg):
 def _pair_values(pp, ep, delta, xs, cfg):
     """(F_c, F_d, 1-x^c) over the abscissa array xs."""
     w_c = _one_minus_pow(ep.c_exp, xs)
-    f_c = _kernel_c(pp, cfg).array(w_c)
-    f_d = _kernel_d(pp, delta, cfg).array(_one_minus_pow(ep.d_exp, xs))
+    f_c, f_d = evaluate([(_kernel_c(pp, cfg), w_c),
+                         (_kernel_d(pp, delta, cfg), _one_minus_pow(ep.d_exp, xs))])
     return f_c, f_d, w_c
 
 
@@ -249,37 +250,62 @@ def G_value(pp: ParamPair, ep: ExponentPair, delta: float, x: float,
     return float((f_d[0] - f_c[0]) / w_c[0])
 
 
+# fpp_positive's default abscissa count and difference step
+_FPP_N = 48
+_FPP_STEP = 1e-4
+
+
+def _fpp_points(n):
+    return np.linspace(0.01, 0.95, n)
+
+
+def _abscissas(ep, grid, where):
+    """(x, arguments of F_c, arguments of F_d) over one abscissa set of a
+    column with exponents ep: "scan", the grid then the near-1 tail
+    (unsorted), with 1-x^c and 1-x^d; or ("fpp", n, step), fpp_positive's
+    points x-step, x, x+step, with x and t(x) = 1-(1-x)^(d/c)."""
+    if where == "scan":
+        xs = np.concatenate([make_grid(grid), _tail_abscissas(ep)])
+        return xs, _one_minus_pow(ep.c_exp, xs), _one_minus_pow(ep.d_exp, xs)
+    _, n, step = where
+    x = _fpp_points(n)
+    xs = np.concatenate([x - step, x, x + step])
+    dc = ep.d_exp / ep.c_exp
+    return xs, xs, _elementwise(lambda v: -math.expm1(dc * math.log1p(-v)), xs)
+
+
 class _Column:
     """One (pair, exponent pair) and its hypergeometric values, each
-    computed once and on first use.
+    computed once.
 
-    The abscissas are the grid and the scan (the grid together with the
-    near-1 tail, sorted), with 1-x^c and 1-x^d.  F_c is evaluated once over
-    the scan, F_d once per shift; G at a shift is read off the grid part.
-    Every value comes from one Hyp2f1Kernel per parameter triple, and a
-    single point (bisection) uses the same kernels, so it has the bits an
-    array would give it.  The checks of the column reduce these arrays;
-    a crossing result is kept per shift for sharpness to reuse.
+    The abscissa sets are the scan (the grid together with the near-1
+    tail, sorted) and fpp_positive's points; see _abscissas.  A value is
+    F_c (shift None) or F_d at a shift over one set.  ``reads`` declares
+    the (shift, set) pairs the column's checks will read; on first use,
+    F_c and all of them come from one ``evaluate`` call.  A value nobody
+    declared is computed when first asked for, and if the stacked call
+    raises, every value is computed on its own through ``kernel_d``, so a
+    check meets exactly the error it would meet alone.  G at a shift is
+    read off the grid part of the scan.  A single point (bisection) uses
+    the same kernels, so it has the bits an array would give it.  A
+    crossing result is kept per shift for sharpness to reuse.
     """
 
     def __init__(self, pp: ParamPair, ep: ExponentPair,
-                 grid: GridSpec = DEFAULT_GRID, cfg: SeriesConfig = DEFAULT_SERIES):
-        self.pp, self.ep, self.cfg = pp, ep, cfg
-        self.grid_xs = make_grid(grid)
+                 grid: GridSpec = DEFAULT_GRID, cfg: SeriesConfig = DEFAULT_SERIES,
+                 reads=()):
+        self.pp, self.ep, self.grid, self.cfg = pp, ep, grid, cfg
+        self._sets = {"scan": _abscissas(ep, grid, "scan")}
+        xs, self._w_c, _ = self._sets["scan"]
+        self.grid_xs = xs[:grid.n_points]
         # grid first, then tail: the stable sort keeps a tie in that order
-        xs = np.concatenate([self.grid_xs, _tail_abscissas(ep)])
         self._order = np.argsort(xs, kind="stable")
         self.scan_xs = xs[self._order]
-        self._w_c = _one_minus_pow(ep.c_exp, xs)
-        self._w_d = _one_minus_pow(ep.d_exp, xs)
         self.kernel_c = _kernel_c(pp, cfg)
         self._kernels_d = {}
-        self._f_d = {}
+        self._reads = list(reads)
+        self._values = {}
         self.crossings = {}
-
-    @cached_property
-    def _f_c(self):
-        return self.kernel_c.array(self._w_c)
 
     def kernel_d(self, delta):
         """The kernel of F_d at shift delta."""
@@ -287,31 +313,48 @@ class _Column:
             self._kernels_d[delta] = _kernel_d(self.pp, delta, self.cfg)
         return self._kernels_d[delta]
 
-    def _fd(self, delta):
-        if delta not in self._f_d:
-            self._f_d[delta] = self.kernel_d(delta).array(self._w_d)
-        return self._f_d[delta]
+    def _arguments(self, delta, where):
+        if where not in self._sets:
+            self._sets[where] = _abscissas(self.ep, self.grid, where)
+        return self._sets[where][1 if delta is None else 2]
+
+    def _kernel(self, delta):
+        return self.kernel_c if delta is None else self.kernel_d(delta)
+
+    def _value(self, delta, where):
+        """F_c (delta None) or F_d at delta over the abscissa set where."""
+        if self._reads:
+            keys = list(dict.fromkeys([(None, w) for _, w in self._reads] + self._reads))
+            self._reads = ()
+            try:
+                values = evaluate([(self._kernel(d), self._arguments(d, w)) for d, w in keys])
+                self._values.update(zip(keys, values))
+            except (ConvergenceError, DomainError):
+                pass  # each value is computed below, on its own, when read
+        if (delta, where) not in self._values:
+            self._values[delta, where] = self._kernel(delta).array(self._arguments(delta, where))
+        return self._values[delta, where]
 
     def G(self, delta):
         """G at the grid abscissas."""
         n = len(self.grid_xs)
-        return (self._fd(delta)[:n] - self._f_c[:n]) / self._w_c[:n]
+        return (self._value(delta, "scan")[:n] - self._value(None, "scan")[:n]) / self._w_c[:n]
 
     def differences(self, delta):
         """F_d - F_c at the scan abscissas."""
-        return (self._fd(delta) - self._f_c)[self._order]
+        return (self._value(delta, "scan") - self._value(None, "scan"))[self._order]
 
     def difference_at(self, delta, x: float) -> float:
         """F_d - F_c at one abscissa."""
         return (self.kernel_d(delta)(_one_minus_pow(self.ep.d_exp, x))
                 - self.kernel_c(_one_minus_pow(self.ep.c_exp, x)))
 
-    def fpp_differences(self, delta, xs):
-        """f(x) = F(a-1-delta, b+delta; p; t(x)) - F(a-1, b; p; x) over the
-        array xs, with t(x) = 1-(1-x)^(d/c)."""
-        dc = self.ep.d_exp / self.ep.c_exp
-        t = _elementwise(lambda v: -math.expm1(dc * math.log1p(-v)), xs)
-        return self.kernel_d(delta).array(t) - self.kernel_c.array(xs)
+    def fpp_differences(self, delta, n, step):
+        """f(x) = F(a-1-delta, b+delta; p; t(x)) - F(a-1, b; p; x) at x-step,
+        x and x+step for the n fpp points x, as a (3, n) array; with
+        t(x) = 1-(1-x)^(d/c)."""
+        where = ("fpp", n, step)
+        return (self._value(delta, where) - self._value(None, where)).reshape(3, n)
 
 
 def _extrap_low(pp, ep, delta, cfg, s0=1e-9):
@@ -325,7 +368,8 @@ def _extrap_low(pp, ep, delta, cfg, s0=1e-9):
     first factor and x^d*ln(x^d) from the second -- then stay below ~1e-7
     for every admissible exponent pair, whereas at grid-sized x the x^d
     terms reach ~1e-3 when d = 1.  The hypergeometric arguments are formed
-    straight from s because x = s**(1/c) can be too small for log1p(x-1)."""
+    straight from s because x = s**(1/c) can be too small for log1p(x-1);
+    they reach 1 - 2**-53, inside hyp2f1's documented range."""
     p = pp.a + pp.b
     basis, gs = [], []
     for mult in (1.0, 2.0, 4.0):
@@ -519,6 +563,22 @@ def check_crossing_control(pp: ParamPair, ep: ExponentPair, delta: float,
     return _result("crossing_control", params, margin, witnesses, INTERIOR_MARGIN)
 
 
+def _sharpness_candidate(pp, ep, threshold_form):
+    """The shift sharpness characterizes: delta1, or its rejected variant."""
+    return delta1(pp, ep) if threshold_form == "beta" else delta1_alpha_variant(pp, ep)
+
+
+def _sharpness_shifts(cand):
+    """The shifts above cand at which sharpness needs a crossing: cand + 1e-3
+    and cand + 1e-2, each replaced by cand/2 where it would reach 0."""
+    shifts = []
+    for eps in (1e-3, 1e-2):
+        nudged = cand + eps if cand + eps < 0.0 else 0.5 * cand
+        if nudged not in shifts:
+            shifts.append(nudged)
+    return shifts
+
+
 def check_sharpness(pp: ParamPair, ep: ExponentPair, threshold_form: str = "beta",
                     grid: GridSpec = DEFAULT_GRID,
                     cfg: SeriesConfig = DEFAULT_SERIES,
@@ -537,7 +597,7 @@ def check_sharpness(pp: ParamPair, ep: ExponentPair, threshold_form: str = "beta
     skip, dp, d1 = _admissibility_gate("sharpness", params, pp, ep)
     if skip is not None:
         return skip
-    cand = d1 if threshold_form == "beta" else delta1_alpha_variant(pp, ep)
+    cand = _sharpness_candidate(pp, ep, threshold_form)
 
     col = column if column is not None else _Column(pp, ep, grid, cfg)
     quots = col.G(cand)
@@ -545,12 +605,7 @@ def check_sharpness(pp: ParamPair, ep: ExponentPair, threshold_form: str = "beta
     margin = float(quots[i_min]) - INTERIOR_MARGIN
     witnesses = [[float(col.grid_xs[i_min]), float(quots[i_min])]] if margin <= 0.0 else []
 
-    above = []
-    for eps in (1e-3, 1e-2):
-        nudged = cand + eps if cand + eps < 0.0 else 0.5 * cand
-        if nudged not in above:
-            above.append(nudged)
-    for nudged in above:
+    for nudged in _sharpness_shifts(cand):
         sub = find_crossing(pp, ep, nudged, grid, cfg, column=col)
         if sub.status != "ok":
             # nudged shift fell outside (threshold, 0): counts as a failure
@@ -642,19 +697,12 @@ def check_lemma_g(pp: ParamPair, n: int = 256) -> CheckResult:
 
     xmax = (dp.beta + dp.p) / dp.k
     xs = np.linspace(0.0, xmax, n)
-    ts = np.linspace(0.0, 1.0, n)
-    grid_min = math.inf
-    worst = [0.0, 0.0]
-    for x in xs:
-        ys = -dp.beta * float(x) * ts
-        vals = ys * ys + ((dp.p + 1.0) * float(x) - 1.0) * ys \
-            + dp.alpha * dp.beta * float(x) ** 2
-        i = int(np.argmin(vals))
-        if vals[i] < grid_min:
-            grid_min = float(vals[i])
-            worst = [float(x), float(ys[i])]
-    margin = grid_min + INTERIOR_MARGIN
-    witnesses = [] if margin > 0.0 else [worst]
+    ys = (-dp.beta * xs)[:, None] * np.linspace(0.0, 1.0, n)
+    vals = ys * ys + ((dp.p + 1.0) * xs - 1.0)[:, None] * ys \
+        + (dp.alpha * dp.beta * xs ** 2)[:, None]
+    i, j = np.unravel_index(np.argmin(vals), vals.shape)
+    margin = float(vals[i, j]) + INTERIOR_MARGIN
+    witnesses = [] if margin > 0.0 else [[float(xs[i]), float(ys[i, j])]]
 
     den = (dp.p + 1.0) ** 2 - 4.0 * dp.alpha * dp.beta
     x0, y0 = (dp.p + 1.0) / den, -2.0 * dp.alpha * dp.beta / den
@@ -666,7 +714,7 @@ def check_lemma_g(pp: ParamPair, n: int = 256) -> CheckResult:
             witnesses.append([x0, dev])
 
     ys_b = np.linspace(-dp.beta * xmax, 0.0, n)
-    slice_dev = max(abs(g(xmax, float(y), dp) - g1(float(y), dp)) for y in ys_b)
+    slice_dev = float(np.max(np.abs(g(xmax, ys_b, dp) - g1(ys_b, dp))))
     margin = min(margin, 1e-13 - slice_dev)
     if 1e-13 - slice_dev <= 0.0:
         witnesses.append(["boundary slice deviation", slice_dev])
@@ -686,11 +734,11 @@ def check_lemma_g1(pp: ParamPair, n: int = 512) -> CheckResult:
 
     lo = -dp.h / (dp.alpha * dp.k)
     ys = np.linspace(lo, 0.0, n)
-    vals = [g1(float(y), dp) for y in ys]
+    vals = g1(ys, dp).tolist()
     witnesses = []
 
     if case is Case.A:
-        diff_min = min(vals[i + 1] - vals[i] for i in range(n - 1))
+        diff_min = float(np.min(np.diff(vals)))
         end_lo = dp.beta ** 2 * dp.p * (dp.p + dp.beta) / dp.k ** 2
         end_hi = dp.h * (dp.p + dp.beta) / dp.k ** 2
         err = max(abs(vals[0] - end_lo), abs(vals[-1] - end_hi))
@@ -701,7 +749,7 @@ def check_lemma_g1(pp: ParamPair, n: int = 512) -> CheckResult:
             witnesses.append(["endpoint deviation", err])
         return _result("lemma_g1", params, margin, witnesses, 1e-10)
 
-    i_min = min(range(n), key=lambda i: vals[i])
+    i_min = int(np.argmin(vals))
     margin = vals[i_min] + INTERIOR_MARGIN
     if margin <= 0.0:
         witnesses.append([float(ys[i_min]), vals[i_min]])
@@ -712,7 +760,12 @@ def check_lemma_Q(pp: ParamPair, ep: ExponentPair, delta: float,
                   N: int = 200) -> CheckResult:
     """Tail behavior of the coefficient sequence: Q strictly decreasing on
     1..N, Q(N) < Q(1), eventual Q < -1 (horizon doubled up to 64N), and
-    the first-difference identity against Q1 to 1e-10 for n = 1..50."""
+    the first-difference identity against Q1 to 1e-10 for n = 1..50.
+
+    On 1..max(N, 51) the gamma ratio of Q comes from its recurrence in n,
+    anchored on one lgamma value; it must agree with the direct lgamma
+    ratio at n = 50 and n = N to 1e-10 as well.  The horizon probes are
+    direct."""
     params = _theorem_params(pp, ep, delta)
     params["N"] = N
     skip, dp, d1 = _admissibility_gate("lemma_Q", params, pp, ep)
@@ -721,18 +774,16 @@ def check_lemma_Q(pp: ParamPair, ep: ExponentPair, delta: float,
     if not (pp.a - 1.0 < delta <= d1):
         return _skipped("lemma_Q", params, "shift outside monotone range")
 
-    qs = [Q(n, pp, ep, delta) for n in range(1, N + 1)]
+    if N < 2:
+        raise DomainError(f"lemma_Q needs N >= 2, got {N!r}")
+    ratios, qs = Q_sequence(max(N, 51), pp, ep, delta)
     witnesses = []
-    diff_max = -math.inf
-    for i in range(N - 1):
-        d = qs[i + 1] - qs[i]
-        if d > diff_max:
-            diff_max = d
-            worst = [float(i + 1), d]
-    margin = -diff_max
+    diffs = qs[1:N] - qs[:N - 1]
+    i = int(np.argmax(diffs))
+    margin = -float(diffs[i])
     if margin <= 0.0:
-        witnesses.append(worst)
-    margin = min(margin, qs[0] - qs[-1])
+        witnesses.append([float(i + 1), float(diffs[i])])
+    margin = min(margin, float(qs[0] - qs[N - 1]))
 
     horizon = N
     trend_ok = False
@@ -745,21 +796,21 @@ def check_lemma_Q(pp: ParamPair, ep: ExponentPair, delta: float,
         margin = min(margin, -1.0)
         witnesses.append([f"Q({horizon}) still >= -1", Q(horizon // 2, pp, ep, delta)])
 
-    u, v = pp.a - delta, pp.b + delta
-    a, b = pp.a, pp.b
-    ident_margin = math.inf
-    for n in range(1, 51):
-        lhs = qs[n] - qs[n - 1] if n < N else Q(n + 1, pp, ep, delta) - Q(n, pp, ep, delta)
-        factor = math.exp(
-            ln_gamma(n + u - 1.0) + ln_gamma(n + v)
-            - ln_gamma(n + a) - ln_gamma(b + n + 1.0)
-        )
-        rhs = factor * Q1(n, pp, ep, delta)
-        dev = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-        ident_margin = min(ident_margin, 1e-10 - dev)
+    # Q(n+1) - Q(n) = R(n) / ((a+n-1)(b+n)) * Q1(n) for n = 1..50
+    n = np.arange(1, 51)
+    lhs = qs[1:51] - qs[:50]
+    rhs = ratios[:50] / ((pp.a + n - 1.0) * (pp.b + n)) * Q1(n, pp, ep, delta)
+    devs = np.abs(lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    # the recurrence against the direct lgamma ratio, an independent
+    # reference for every gamma factor above
+    refs = sorted({50, N})
+    direct = [Q_ratio(k, pp, delta) for k in refs]
+    ref_devs = [float(abs(ratios[k - 1] - d) / d) for k, d in zip(refs, direct)]
+    labels = [f"identity at n={k}" for k in range(1, 51)] + [f"gamma recurrence at n={k}" for k in refs]
+    for label, dev in zip(labels, [*devs.tolist(), *ref_devs]):
+        margin = min(margin, 1e-10 - dev)
         if 1e-10 - dev <= 0.0:
-            witnesses.append([f"identity at n={n}", dev])
-    margin = min(margin, ident_margin)
+            witnesses.append([label, dev])
 
     return _result("lemma_Q", params, margin, witnesses, 1e-10)
 
@@ -784,7 +835,7 @@ def check_beta_convex(pp: ParamPair, n: int = 200) -> CheckResult:
 
 
 def check_fpp_positive(pp: ParamPair, ep: ExponentPair, delta: float,
-                       n: int = 48, step: float = 1e-4,
+                       n: int = _FPP_N, step: float = _FPP_STEP,
                        cfg: SeriesConfig = DEFAULT_SERIES,
                        column: _Column | None = None) -> CheckResult:
     """Convexity of the difference along the c-argument: with
@@ -799,9 +850,8 @@ def check_fpp_positive(pp: ParamPair, ep: ExponentPair, delta: float,
         return _skipped("fpp_positive", params, "shift outside monotone range")
 
     col = column if column is not None else _Column(pp, ep, cfg=cfg)
-    xs = np.linspace(0.01, 0.95, n)
-    lo, mid, hi = col.fpp_differences(
-        delta, np.concatenate([xs - step, xs, xs + step])).reshape(3, n)
+    xs = _fpp_points(n)
+    lo, mid, hi = col.fpp_differences(delta, n, step)
     second = (lo - 2.0 * mid + hi) / step**2
     margins = second + 1e-6
     i = int(np.argmin(margins))
@@ -971,15 +1021,32 @@ def _columns(tasks):
     return list(groups.values())
 
 
+def _column_reads(tasks):
+    """The (shift, abscissa set) values the checks among tasks read from
+    their column."""
+    reads = []
+    for check_id, t in tasks:
+        if check_id == "sharpness":
+            cand = _sharpness_candidate(_pair(t), _exponents(t), t["threshold_form"])
+            reads += [(s, "scan") for s in (cand, *_sharpness_shifts(cand))]
+        elif check_id == "fpp_positive":
+            reads.append((t["delta"], ("fpp", _FPP_N, _FPP_STEP)))
+        elif check_id != "lemma_Q":
+            reads.append((t["delta"], "scan"))
+    return reads
+
+
 def _run_item(item):
     """Results of one pool item.  The tasks of a column share one _Column,
-    dropped on return; a ConvergenceError or DomainError becomes an error
-    record of the task that raised it."""
+    which fetches every value they read in one go and is dropped on
+    return; a ConvergenceError or DomainError becomes an error record of
+    the task that raised it."""
     tasks, config = item
     _, params = tasks[0]
     column = None
     if "d" in params:
-        column = _Column(_pair(params), _exponents(params), config.grid, config.series)
+        column = _Column(_pair(params), _exponents(params), config.grid, config.series,
+                         _column_reads(tasks))
     results = []
     for check_id, params in tasks:
         try:

@@ -21,7 +21,9 @@ from hypcert import (
     hyp2f1_at_one,
     hyp2f1_dx,
 )
-from hypcert.hyp2f1 import DEFAULT_SERIES, Hyp2f1Kernel, HypParams
+from hypcert import verifier
+from hypcert.constants import Case, ExponentPair, ParamPair, condition_case, delta1, derive_params
+from hypcert.hyp2f1 import DEFAULT_SERIES, Hyp2f1Kernel, HypParams, evaluate
 
 from _oracles import agm_E, agm_K, centered_diff, pochhammer_series_2f1, quadrature_E
 
@@ -314,3 +316,94 @@ def test_kernel_raises_on_a_point_its_truncation_misses():
         kernel(0.8)
     with pytest.raises(ConvergenceError):
         kernel.array(np.array([0.01, 0.8]))
+
+
+# ---------------------------------------------------------------------------
+# the stacked evaluator: many kernels' points in one Horner loop per regime
+
+
+def _mixed_kernels(seed):
+    """Kernels in every regime, with series and log coefficient lists of
+    different lengths, each with points over its own contract."""
+    rng = random.Random(seed)
+    out = []
+    for (a, b, c), xs in _family_points(seed, n_params=10):
+        out.append((Hyp2f1Kernel(a, b, c), xs))
+    for (a, b, c), top in (((-2.0, 1.3, 2.4), 0.999), ((0.5, 0.7, 1.7), 0.999),
+                           ((1.5, 1.0, 1.5), 0.99)):
+        xs = [top * rng.random() for _ in range(15)] + [0.8, top]
+        out.append((Hyp2f1Kernel(a, b, c), xs))
+    return out
+
+
+def test_evaluate_matches_kernel_point_by_point():
+    # the stacked rows pad coefficients with leading zeros and points with
+    # copies; neither may move a bit of any value, in any request order
+    rng = random.Random(21)
+    kernels = _mixed_kernels(22)
+    horner = [k for k, _ in kernels if k._horner]
+    assert len({len(k._series) for k in horner}) > 3
+    assert len({len(k._log.p) for k in horner if k._unit_excess}) > 1
+    requests = []
+    for kernel, xs in kernels:
+        # a kernel may appear in several requests, in pieces
+        cut = rng.randrange(1, len(xs))
+        requests += [(kernel, np.array(xs[:cut])), (kernel, np.array(xs[cut:]))]
+    for _ in range(3):
+        rng.shuffle(requests)
+        for (kernel, xs), got in zip(requests, evaluate(requests)):
+            assert got.shape == xs.shape
+            for x, v in zip(xs.tolist(), got.tolist()):
+                assert v == kernel(x), (kernel.a, kernel.b, kernel.c, x)
+
+
+def test_evaluate_checks_real_points_never_padding():
+    # a kernel cut short passes at 0.01 and misses at 0.8; stacked with a
+    # full kernel whose row is wider and reaches 0.8, only its own points
+    # are held to its stopping rule
+    cut = Hyp2f1Kernel(-0.5, 0.5, 1.0)
+    coefs = cut._series
+    cut.__dict__["_series"] = coefs[len(coefs) // 2:]
+    full = Hyp2f1Kernel(-0.3, 0.7, 1.0)
+    wide = np.linspace(0.0, 0.8, 40)
+    got_cut, got_full = evaluate([(cut, np.array([0.01])), (full, wide)])
+    assert got_cut[0] == cut(0.01)
+    assert got_full.tolist() == [full(x) for x in wide.tolist()]
+    with pytest.raises(ConvergenceError, match="at x=0.8"):
+        evaluate([(full, wide), (cut, np.array([0.01, 0.8]))])
+
+
+def test_hyp2f1_at_the_zero_endpoint_fit_arguments(monkeypatch):
+    # the G(0+) fit calls hyp2f1 at 1 - s, s = 1e-9 * (1, 2, 4), and at
+    # 1 - s^(d/c), which reaches the largest double below 1: exactly those
+    # calls, on seeded suite-shaped columns and shifts, against mpmath
+    mpmath = pytest.importorskip("mpmath")
+    calls = []
+
+    def recorded(a, b, c, x, cfg=None):
+        calls.append((a, b, c, x))
+        return hyp2f1(a, b, c, x, cfg)
+
+    monkeypatch.setattr(verifier, "hyp2f1", recorded)
+    rng = random.Random(31)
+    columns = 0
+    while columns < 24:
+        a = rng.uniform(0.05, 0.95)
+        pp = ParamPair(a, rng.choice((1.0 - a, rng.uniform(1.0, 3.0))))
+        dp = derive_params(pp)
+        if condition_case(dp) is Case.INADMISSIBLE:
+            continue
+        ep = rng.choice((ExponentPair(3.0 * dp.ratio_bound * rng.uniform(0.1, 1.0), 3.0),
+                         ExponentPair(dp.ratio_bound, 1.0)))
+        for delta in verifier._monotone_shifts(pp, delta1(pp, ep)):
+            verifier._extrap_low(pp, ep, delta, DEFAULT_SERIES)
+        columns += 1
+    assert min(1.0 - x for *_, x in calls) == 2.0 ** -53
+    worst = 0.0
+    with mpmath.workdps(40):
+        for a, b, c, x in calls:
+            ref = mpmath.hyp2f1(a, b, c, mpmath.mpf(x))
+            worst = max(worst, float(abs((mpmath.mpf(hyp2f1(a, b, c, x)) - ref) / ref)))
+    # hyp2f1 promises 1e-10 in the log regime; these 333 calls measure
+    # at most 2.8e-15
+    assert worst <= 1e-12

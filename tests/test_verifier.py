@@ -245,6 +245,8 @@ def test_lemma_Q_check():
     assert res.passed and res.status == "ok"
     res = check_lemma_Q(HALF, EP23, D1_HALF + 1e-3)
     assert res.status == "skipped: shift outside monotone range"
+    with pytest.raises(DomainError):
+        check_lemma_Q(HALF, EP23, D1_HALF, N=1)
 
 
 def test_beta_convex_check_and_skip():
@@ -388,6 +390,74 @@ def test_task_errors_become_failed_records(monkeypatch, small_report, tmp_path):
     records = json.loads(out.read_text(encoding="utf-8"))["checks"]
     assert len(records) == len(tasks)
     assert sum(r["status"].startswith("error: ") for r in records) == n_errors
+
+
+def test_undeclared_shift_is_computed_when_read():
+    # a column that declared only the threshold shift still serves checks
+    # at other shifts, and gives the record a fresh column gives
+    col = verifier._Column(HALF, EP23, SMALL_GRID, reads=[(D1_HALF, "scan")])
+    assert check_sandwich(HALF, EP23, D1_HALF, SMALL_GRID, column=col) == \
+        check_sandwich(HALF, EP23, D1_HALF, SMALL_GRID)
+    for check in (check_G_monotone, check_sandwich, check_crossing_control):
+        assert check(HALF, EP23, MID_HALF, SMALL_GRID, column=col) == \
+            check(HALF, EP23, MID_HALF, SMALL_GRID)
+    above = 0.5 * D1_HALF
+    assert find_crossing(HALF, EP23, above, SMALL_GRID, column=col) == \
+        find_crossing(HALF, EP23, above, SMALL_GRID)
+    assert check_fpp_positive(HALF, EP23, MID_HALF, column=col) == \
+        check_fpp_positive(HALF, EP23, MID_HALF)
+    assert check_sharpness(HALF, EP23, "beta", SMALL_GRID, column=col) == \
+        check_sharpness(HALF, EP23, "beta", SMALL_GRID)
+
+
+def test_a_column_fetches_its_values_in_one_call(monkeypatch, small_report):
+    # the shifts a column declares for its tasks cover every value they
+    # read: one evaluate call per column, no value computed on its own
+    calls = []
+    real = verifier.evaluate
+
+    def counted(requests):
+        calls.append(len(requests))
+        return real(requests)
+
+    def unexpected(kernel, xs):
+        raise AssertionError("a value the column did not declare")
+
+    monkeypatch.setattr(verifier, "evaluate", counted)
+    monkeypatch.setattr(verifier.Hyp2f1Kernel, "array", unexpected)
+    records = {}
+    columns = [g for g in verifier._columns(build_tasks(SMALL_CONFIG)) if "d" in g[0][1]]
+    for group in columns:
+        before = len(calls)
+        for rec in verifier._run_item((group, SMALL_CONFIG)):
+            records[rec.check_id, json.dumps(rec.params, sort_keys=True)] = rec
+        assert len(calls) == before + 1
+    for rec in small_report.checks:
+        if "d" in rec.params:
+            assert records[rec.check_id, json.dumps(rec.params, sort_keys=True)] == rec
+
+
+def test_a_bad_shift_fails_only_the_check_that_reads_it(monkeypatch, small_report):
+    # the shift cand + 1e-3 is read by sharpness alone: when its kernel
+    # raises, the column's stacked fetch fails and falls back to shift by
+    # shift, so sharpness gets the error and no other record changes
+    t = next(t for kind, t in build_tasks(SMALL_CONFIG) if kind == "sharpness")
+    pp, ep = ParamPair(t["a"], t["b"]), ExponentPair(t["c"], t["d"])
+    bad = verifier._sharpness_shifts(delta1(pp, ep))[0]
+    original = verifier._Column.kernel_d
+
+    def kernel_d(self, delta):
+        if (self.pp, self.ep, delta) == (pp, ep, bad):
+            raise ConvergenceError("forced for one shift")
+        return original(self, delta)
+
+    monkeypatch.setattr(verifier._Column, "kernel_d", kernel_d)
+    report = run_suite(SMALL_CONFIG)
+    for got, want in zip(report.checks, small_report.checks):
+        if (got.check_id, got.params) == ("sharpness", t):
+            assert got.status == "error: ConvergenceError: forced for one shift"
+        else:
+            assert got == want
 
 
 def test_run_check_filters_to_one_id():
