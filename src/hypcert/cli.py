@@ -97,14 +97,18 @@ def _parse_config_file(path: str) -> dict:
     return settings
 
 
-def _build_verify_config(ns, settings: dict) -> tuple[VerifyConfig, str | None]:
-    """Merge defaults <- config file <- flags; returns (config, out path)."""
-    grid = GridSpec(
+def _grid_from(settings: dict) -> GridSpec:
+    """The grid: defaults <- config file."""
+    return GridSpec(
         n_points=settings.get("n_points", DEFAULT_CONFIG.grid.n_points),
         x_lo=settings.get("x_lo", DEFAULT_CONFIG.grid.x_lo),
         x_hi=settings.get("x_hi", DEFAULT_CONFIG.grid.x_hi),
         spacing=settings.get("spacing", DEFAULT_CONFIG.grid.spacing),
     )
+
+
+def _series_from(ns, settings: dict) -> SeriesConfig:
+    """The series contract: defaults <- config file <- --tol."""
     series = SeriesConfig(
         rel_tol=settings.get("rel_tol", DEFAULT_SERIES.rel_tol),
         max_terms=settings.get("max_terms", DEFAULT_SERIES.max_terms),
@@ -112,9 +116,14 @@ def _build_verify_config(ns, settings: dict) -> tuple[VerifyConfig, str | None]:
     )
     if ns.tol is not None:
         series = replace(series, rel_tol=ns.tol)
+    return series
+
+
+def _build_verify_config(ns, settings: dict) -> tuple[VerifyConfig, str | None]:
+    """Merge defaults <- config file <- flags; returns (config, out path)."""
     config = VerifyConfig(
-        grid=grid,
-        series=series,
+        grid=_grid_from(settings),
+        series=_series_from(ns, settings),
         a_values=settings.get("a_values", DEFAULT_CONFIG.a_values),
         b_specs=settings.get("b_values", DEFAULT_CONFIG.b_specs),
         ratio_specs=settings.get("ratios", DEFAULT_CONFIG.ratio_specs),
@@ -133,17 +142,6 @@ def _write_text(out: str | None, text: str) -> None:
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _series_from(ns, settings: dict) -> SeriesConfig:
-    series = SeriesConfig(
-        rel_tol=settings.get("rel_tol", DEFAULT_SERIES.rel_tol),
-        max_terms=settings.get("max_terms", DEFAULT_SERIES.max_terms),
-        switch_point=settings.get("switch_point", DEFAULT_SERIES.switch_point),
-    )
-    if getattr(ns, "tol", None) is not None:
-        series = replace(series, rel_tol=ns.tol)
-    return series
 
 
 def cmd_eval(ns) -> int:
@@ -197,18 +195,16 @@ def cmd_verify(ns) -> int:
 
 def cmd_sweep(ns) -> int:
     settings = _parse_config_file(ns.config) if ns.config else {}
-    grid = GridSpec(
-        n_points=settings.get("n_points", DEFAULT_CONFIG.grid.n_points),
-        x_lo=settings.get("x_lo", DEFAULT_CONFIG.grid.x_lo),
-        x_hi=settings.get("x_hi", DEFAULT_CONFIG.grid.x_hi),
-        spacing=settings.get("spacing", DEFAULT_CONFIG.grid.spacing),
-    )
+    grid = _grid_from(settings)
     series = _series_from(ns, settings)
     pp = ParamPair(ns.a, ns.b)
     ep = ExponentPair(ns.c, ns.d)
+    # Every row echoes the same tuple: format it once, then each row's six
+    # computed values with one %-operation ("%.17g" % v is _fmt(v)).
+    echo = ",".join(map(_fmt, (pp.a, pp.b, ep.c_exp, ep.d_exp, ns.delta)))
+    line = echo + ",%.17g" * 6
     lines = [SWEEP_HEADER]
-    for row in sweep_rows(pp, ep, ns.delta, grid, series):
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.extend(line % row[5:] for row in sweep_rows(pp, ep, ns.delta, grid, series))
     out = ns.out if ns.out is not None else settings.get("out")
     _write_text(out, "\n".join(lines) + "\n")
     return 0

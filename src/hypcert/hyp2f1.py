@@ -144,14 +144,11 @@ _PSI_1 = _digamma(1.0)  # -EulerGamma
 _PSI_2 = _digamma(2.0)  # 1 - EulerGamma
 
 
-def _raw_series(
-    a: float, b: float, c: float, x: float, cfg: SeriesConfig
-) -> tuple[float, int]:
+def _raw_series(a: float, b: float, c: float, x: float, cfg: SeriesConfig) -> float:
     """Power series with Kahan compensation and a geometric tail bound.
 
     Stops once |term| / (1 - x) <= rel_tol * |sum| twice in a row; raises
-    ConvergenceError when the budget runs out first.  Returns the sum and
-    the highest power of x it holds.
+    ConvergenceError when the budget runs out first.
     """
     s = 1.0
     comp = 0.0
@@ -168,7 +165,7 @@ def _raw_series(
         if abs(t) * tail <= cfg.rel_tol * abs(s):
             ok_streak += 1
             if ok_streak >= 2:
-                return s, n + 1
+                return s
         else:
             ok_streak = 0
     raise ConvergenceError(
@@ -177,9 +174,7 @@ def _raw_series(
     )
 
 
-def _log_connection_unit_excess(
-    a: float, b: float, x: float, cfg: SeriesConfig
-) -> tuple[float, int]:
+def _log_connection_unit_excess(a: float, b: float, x: float, cfg: SeriesConfig) -> float:
     """F(a, b; a+b+1; x) near x = 1 via the logarithmic expansion in w = 1-x.
 
     F = A + B*w * sum_k coef_k * w^k * (ln w + d_k), with
@@ -187,15 +182,13 @@ def _log_connection_unit_excess(
         coef_0 = 1,  coef_{k+1} = coef_k (a+1+k)(b+1+k) / ((k+1)(k+2)),
         d_0 = psi(a+1) + psi(b+1) - psi(1) - psi(2),
         d_{k+1} = d_k + 1/(a+1+k) + 1/(b+1+k) - 1/(k+1) - 1/(k+2).
-
-    Returns the value and the highest k the sum holds.
     """
     w = 1.0 - x
     c = a + b + 1.0
     A = gamma(c) / (gamma(a + 1.0) * gamma(b + 1.0))
     B = a * b * A
     if B == 0.0 or w == 0.0:
-        return A, 0
+        return A
     lw = math.log(w)
     dk = _digamma(a + 1.0) + _digamma(b + 1.0) - _PSI_1 - _PSI_2
     coef = 1.0
@@ -214,7 +207,7 @@ def _log_connection_unit_excess(
         if abs(bw * term) * tail <= cfg.rel_tol * max(abs(f_partial), 1e-300):
             ok_streak += 1
             if ok_streak >= 2:
-                return A + bw * s, k
+                return A + bw * s
         else:
             ok_streak = 0
         dk += (
@@ -244,7 +237,7 @@ def _connection_noninteger(
         # both sub-series would sit on a coefficient pole; retreat to the
         # plain series where its contract still applies
         if x <= 0.99:
-            return _raw_series(a, b, c, x, cfg)[0]
+            return _raw_series(a, b, c, x, cfg)
         raise ConvergenceError(
             f"excess {e!r} too close to an integer for the connection formula"
         )
@@ -252,14 +245,14 @@ def _connection_noninteger(
         gamma(c)
         * gamma(e)
         / (gamma(c - a) * gamma(c - b))
-        * _raw_series(a, b, 1.0 - e, w, cfg)[0]
+        * _raw_series(a, b, 1.0 - e, w, cfg)
     )
     second = (
         gamma(c)
         * gamma(-e)
         / (gamma(a) * gamma(b))
         * math.pow(w, e)
-        * _raw_series(c - a, c - b, 1.0 + e, w, cfg)[0]
+        * _raw_series(c - a, c - b, 1.0 + e, w, cfg)
     )
     return first + second
 
@@ -287,14 +280,14 @@ def hyp2f1(a: float, b: float, c: float, x: float, cfg: SeriesConfig | None = No
     if b < a:
         a, b = b, a
     if _terminating(a, b) or x <= cfg.switch_point:
-        return _raw_series(a, b, c, x, cfg)[0]
+        return _raw_series(a, b, c, x, cfg)
     e = c - a - b
     m = round(e)
     if abs(e - m) <= _EXCESS_SNAP:
         if m == 1:
-            return _log_connection_unit_excess(a, b, x, cfg)[0]
+            return _log_connection_unit_excess(a, b, x, cfg)
         # integer excess != 1: budgeted plain series only
-        return _raw_series(a, b, c, x, cfg)[0]
+        return _raw_series(a, b, c, x, cfg)
     return _connection_noninteger(a, b, c, x, cfg)
 
 
@@ -429,34 +422,84 @@ class Hyp2f1Kernel:
 
     @cached_property
     def _series(self):
-        """Coefficients t_N..t_0 of the power series, highest first."""
+        """Coefficients t_N..t_0 of the power series, highest first.
+
+        One pass: each step appends the x-free coefficient and runs
+        _raw_series's step at x = switch_point, whose stopping rule sets N."""
         a, b, c, cfg = self.a, self.b, self.c, self.cfg
-        n_top = _raw_series(a, b, c, cfg.switch_point, cfg)[1]
+        x = cfg.switch_point
         coefs = [1.0]
-        for n in range(n_top):
+        s, comp, t = 1.0, 0.0, 1.0
+        tail = 1.0 / (1.0 - x)
+        ok_streak = 0
+        for n in range(cfg.max_terms):
             coefs.append(coefs[-1] * ((a + n) * (b + n) / ((c + n) * (n + 1.0))))
-        return coefs[::-1]
+            t *= (a + n) * (b + n) * x / ((c + n) * (n + 1.0))
+            y = t - comp
+            hi = s + y
+            comp = (hi - s) - y
+            s = hi
+            if abs(t) * tail <= cfg.rel_tol * abs(s):
+                ok_streak += 1
+                if ok_streak >= 2:
+                    return coefs[::-1]
+            else:
+                ok_streak = 0
+        raise ConvergenceError(
+            f"series for ({a}, {b}; {c}) at x={x} did not reach rel_tol="
+            f"{cfg.rel_tol} within {cfg.max_terms} terms"
+        )
 
     @cached_property
     def _log(self):
+        """The unit-excess coefficient set, in one pass: each step records
+        (k, coef_k, d_k) and runs _log_connection_unit_excess's step at
+        x = switch_point, whose stopping rule sets the last k."""
         a, b, cfg = self.a, self.b, self.cfg
-        k_top = _log_connection_unit_excess(a, b, cfg.switch_point, cfg)[1]
+        w = 1.0 - cfg.switch_point
         A = gamma(a + b + 1.0) / (gamma(a + 1.0) * gamma(b + 1.0))
+        B = a * b * A
+        lw = math.log(w)
         dk = _digamma(a + 1.0) + _digamma(b + 1.0) - _PSI_1 - _PSI_2
-        coef = 1.0
+        coef = 1.0  # coef_k
+        coef_w = 1.0  # coef_k * w^k, formed as the scalar path forms it
+        s, comp = 0.0, 0.0
+        bw = B * w
+        tail = 1.0 / (1.0 - w)
+        ok_streak = 0
         terms = []
-        for k in range(k_top + 1):
+        for k in range(cfg.max_terms):
             terms.append((k, coef, dk))
+            if B == 0.0:
+                break
+            term = coef_w * (lw + dk)
+            y = term - comp
+            hi = s + y
+            comp = (hi - s) - y
+            s = hi
+            f_partial = A + bw * s
+            if abs(bw * term) * tail <= cfg.rel_tol * max(abs(f_partial), 1e-300):
+                ok_streak += 1
+                if ok_streak >= 2:
+                    break
+            else:
+                ok_streak = 0
             dk += (
                 1.0 / (a + 1.0 + k)
                 + 1.0 / (b + 1.0 + k)
                 - 1.0 / (k + 1.0)
                 - 1.0 / (k + 2.0)
             )
+            coef_w *= (a + 1.0 + k) * (b + 1.0 + k) * w / ((k + 1.0) * (k + 2.0))
             coef *= (a + 1.0 + k) * (b + 1.0 + k) / ((k + 1.0) * (k + 2.0))
+        else:
+            raise ConvergenceError(
+                f"log-case expansion for ({a}, {b}) at x={cfg.switch_point} did not "
+                f"converge within {cfg.max_terms} terms"
+            )
         p = [ck for _, ck, _ in reversed(terms)]
         q = [ck * d for _, ck, d in reversed(terms)]
-        return _Log(A, a * b * A, p, q, *zip(*terms[-2:]), cfg.rel_tol)
+        return _Log(A, B, p, q, *zip(*terms[-2:]), cfg.rel_tol)
 
     @cached_property
     def _series_set(self):

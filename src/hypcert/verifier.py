@@ -30,6 +30,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cached_property
 
 import numpy as np
 
@@ -307,6 +308,11 @@ class _Column:
         self._values = {}
         self.crossings = {}
 
+    @cached_property
+    def fit_f_c(self):
+        """F_c at the G(0+) fit's arguments (see _extrap_low)."""
+        return _fit_f_c(self.pp, self.cfg)
+
     def kernel_d(self, delta):
         """The kernel of F_d at shift delta."""
         if delta not in self._kernels_d:
@@ -357,32 +363,46 @@ class _Column:
         return (self._value(delta, where) - self._value(None, where)).reshape(3, n)
 
 
-def _extrap_low(pp, ep, delta, cfg, s0=1e-9):
-    """Limit of G at 0+.
+# the G(0+) fit's abscissas s = _FIT_S0 * _FIT_MULTS
+_FIT_S0 = 1e-9
+_FIT_MULTS = (1.0, 2.0, 4.0)
+
+
+def _fit_f_c(pp, cfg):
+    """F_c at the G(0+) fit's arguments 1 - s; they do not depend on the
+    shift, so a column computes them once for all of its shifts."""
+    return [hyp2f1(pp.a - 1.0, pp.b, pp.a + pp.b, 1.0 - _FIT_S0 * mult, cfg)
+            for mult in _FIT_MULTS]
+
+
+def _extrap_low(pp, ep, delta, cfg, f_c=None):
+    """Limit of G at 0+; ``f_c`` is _fit_f_c(pp, cfg), computed here when
+    not given.
 
     Near 0 the quotient behaves like L + A*s + B*s*ln(s) with s = x^c (the
     numerator's expansion around argument 1 carries a logarithm); fitting
     that basis and reading off L removes the droop a raw endpoint read
-    would keep.  The fit abscissas pin s itself at s0*(1,2,4) rather than
+    would keep.  The fit abscissas pin s itself at 1e-9*(1,2,4) rather than
     reusing grid points: the terms the basis drops -- s^2*ln(s) from the
     first factor and x^d*ln(x^d) from the second -- then stay below ~1e-7
     for every admissible exponent pair, whereas at grid-sized x the x^d
     terms reach ~1e-3 when d = 1.  The hypergeometric arguments are formed
     straight from s because x = s**(1/c) can be too small for log1p(x-1);
     they reach 1 - 2**-53, inside hyp2f1's documented range."""
+    if f_c is None:
+        f_c = _fit_f_c(pp, cfg)
     p = pp.a + pp.b
     basis, gs = [], []
-    for mult in (1.0, 2.0, 4.0):
-        s = s0 * mult
+    for mult, fc in zip(_FIT_MULTS, f_c):
+        s = _FIT_S0 * mult
         u = math.exp(ep.d_exp / ep.c_exp * math.log(s))
-        f_c = hyp2f1(pp.a - 1.0, pp.b, p, 1.0 - s, cfg)
         if 1.0 - u < 1.0:
             f_d = hyp2f1(pp.a - 1.0 - delta, pp.b + delta, p, 1.0 - u, cfg)
         else:
             # u below one ulp: the value at argument 1 is exact to
             # working precision
             f_d = hyp2f1_at_one(pp.a - 1.0 - delta, pp.b + delta, p)
-        gs.append((f_d - f_c) / (1.0 - s))
+        gs.append((f_d - fc) / (1.0 - s))
         basis.append([1.0, mult, mult * math.log(s)])
     coef = np.linalg.solve(np.asarray(basis), np.asarray(gs))
     return float(coef[0])
@@ -449,7 +469,7 @@ def check_G_monotone(pp: ParamPair, ep: ExponentPair, delta: float,
     margin = float(slack[i])
     witnesses = [[float(xs[i]), float(steps[i])]] if margin <= 0.0 else []
 
-    lo_err = abs(_extrap_low(pp, ep, delta, cfg) - c2(pp, delta))
+    lo_err = abs(_extrap_low(pp, ep, delta, cfg, col.fit_f_c) - c2(pp, delta))
     hi_err = abs(_extrap_high(xs, gs, ep.c_exp) - c1(pp, ep, delta))
     for x_end, err in ((0.0, lo_err), (float(xs[-1]), hi_err)):
         m = ENDPOINT_TOL - err

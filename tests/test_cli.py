@@ -5,7 +5,10 @@ subprocess smoke test.
 """
 
 import json
+import math
 import os
+import random
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +18,7 @@ import pytest
 import hypcert
 from hypcert import ExponentPair, ParamPair, delta1, hyp2f1, G_value
 from hypcert.cli import main
-from hypcert.verifier import SWEEP_HEADER
+from hypcert.verifier import SWEEP_HEADER, GridSpec, sweep_rows
 
 HALF = ParamPair(0.5, 0.5)
 EP23 = ExponentPair(2.0, 3.0)
@@ -220,6 +223,34 @@ def test_sweep_csv_round_trip(capsys, tmp_path):
         # reproduces the printed value bit-for-bit
         assert g == G_value(HALF, EP23, D1_HALF, x)
         assert vals[9] < vals[8] < vals[10]  # lower_env < F_d < upper_env
+
+
+def test_sweep_csv_bytes_are_the_rows_at_17_digits(capsys, tmp_path):
+    # the echo is formatted once and each row's six values by one
+    # %-operation; every line must still be the row's values through
+    # f"{v:.17g}", here on rows with negative and exponent-form values
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("n_points = 64\n")
+    code, out, _ = run_cli(capsys, "sweep", "--a", "0.5", "--b", "0.5",
+                           "--c", "2", "--d", "3", "--delta", "-0.05",
+                           "--config", str(cfg))
+    assert code == 0
+    rows = list(sweep_rows(HALF, EP23, -0.05, GridSpec(n_points=64)))
+    assert out == "\n".join([SWEEP_HEADER] + [",".join(f"{v:.17g}" for v in row)
+                                               for row in rows]) + "\n"
+    computed = [f"{v:.17g}" for row in rows for v in row[5:]]
+    assert any(t.startswith("-") for t in computed)
+    assert any("e-" in t for t in computed)
+
+
+def test_percent_format_is_the_17_digit_format_spec():
+    specials = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                sys.float_info.max, -sys.float_info.max, sys.float_info.min]
+    rng = random.Random(20261018)
+    patterns = [struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0]
+                for _ in range(4000)]
+    for v in specials + patterns:
+        assert "%.17g" % v == f"{v:.17g}"
 
 
 def test_sweep_rejects_json_format(capsys):

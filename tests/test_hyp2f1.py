@@ -4,6 +4,7 @@ Oracles: the AGM elliptic integrals, direct shifted-factorial summation,
 closed forms F(a,b;b;x) = (1-x)^(-a), and finite differences.
 """
 
+import importlib
 import math
 import random
 
@@ -24,6 +25,7 @@ from hypcert import (
 from hypcert import verifier
 from hypcert.constants import Case, ExponentPair, ParamPair, condition_case, delta1, derive_params
 from hypcert.hyp2f1 import DEFAULT_SERIES, Hyp2f1Kernel, HypParams, evaluate
+from hypcert.special import gamma
 
 from _oracles import agm_E, agm_K, centered_diff, pochhammer_series_2f1, quadrature_E
 
@@ -31,6 +33,9 @@ from _oracles import agm_E, agm_K, centered_diff, pochhammer_series_2f1, quadrat
 # formulas everywhere above 0.5
 RAW_CFG = SeriesConfig(switch_point=0.96)
 CONN_CFG = SeriesConfig(switch_point=0.5)
+
+# the module itself: the package-level name hyp2f1 is the function
+h = importlib.import_module("hypcert.hyp2f1")
 
 
 def test_value_at_zero_is_one():
@@ -316,6 +321,95 @@ def test_kernel_raises_on_a_point_its_truncation_misses():
         kernel(0.8)
     with pytest.raises(ConvergenceError):
         kernel.array(np.array([0.01, 0.8]))
+
+
+def _two_loop_series(a, b, c, cfg):
+    """Series coefficients (highest first) built in two loops: the scalar
+    Kahan loop at switch_point for the term count, then the coefficients."""
+    x = cfg.switch_point
+    s, comp, t, tail, streak = 1.0, 0.0, 1.0, 1.0 / (1.0 - x), 0
+    for n in range(cfg.max_terms):
+        t *= (a + n) * (b + n) * x / ((c + n) * (n + 1.0))
+        y = t - comp
+        hi = s + y
+        comp = (hi - s) - y
+        s = hi
+        streak = streak + 1 if abs(t) * tail <= cfg.rel_tol * abs(s) else 0
+        if streak >= 2:
+            break
+    n_top = n + 1
+    coefs = [1.0]
+    for n in range(n_top):
+        coefs.append(coefs[-1] * ((a + n) * (b + n) / ((c + n) * (n + 1.0))))
+    return coefs[::-1]
+
+
+def _two_loop_log(a, b, cfg):
+    """The unit-excess coefficient set built in two loops: the scalar
+    expansion at switch_point for the last k, then gammas, digammas and
+    coefficients computed afresh."""
+    w = 1.0 - cfg.switch_point
+    A = gamma(a + b + 1.0) / (gamma(a + 1.0) * gamma(b + 1.0))
+    B = a * b * A
+    lw, bw, tail = math.log(w), B * w, 1.0 / (1.0 - w)
+    dk = h._digamma(a + 1.0) + h._digamma(b + 1.0) - h._PSI_1 - h._PSI_2
+    coef, s, comp, streak = 1.0, 0.0, 0.0, 0
+    for k_top in range(cfg.max_terms):
+        term = coef * (lw + dk)
+        y = term - comp
+        hi = s + y
+        comp = (hi - s) - y
+        s = hi
+        ok = abs(bw * term) * tail <= cfg.rel_tol * max(abs(A + bw * s), 1e-300)
+        streak = streak + 1 if ok else 0
+        if streak >= 2:
+            break
+        dk += 1.0 / (a + 1.0 + k_top) + 1.0 / (b + 1.0 + k_top) \
+            - 1.0 / (k_top + 1.0) - 1.0 / (k_top + 2.0)
+        coef *= (a + 1.0 + k_top) * (b + 1.0 + k_top) * w / ((k_top + 1.0) * (k_top + 2.0))
+    A = gamma(a + b + 1.0) / (gamma(a + 1.0) * gamma(b + 1.0))
+    dk = h._digamma(a + 1.0) + h._digamma(b + 1.0) - h._PSI_1 - h._PSI_2
+    coef, terms = 1.0, []
+    for k in range(k_top + 1):
+        terms.append((k, coef, dk))
+        dk += 1.0 / (a + 1.0 + k) + 1.0 / (b + 1.0 + k) - 1.0 / (k + 1.0) - 1.0 / (k + 2.0)
+        coef *= (a + 1.0 + k) * (b + 1.0 + k) / ((k + 1.0) * (k + 2.0))
+    p = [ck for _, ck, _ in reversed(terms)]
+    q = [ck * d for _, ck, d in reversed(terms)]
+    return h._Log(A, a * b * A, p, q, *zip(*terms[-2:]), cfg.rel_tol)
+
+
+def test_kernel_coefficients_match_a_two_loop_build():
+    # one pass builds each coefficient set; every number must have the
+    # bits of the two-loop build, on family and general parameters and on
+    # configs that move the truncation
+    def bits(values):
+        """Exact text of every number in a (nested) coefficient set."""
+        if isinstance(values, (list, tuple)):
+            return [bits(v) for v in values]
+        return float(values).hex()
+
+    rng = random.Random(20261018)
+    family = [abc for abc, _ in _family_points(5, n_params=30)]
+    general = [(rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5), rng.uniform(0.2, 4.0))
+               for _ in range(30)]
+    unit = [(a, b, a + b + 1.0) for a, b in
+            ((rng.uniform(-0.9, 2.5), rng.uniform(-0.9, 2.5)) for _ in range(30))]
+    cfgs = (DEFAULT_SERIES, SeriesConfig(rel_tol=1e-10, switch_point=0.5),
+            SeriesConfig(rel_tol=1e-15, switch_point=0.9))
+    n_series = n_log = 0
+    for a, b, c in family + general + unit:
+        for cfg in cfgs:
+            kernel = Hyp2f1Kernel(a, b, c, cfg)
+            if not kernel._horner:
+                continue
+            ka, kb = kernel.a, kernel.b
+            assert bits(kernel._series) == bits(_two_loop_series(ka, kb, c, cfg))
+            n_series += 1
+            if kernel._unit_excess:
+                assert bits(kernel._log) == bits(_two_loop_log(ka, kb, cfg))
+                n_log += 1
+    assert n_series >= 200 and n_log >= 150
 
 
 # ---------------------------------------------------------------------------

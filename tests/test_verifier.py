@@ -437,6 +437,46 @@ def test_a_column_fetches_its_values_in_one_call(monkeypatch, small_report):
             assert records[rec.check_id, json.dumps(rec.params, sort_keys=True)] == rec
 
 
+def test_the_zero_endpoint_fit_takes_F_c_once_per_column(monkeypatch, small_report):
+    # F_c at the G(0+) fit's three arguments does not depend on the shift:
+    # a column computes those values once for all of its G_monotone tasks,
+    # and each fit reads the bits a fit computing its own F_c would
+    calls = []
+    real = verifier.hyp2f1
+
+    def recorded(a, b, c, x, cfg=None):
+        calls.append((a, b, c, x))
+        return real(a, b, c, x, cfg)
+
+    monkeypatch.setattr(verifier, "hyp2f1", recorded)
+    fit_xs = [1.0 - 1e-9 * m for m in (1.0, 2.0, 4.0)]
+    records = {}
+    n_columns = 0
+    for group in verifier._columns(build_tasks(SMALL_CONFIG)):
+        monotone = [t for kind, t in group if kind == "G_monotone"]
+        if not monotone:
+            continue
+        before = len(calls)
+        for rec in verifier._run_item((group, SMALL_CONFIG)):
+            records[rec.check_id, json.dumps(rec.params, sort_keys=True)] = rec
+        t = monotone[0]
+        f_c = (t["a"] - 1.0, t["b"], t["a"] + t["b"])
+        assert [x for *abc, x in calls[before:] if tuple(abc) == f_c and x in fit_xs] == fit_xs
+        pp, ep = ParamPair(t["a"], t["b"]), ExponentPair(t["c"], t["d"])
+        shared = verifier._Column(pp, ep, SMALL_GRID).fit_f_c
+        for m in monotone:
+            assert _extrap_low(pp, ep, m["delta"], DEFAULT_SERIES, shared) == \
+                _extrap_low(pp, ep, m["delta"], DEFAULT_SERIES)
+        n_columns += 1
+    assert n_columns >= 4
+    suite = {(rec.check_id, json.dumps(rec.params, sort_keys=True)): rec
+             for rec in small_report.checks}
+    assert sum(kind == "G_monotone" for kind, _ in records) == \
+        sum(kind == "G_monotone" for kind, _ in suite)
+    for key, rec in records.items():
+        assert suite[key] == rec
+
+
 def test_a_bad_shift_fails_only_the_check_that_reads_it(monkeypatch, small_report):
     # the shift cand + 1e-3 is read by sharpness alone: when its kernel
     # raises, the column's stacked fetch fails and falls back to shift by
