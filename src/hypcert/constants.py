@@ -40,9 +40,6 @@ from .special import ln_gamma
 # domains; allow this much overshoot before calling it a domain error.
 _EDGE_SLACK = 1e-12
 
-#: Type alias -- shifts are plain floats throughout the public API.
-DeltaValue = float
-
 
 class Case(enum.Enum):
     """Which positivity route applies to a parameter pair."""
@@ -163,7 +160,7 @@ def _threshold_root(pp: ParamPair, r: float) -> float:
     return 0.5 * ((a - b - 1.0) + math.sqrt(disc))
 
 
-def delta1(pp: ParamPair, ep: ExponentPair) -> DeltaValue:
+def delta1(pp: ParamPair, ep: ExponentPair) -> float:
     """Sharp shift threshold: the larger root of
     (c/d - 1)*beta + (a-b-1)*delta - delta^2 = 0, i.e.
 
@@ -176,7 +173,7 @@ def delta1(pp: ParamPair, ep: ExponentPair) -> DeltaValue:
     return _threshold_root(pp, r)
 
 
-def delta1_alpha_variant(pp: ParamPair, ep: ExponentPair) -> DeltaValue:
+def delta1_alpha_variant(pp: ParamPair, ep: ExponentPair) -> float:
     """Deliberately wrong threshold with alpha in place of beta under the
     square root.  Exists so the verification layer can demonstrate that
     this variant fails the sharpness suite; never use it for anything
@@ -432,7 +429,6 @@ __all__ = [
     "ParamPair",
     "DerivedParams",
     "ExponentPair",
-    "DeltaValue",
     "derive_params",
     "condition_case",
     "delta1",

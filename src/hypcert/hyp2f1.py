@@ -25,6 +25,8 @@ over a (kernels x points) array, each kernel's coefficients padded with
 leading zeros to the longest list.  The padding leaves every bit as it
 was: for x >= 0, 0*x + 0 = +0, and the first real coefficient c then
 gives +0*x + c = c exactly, which is where the unpadded loop starts.
+A kernel's one-point and array paths both take the logarithm with
+``np.log``, which gives a point the same bits alone or in any array.
 """
 
 from __future__ import annotations
@@ -296,14 +298,6 @@ def _terminating(a: float, b: float) -> bool:
     return (a <= 0.0 and a == round(a)) or (b <= 0.0 and b == round(b))
 
 
-def _ln(w):
-    """math.log of a float, or of each entry of an array, so that every
-    evaluation path of Hyp2f1Kernel takes the same logarithm."""
-    if isinstance(w, np.ndarray):
-        return np.fromiter(map(math.log, w.ravel().tolist()), float, w.size).reshape(w.shape)
-    return math.log(w)
-
-
 def _horner(coefs, x):
     """The polynomial with coefficients ``coefs`` (highest power first) at
     x, one IEEE multiply and one add per step.  Either x is a float and the
@@ -346,7 +340,7 @@ def _log_at(s, x):
     """Value at x, and whether x meets the stopping rule of
     _log_connection_unit_excess on both of the last two terms."""
     w = 1.0 - x
-    lw = _ln(w)
+    lw = np.log(w)
     p = _horner(s.p, w)
     q = _horner(s.q, w)
     bw = s.B * w
@@ -400,13 +394,13 @@ class Hyp2f1Kernel:
     Terminating parameters, non-unit integer excess and non-integer
     excess go to hyp2f1 point by point.
 
-    ``kernel(x)`` runs _horner on a Python float, with no NumPy call;
-    ``kernel.array(xs)`` is ``evaluate([(kernel, xs)])``, which runs the
-    same code on a (rows, points) array.  The steps are separate IEEE
-    multiplies and adds (NumPy fuses neither), padding a row with leading
-    zero coefficients does not change its bits (see _horner), and both
-    paths take ``math.log``, so a point has the same bits alone or inside
-    any array, stacked with any other kernels.
+    ``kernel(x)`` runs _horner on a Python float; ``kernel.array(xs)`` is
+    ``evaluate([(kernel, xs)])``, which runs the same code on a
+    (rows, points) array.  The steps are separate IEEE multiplies and adds
+    (NumPy fuses neither), padding a row with leading zero coefficients
+    does not change its bits (see _horner), and both paths take
+    ``np.log``, so a point has the same bits alone or inside any array,
+    stacked with any other kernels.
     """
 
     def __init__(self, a: float, b: float, c: float, cfg: SeriesConfig | None = None):
@@ -433,8 +427,9 @@ class Hyp2f1Kernel:
         tail = 1.0 / (1.0 - x)
         ok_streak = 0
         for n in range(cfg.max_terms):
-            coefs.append(coefs[-1] * ((a + n) * (b + n) / ((c + n) * (n + 1.0))))
-            t *= (a + n) * (b + n) * x / ((c + n) * (n + 1.0))
+            num, den = (a + n) * (b + n), (c + n) * (n + 1.0)
+            coefs.append(coefs[-1] * (num / den))
+            t *= num * x / den
             y = t - comp
             hi = s + y
             comp = (hi - s) - y
@@ -490,8 +485,9 @@ class Hyp2f1Kernel:
                 - 1.0 / (k + 1.0)
                 - 1.0 / (k + 2.0)
             )
-            coef_w *= (a + 1.0 + k) * (b + 1.0 + k) * w / ((k + 1.0) * (k + 2.0))
-            coef *= (a + 1.0 + k) * (b + 1.0 + k) / ((k + 1.0) * (k + 2.0))
+            num, den = (a + 1.0 + k) * (b + 1.0 + k), (k + 1.0) * (k + 2.0)
+            coef_w *= num * w / den
+            coef *= num / den
         else:
             raise ConvergenceError(
                 f"log-case expansion for ({a}, {b}) at x={cfg.switch_point} did not "
@@ -532,7 +528,7 @@ class Hyp2f1Kernel:
         value, ok = _AT[regime](self._coefs(regime), x)
         if not ok:
             self._miss(x, regime)
-        return value
+        return float(value)
 
     def array(self, xs) -> np.ndarray:
         """Values at every entry of the 1-D array ``xs``."""

@@ -207,18 +207,11 @@ def _build_report(meta: dict, results) -> Report:
 # G and its envelopes
 
 
-def _elementwise(fn, xs: np.ndarray) -> np.ndarray:
-    """fn (a math-module formula) at each entry of a 1-D array, so that an
-    array and a single point get the same bits."""
-    return np.fromiter(map(fn, xs.tolist()), float, xs.size)
-
-
 def _one_minus_pow(e, x):
     """1 - x^e of a float or (entrywise) of an array, formed through
-    expm1/log1p so that it stays accurate at both ends."""
-    if isinstance(x, np.ndarray):
-        return _elementwise(lambda v: -math.expm1(e * math.log1p(v - 1.0)), x)
-    return -math.expm1(e * math.log1p(x - 1.0))
+    expm1/log1p so that it stays accurate at both ends.  NumPy's ufuncs
+    give an entry the same bits alone or inside any array."""
+    return -np.expm1(e * np.log1p(x - 1.0))
 
 
 def _kernel_c(pp, cfg):
@@ -271,8 +264,7 @@ def _abscissas(ep, grid, where):
     _, n, step = where
     x = _fpp_points(n)
     xs = np.concatenate([x - step, x, x + step])
-    dc = ep.d_exp / ep.c_exp
-    return xs, xs, _elementwise(lambda v: -math.expm1(dc * math.log1p(-v)), xs)
+    return xs, xs, -np.expm1(ep.d_exp / ep.c_exp * np.log1p(-xs))
 
 
 class _Column:
@@ -287,9 +279,9 @@ class _Column:
     declared is computed when first asked for, and if the stacked call
     raises, every value is computed on its own through ``kernel_d``, so a
     check meets exactly the error it would meet alone.  G at a shift is
-    read off the grid part of the scan.  A single point (bisection) uses
-    the same kernels, so it has the bits an array would give it.  A
-    crossing result is kept per shift for sharpness to reuse.
+    read off the grid part of the scan.  A single point (a localization
+    step) takes the same kernels and ufuncs, so it has the bits an array
+    would give it.  A crossing result is kept per shift for sharpness.
     """
 
     def __init__(self, pp: ParamPair, ep: ExponentPair,
@@ -352,8 +344,8 @@ class _Column:
 
     def difference_at(self, delta, x: float) -> float:
         """F_d - F_c at one abscissa."""
-        return (self.kernel_d(delta)(_one_minus_pow(self.ep.d_exp, x))
-                - self.kernel_c(_one_minus_pow(self.ep.c_exp, x)))
+        return (self.kernel_d(delta)(float(_one_minus_pow(self.ep.d_exp, x)))
+                - self.kernel_c(float(_one_minus_pow(self.ep.c_exp, x))))
 
     def fpp_differences(self, delta, n, step):
         """f(x) = F(a-1-delta, b+delta; p; t(x)) - F(a-1, b; p; x) at x-step,
@@ -411,7 +403,7 @@ def _extrap_low(pp, ep, delta, cfg, f_c=None):
 def _extrap_high(xs, gs, c_exp):
     """Limit of G at 1- from the three highest grid points: G is analytic
     in w = 1-x^c at w = 0, so a quadratic in w extrapolates to O(w^3)."""
-    w = np.array([-math.expm1(c_exp * math.log1p(x - 1.0)) for x in xs[-3:]])
+    w = _one_minus_pow(c_exp, xs[-3:])
     scale = w[0]
     m = np.column_stack([np.ones(3), w / scale, (w / scale) ** 2])
     coef = np.linalg.solve(m, np.asarray(gs[-3:]))
@@ -512,7 +504,31 @@ def _tail_abscissas(ep, n=160):
     through x = (1-w_c)^(1/c).  The sign change for shifts just above the
     threshold lives in this tail."""
     ws = np.logspace(-8.0, math.log10(0.3), n)
-    return [float(math.exp(math.log1p(-w) / ep.c_exp)) for w in ws]
+    return np.exp(np.log1p(-ws) / ep.c_exp)
+
+
+def _localize(f, lo, f_lo, hi, f_hi):
+    """A point where |f| <= INTERIOR_MARGIN inside the bracket (lo, hi),
+    f(lo) = f_lo > 0 > f_hi = f(hi), by Illinois regula falsi (Dowell &
+    Jarratt, BIT 11, 1971): each step evaluates the secant point, or the
+    midpoint when the secant point is not strictly inside, and halves the
+    value of an end kept twice in a row.  After 48 steps without such a
+    point, the bracket's midpoint."""
+    moved = 0  # +1 after a step that moved lo, -1 after one that moved hi
+    for _ in range(48):
+        x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+        if not (lo < x < hi):
+            x = 0.5 * (lo + hi)
+        fx = f(x)
+        if abs(fx) <= INTERIOR_MARGIN:
+            return x
+        if fx > 0.0:
+            lo, f_lo, f_hi = x, fx, f_hi * (0.5 if moved > 0 else 1.0)
+            moved = 1
+        else:
+            hi, f_hi, f_lo = x, fx, f_lo * (0.5 if moved < 0 else 1.0)
+            moved = -1
+    return 0.5 * (lo + hi)
 
 
 def find_crossing(pp: ParamPair, ep: ExponentPair, delta: float,
@@ -522,7 +538,9 @@ def find_crossing(pp: ParamPair, ep: ExponentPair, delta: float,
     """Both-sign witnesses for F_d - F_c when the shift exceeds the
     threshold: a point with difference > INTERIOR_MARGIN and one with
     difference < -INTERIOR_MARGIN, found by a clustered scan (plus a
-    near-1 tail scan) and localized by bisecting the sign change."""
+    near-1 tail scan).  The margin comes from the scan alone; _localize
+    then finds a "crossing_near" witness between the last strong positive
+    and the first strong negative."""
     params = _theorem_params(pp, ep, delta)
     skip, dp, d1 = _admissibility_gate("crossing", params, pp, ep)
     if skip is not None:
@@ -540,22 +558,13 @@ def find_crossing(pp: ParamPair, ep: ExponentPair, delta: float,
     witnesses = [[float(xs[i_pos]), best_pos], [float(xs[i_neg]), best_neg]]
 
     if margin > 0.0:
-        # localize the sign change between the last strong positive and the
-        # first strong negative
         j = int(np.argmax(ds < -INTERIOR_MARGIN))
         strong = np.flatnonzero(ds[:j] > INTERIOR_MARGIN)
         if strong.size:
-            lo, hi = float(xs[strong[-1]]), float(xs[j])
-            for _ in range(48):
-                mid = 0.5 * (lo + hi)
-                dm = col.difference_at(delta, mid)
-                if dm > INTERIOR_MARGIN:
-                    lo = mid
-                elif dm < -INTERIOR_MARGIN:
-                    hi = mid
-                else:
-                    break
-            witnesses.append(["crossing_near", 0.5 * (lo + hi)])
+            i = strong[-1]
+            near = _localize(lambda x: col.difference_at(delta, x),
+                             float(xs[i]), float(ds[i]), float(xs[j]), float(ds[j]))
+            witnesses.append(["crossing_near", near])
 
     result = _result("crossing", params, margin, witnesses, INTERIOR_MARGIN)
     col.crossings[delta] = result

@@ -296,6 +296,22 @@ def test_kernel_value_does_not_depend_on_company():
             assert alone == kernel(x) == in_array[x], (a, b, c, x)
 
 
+def test_kernel_log_regime_one_point_matches_array_where_the_logs_part():
+    # the one-point path takes the same np.log as the array path; the
+    # points are log-regime arguments whose w = 1-x np.log and math.log
+    # round to different doubles, where taking math.log on one path would
+    # move the value
+    rng = np.random.default_rng(16)
+    xs = 1.0 - rng.uniform(1e-8, 1.0 - DEFAULT_SERIES.switch_point, 200_000)
+    ws = 1.0 - xs
+    xs = xs[np.log(ws) != np.array([math.log(w) for w in ws.tolist()])]
+    assert len(xs) >= 20
+    for (a, b, c), _ in _family_points(15, n_params=4):
+        kernel = Hyp2f1Kernel(a, b, c)
+        assert kernel._unit_excess
+        assert [kernel(x) for x in xs.tolist()] == kernel.array(xs).tolist()
+
+
 def test_kernel_refuses_what_the_scalar_refuses():
     with pytest.raises(DomainError) as scalar_err:
         hyp2f1(0.5, 0.5, -2.0 + 1e-12, 0.5)

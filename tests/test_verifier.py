@@ -2,6 +2,7 @@
 extrapolation, the individual checks, and suite assembly/determinism."""
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -27,10 +28,13 @@ from hypcert.cli import main
 from hypcert.verifier import (
     CHECK_IDS,
     DEFAULT_GRID,
+    INTERIOR_MARGIN,
     SWEEP_HEADER,
     _extrap_high,
     _extrap_low,
+    _abscissas,
     _f4_cofactor,
+    _one_minus_pow,
     build_tasks,
     check_beta_convex,
     check_crossing_control,
@@ -176,6 +180,49 @@ def test_sandwich_check_passes_and_skips():
     assert res.status == "skipped: shift outside monotone range"
 
 
+def _ulps(a, b):
+    """Distance in doubles between same-signed float arrays."""
+    return np.abs(np.asarray(a, float).view(np.int64) - np.asarray(b, float).view(np.int64))
+
+
+SCAN_EXPONENTS = [ExponentPair(2.0, 3.0), ExponentPair(0.9, 3.0), ExponentPair(0.15, 3.0),
+                  ExponentPair(0.9, 1.0)]
+
+
+def test_argument_ufuncs_give_a_point_the_same_bits_in_any_array():
+    # 1-x^e and the log regime's ln w, as the one-point path and the array
+    # path take them: one point alone, a contiguous array, a strided view
+    for ep in SCAN_EXPONENTS:
+        xs = _abscissas(ep, DEFAULT_GRID, "scan")[0]
+        strided = np.repeat(xs, 3)[1::3]
+        assert not strided.flags.c_contiguous
+        for e in (ep.c_exp, ep.d_exp):
+            full = _one_minus_pow(e, xs)
+            assert _ulps(_one_minus_pow(e, strided), full).max() == 0
+            assert [float(_one_minus_pow(e, x)) for x in xs.tolist()] == full.tolist()
+            w = 1.0 - full
+            logs = np.log(w)
+            assert _ulps(np.log(np.repeat(w, 3)[1::3]), logs).max() == 0
+            assert [float(np.log(v)) for v in w.tolist()] == logs.tolist()
+
+
+def test_argument_ufuncs_stay_within_an_ulp_of_math():
+    # every ufunc of 1-x^e = -expm1(e*log1p(x-1)) and the log regime's
+    # ln w, on the inputs the formulas feed it, against the math module;
+    # the two rounding differences of the composite add up to <= 2 ulps
+    for ep in SCAN_EXPONENTS:
+        xs = _abscissas(ep, DEFAULT_GRID, "scan")[0]
+        for e in (ep.c_exp, ep.d_exp):
+            u = np.log1p(xs - 1.0)
+            assert _ulps(u, [math.log1p(v) for v in (xs - 1.0).tolist()]).max() <= 1
+            assert _ulps(np.expm1(e * u), [math.expm1(v) for v in (e * u).tolist()]).max() <= 1
+            got = _one_minus_pow(e, xs)
+            ref = [-math.expm1(e * math.log1p(x - 1.0)) for x in xs.tolist()]
+            assert _ulps(got, ref).max() <= 2
+            w = 1.0 - got
+            assert _ulps(np.log(w), [math.log(v) for v in w.tolist()]).max() <= 1
+
+
 def test_crossing_appears_above_threshold():
     res = find_crossing(HALF, EP23, D1_HALF + 1e-3)
     assert res.passed and res.worst_margin > 0.0
@@ -192,6 +239,67 @@ def test_no_crossing_below_threshold():
     assert res.status == "skipped: shift not above the threshold"
     res = check_crossing_control(HALF, EP23, D1_HALF + 1e-3)
     assert res.status == "skipped: shift above the threshold"
+
+
+def test_a_localization_takes_few_evaluations(monkeypatch):
+    # Illinois regula falsi from the scan bracket: a handful of one-point
+    # differences, where bisection to the margin took about two dozen
+    calls = []
+    real = verifier._Column.difference_at
+
+    def counted(self, delta, x):
+        calls.append(x)
+        return real(self, delta, x)
+
+    monkeypatch.setattr(verifier._Column, "difference_at", counted)
+    for delta in (D1_HALF + 1e-3, D1_HALF + 1e-2, 0.5 * D1_HALF):
+        calls.clear()
+        res = find_crossing(HALF, EP23, delta)
+        assert res.witnesses[-1][0] == "crossing_near"
+        assert 1 <= len(calls) <= 8, (delta, len(calls))
+
+
+def test_localization_falls_back_to_the_bracket_midpoint():
+    # a sign change with no point where |f| <= INTERIOR_MARGIN: 48 steps,
+    # every one strictly inside the bracket, then the midpoint of what is
+    # left of it
+    calls = []
+
+    def step(x):
+        calls.append(x)
+        return 1.0 if x < 0.3 else -1.0
+
+    near = verifier._localize(step, 0.0, 1.0, 1.0, -1.0)
+    assert len(calls) == 48
+    assert all(0.0 < x < 1.0 for x in calls)
+    assert abs(near - 0.3) < 1e-12
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: math.exp(-20.0 * x) - math.exp(-10.0),  # convex: keeps lo
+    lambda x: math.exp(-10.0) - math.exp(-20.0 * (1.0 - x)),  # concave: keeps hi
+])
+def test_localization_does_not_stall_on_a_curved_difference(f):
+    # plain regula falsi keeps one end for good on these and runs out its
+    # 48 steps; halving the kept end's value reaches the root x = 1/2
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    near = verifier._localize(counted, 0.0, f(0.0), 1.0, f(1.0))
+    assert abs(f(near)) <= INTERIOR_MARGIN and abs(near - 0.5) < 1e-12
+    assert len(calls) <= 30
+
+
+def test_one_point_differences_have_the_scan_bits():
+    # the localization's one-point path and the column's stacked scan
+    # give every scan abscissa the same bits
+    col = verifier._Column(HALF, EP23)
+    for delta in (MID_HALF, D1_HALF + 1e-3):
+        ds = col.differences(delta)
+        assert [col.difference_at(delta, x) for x in col.scan_xs.tolist()] == ds.tolist()
 
 
 def test_sharpness_beta_form_passes():
@@ -348,6 +456,30 @@ def test_suite_records_match_direct_checks(small_report):
         assert (direct.passed, direct.status) == (rec.passed, rec.status)
         assert direct.worst_margin == rec.worst_margin, rec.params
         assert direct == rec
+
+
+def test_crossing_witnesses_sit_in_their_scan_bracket(small_report):
+    # every localized crossing of the sample: inside the bracket between
+    # the last strong positive and the first strong negative of its scan,
+    # and a point where |F_d - F_c| <= INTERIOR_MARGIN; the one-point path
+    # gives the bracket's ends the scan's bits
+    n = 0
+    for rec in small_report.checks:
+        if rec.check_id != "crossing" or rec.status != "ok":
+            continue
+        tag, near = rec.witnesses[-1]
+        assert tag == "crossing_near"
+        t = rec.params
+        col = verifier._Column(ParamPair(t["a"], t["b"]), ExponentPair(t["c"], t["d"]),
+                               SMALL_CONFIG.grid, SMALL_CONFIG.series)
+        xs, ds = col.scan_xs, col.differences(t["delta"])
+        j = int(np.argmax(ds < -INTERIOR_MARGIN))
+        i = np.flatnonzero(ds[:j] > INTERIOR_MARGIN)[-1]
+        assert xs[i] < near < xs[j]
+        assert [col.difference_at(t["delta"], float(xs[k])) for k in (i, j)] == [ds[i], ds[j]]
+        assert abs(col.difference_at(t["delta"], near)) <= INTERIOR_MARGIN
+        n += 1
+    assert n >= 8, n
 
 
 def test_task_errors_become_failed_records(monkeypatch, small_report, tmp_path):
