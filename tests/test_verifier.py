@@ -30,9 +30,9 @@ from hypcert.verifier import (
     DEFAULT_GRID,
     INTERIOR_MARGIN,
     SWEEP_HEADER,
+    _abscissas,
     _extrap_high,
     _extrap_low,
-    _abscissas,
     _f4_cofactor,
     _one_minus_pow,
     build_tasks,
@@ -198,11 +198,11 @@ def test_argument_ufuncs_give_a_point_the_same_bits_in_any_array():
         assert not strided.flags.c_contiguous
         for e in (ep.c_exp, ep.d_exp):
             full = _one_minus_pow(e, xs)
-            assert _ulps(_one_minus_pow(e, strided), full).max() == 0
+            assert _one_minus_pow(e, strided).tolist() == full.tolist()
             assert [float(_one_minus_pow(e, x)) for x in xs.tolist()] == full.tolist()
             w = 1.0 - full
             logs = np.log(w)
-            assert _ulps(np.log(np.repeat(w, 3)[1::3]), logs).max() == 0
+            assert np.log(np.repeat(w, 3)[1::3]).tolist() == logs.tolist()
             assert [float(np.log(v)) for v in w.tolist()] == logs.tolist()
 
 
