@@ -151,10 +151,11 @@ def _check_delta(pp: ParamPair, delta: float, *, closed_right: bool = True) -> N
         )
 
 
-def _threshold_root(pp: ParamPair, r: float) -> float:
+def _threshold_root(pp: ParamPair, r: float, dp: DerivedParams | None = None) -> float:
     """Larger root of (r-1)*beta + (a-b-1)*delta - delta^2 for any r in
-    (0, 1]; ungated helper behind ``delta1`` (degenerate r -> 1 gives 0)."""
-    dp = derive_params(pp)
+    (0, 1]; ungated helper behind ``delta1`` (degenerate r -> 1 gives 0).
+    ``dp`` is derive_params(pp), derived here when not given."""
+    dp = derive_params(pp) if dp is None else dp
     a, b = pp.a, pp.b
     disc = (dp.p - 1.0) ** 2 + 4.0 * dp.beta * r
     return 0.5 * ((a - b - 1.0) + math.sqrt(disc))
@@ -169,8 +170,7 @@ def delta1(pp: ParamPair, ep: ExponentPair) -> float:
     using the identity (a-b-1)^2 - 4*beta = (p-1)^2.  Negative for every
     admissible ratio."""
     dp = derive_params(pp)
-    r = _check_ratio(dp, ep)
-    return _threshold_root(pp, r)
+    return _threshold_root(pp, _check_ratio(dp, ep), dp)
 
 
 def delta1_alpha_variant(pp: ParamPair, ep: ExponentPair) -> float:

@@ -20,13 +20,14 @@ which is what makes zero-balanced cases (e = 0) trustworthy at x = 0.999.
 ``hyp2f1`` takes one point at a time.  ``Hyp2f1Kernel`` fixes (a, b, c)
 and evaluates many points: the series and the unit-excess expansion
 become polynomials with precomputed coefficients, run by Horner's rule.
-``evaluate`` serves many kernels at once with one Horner loop per regime
-over a (kernels x points) array, each kernel's coefficients padded with
-leading zeros to the longest list.  The padding leaves every bit as it
-was: for x >= 0, 0*x + 0 = +0, and the first real coefficient c then
-gives +0*x + c = c exactly, which is where the unpadded loop starts.
-A kernel's one-point and array paths both take the logarithm with
-``np.log``, which gives a point the same bits alone or in any array.
+Many kernels' coefficients come from one build, with the bits of each
+one's own.  ``evaluate(kernels, xs)`` runs one Horner loop per regime
+over a (kernels x points) matrix, the coefficients padded with leading
+zeros to the longest list, which leaves every bit as it was: for x >= 0,
+0*x + 0 = +0, and the first real coefficient c then gives +0*x + c = c
+exactly, where the unpadded loop starts.  A kernel's one-point and array
+paths both take the logarithm with ``np.log``, which gives a point the
+same bits alone or in any array.
 """
 
 from __future__ import annotations
@@ -326,10 +327,20 @@ _Log = namedtuple("_Log", "A B p q k c d tol")
 
 def _series_at(s, x):
     """Value at x, and whether x meets the stopping rule of _raw_series on
-    both of the last two terms."""
+    both of the last two terms.  On an array, each side |c_k| x^k / (1-x)
+    grows with x and its roundings move it by far less than 2**-40 of
+    itself, so a point whose bound clears the sides at its row's largest
+    point by that much meets the rule; only if some point does not is each
+    point checked."""
     value = _horner(s.coefs, x)
-    tail = 1.0 / (1.0 - x)
     bound = s.tol * abs(value)
+    if isinstance(x, np.ndarray):
+        top = x.max(axis=-1, keepdims=True)
+        sides = np.maximum(*(abs(ck) * top ** k for k, ck in zip(s.k, s.c))) / (1.0 - top)
+        ok = bound >= sides * (1.0 + 2.0 ** -40)
+        if ok.all():
+            return value, ok
+    tail = 1.0 / (1.0 - x)
     ok = True
     for k, ck in zip(s.k, s.c):
         ok = ok & (abs(ck) * x ** k * tail <= bound)
@@ -378,6 +389,106 @@ def _stack(sets):
     return type(sets[0])(*fields)
 
 
+def _stop(terms, lhs, tol, A, bw, floor, state):
+    """_log_connection_unit_excess's stopping rule (_raw_series's: A = 0, bw = 1,
+    floor = 0) over terms with left sides lhs: the index it stops at, or
+    None and the Kahan state (s, comp, streak) after them."""
+    s, comp, streak = state
+    for j, (t, left) in enumerate(zip(terms, lhs)):
+        y = t - comp
+        hi = s + y
+        comp = (hi - s) - y
+        s = hi
+        f = abs(A + bw * s)
+        if left <= tol * (floor if f < floor else f):
+            streak += 1
+            if streak >= 2:
+                return j, None
+        else:
+            streak = 0
+    return None, (s, comp, streak)
+
+
+def _build(kernels, regime):
+    """The coefficient sets of one regime for the list ``kernels``, lists
+    t_N..t_0 ("series") or _Log sets ("log"), each with the bits of the
+    kernel's scalar loop (_raw_series, _log_connection_unit_excess) at
+    x = switch_point or w = 1 - switch_point: the loop's running products
+    and sums are np.cumprod and np.cumsum along the terms of a (rows,
+    terms) array, the same IEEE operations in the same order, and its
+    stopping rule, a Kahan sum, runs per row in Python (_stop).  Blocks
+    double until every row has stopped; a row that reaches max_terms
+    raises the loop's ConvergenceError; a log row with B = 0 keeps one term."""
+    log, ones = regime == "log", [1.0] * len(kernels)
+    a, b, c, x = np.array([[k.a, k.b, k.c, k.cfg.switch_point] for k in kernels]).T[:, :, None]
+    if log:
+        x = 1.0 - x  # w
+        A = [gamma(k.a + k.b + 1.0) / (gamma(k.a + 1.0) * gamma(k.b + 1.0)) for k in kernels]
+        B = [k.a * k.b * A_ for k, A_ in zip(kernels, A)]
+        bw = np.array(B)[:, None] * x
+        lw = np.array([[math.log(w)] for w in x[:, 0].tolist()])
+        d0 = [_digamma(k.a + 1.0) + _digamma(k.b + 1.0) - _PSI_1 - _PSI_2 for k in kernels]
+        carry, floor = np.array([ones, ones, d0]), 1e-300  # coef_k, coef_k w^k, d_k
+    else:
+        A, B, bw, lw = [0.0] * len(kernels), ones, np.ones_like(x), None
+        carry, floor = np.array([ones, ones]), 0.0  # coef_n, t_n
+    rows = [a, b, c, x, bw, lw, 1.0 / (1.0 - x)]
+    state = [(0.0 if log else 1.0, 0.0, 0)] * len(kernels)  # Kahan s, comp; streak
+    coefs, ds, qs = ([[] for _ in kernels] for _ in range(3))  # coef_k, d_k, coef_k d_k
+    # first block: the terms a geometric series in x needs, and 16 more
+    size = 16 + int(max(0.0, *(math.log(k.cfg.rel_tol) / math.log(xk)
+                               for k, xk in zip(kernels, x[:, 0].tolist()))))
+    act, n0 = list(range(len(kernels))), 0
+    while act:
+        a, b, c, x, bw, lw, tail = rows
+        n = np.arange(n0, n0 + size, dtype=float)
+        run = np.empty((len(carry), len(act), size + 1))
+        run[:, :, 0] = carry
+        if log:
+            ak, bk, n1, n2 = a + 1.0 + n, b + 1.0 + n, n + 1.0, n + 2.0
+            num, den = ak * bk, n1 * n2
+            run[2, :, 1:] = 1.0 / ak + 1.0 / bk - 1.0 / n1 - 1.0 / n2
+            np.cumsum(run[2], axis=1, out=run[2])
+        else:
+            num, den = (a + n) * (b + n), (c + n) * (n + 1.0)
+        np.divide(num, den, out=run[0, :, 1:])
+        np.divide(num * x, den, out=run[1, :, 1:])
+        np.cumprod(run[:2], axis=2, out=run[:2])
+        carry = run[:, :, -1]
+        terms = run[1, :, :-1] * (lw + run[2, :, :-1]) if log else run[1, :, 1:]
+        lhs = np.abs(bw * terms) * tail
+        parts = [run[0], run[2], run[0] * run[2]] if log else [run[0]]
+        chains = zip(*(part.tolist() for part in parts))
+        keep = []
+        for r, (i, ts, ls, chain) in enumerate(zip(act, terms.tolist(), lhs.tolist(), chains)):
+            k = kernels[i]
+            top = min(size, k.cfg.max_terms - n0)
+            stop, state[i] = _stop(ts[:top], ls[:top], k.cfg.rel_tol, A[i], float(bw[r, 0]),
+                                   floor, state[i])
+            stop = 0 if log and B[i] == 0.0 else stop  # the log loop's first step breaks
+            # coefficients 0..K: the log loop stops at K = n, the series one at n + 1
+            end = size if stop is None else stop + (1 if log else 2)
+            for got, values in zip((coefs[i], ds[i], qs[i]), chain):
+                got += values[:end]
+            if stop is None and top < size:
+                raise ConvergenceError(
+                    f"log-case expansion for ({k.a}, {k.b}) at x={k.cfg.switch_point} did not "
+                    f"converge within {k.cfg.max_terms} terms" if log else
+                    f"series for ({k.a}, {k.b}; {k.c}) at x={k.cfg.switch_point} did not "
+                    f"reach rel_tol={k.cfg.rel_tol} within {k.cfg.max_terms} terms")
+            if stop is None:
+                keep.append(r)
+        act = [act[r] for r in keep]
+        if act:  # the next block, for the rows still running
+            rows = [None if v is None else v[keep] for v in rows]
+            carry, n0, size = carry[:, keep], n0 + size, min(2 * size, 8192)
+    if not log:
+        return [p[::-1] for p in coefs]
+    return [_Log(A_, B_, p[::-1], q[::-1], tuple(range(len(p) - len(p[-2:]), len(p))),
+                 tuple(p[-2:]), tuple(d[-2:]), k.cfg.rel_tol)
+            for k, A_, B_, p, d, q in zip(kernels, A, B, coefs, ds, qs)]
+
+
 class Hyp2f1Kernel:
     """F(a, b; c; .) for fixed parameters, at one point or over an array.
 
@@ -385,7 +496,8 @@ class Hyp2f1Kernel:
     comparison family lives in, the power series (x <= switch_point) and
     the unit-excess logarithmic expansion (x beyond it), F is a polynomial
     in x or in w = 1-x whose coefficients do not depend on the point.
-    They are built once, on first use, and evaluated by Horner's rule.
+    They are built once, on first use, by _build (``evaluate`` builds the
+    sets of all its kernels in one call), and evaluated by Horner's rule.
     The truncation is where hyp2f1's own stopping rule stops at the
     regime's worst argument, x = switch_point for the series and
     w = 1 - switch_point for the expansion, so a value depends only on
@@ -395,7 +507,7 @@ class Hyp2f1Kernel:
     excess go to hyp2f1 point by point.
 
     ``kernel(x)`` runs _horner on a Python float; ``kernel.array(xs)`` is
-    ``evaluate([(kernel, xs)])``, which runs the same code on a
+    ``evaluate([kernel], [xs])[0]``, which runs the same code on a
     (rows, points) array.  The steps are separate IEEE multiplies and adds
     (NumPy fuses neither), padding a row with leading zero coefficients
     does not change its bits (see _horner), and both paths take
@@ -416,86 +528,13 @@ class Hyp2f1Kernel:
 
     @cached_property
     def _series(self):
-        """Coefficients t_N..t_0 of the power series, highest first.
-
-        One pass: each step appends the x-free coefficient and runs
-        _raw_series's step at x = switch_point, whose stopping rule sets N."""
-        a, b, c, cfg = self.a, self.b, self.c, self.cfg
-        x = cfg.switch_point
-        coefs = [1.0]
-        s, comp, t = 1.0, 0.0, 1.0
-        tail = 1.0 / (1.0 - x)
-        ok_streak = 0
-        for n in range(cfg.max_terms):
-            num, den = (a + n) * (b + n), (c + n) * (n + 1.0)
-            coefs.append(coefs[-1] * (num / den))
-            t *= num * x / den
-            y = t - comp
-            hi = s + y
-            comp = (hi - s) - y
-            s = hi
-            if abs(t) * tail <= cfg.rel_tol * abs(s):
-                ok_streak += 1
-                if ok_streak >= 2:
-                    return coefs[::-1]
-            else:
-                ok_streak = 0
-        raise ConvergenceError(
-            f"series for ({a}, {b}; {c}) at x={x} did not reach rel_tol="
-            f"{cfg.rel_tol} within {cfg.max_terms} terms"
-        )
+        """Coefficients t_N..t_0 of the power series, highest first."""
+        return _build([self], "series")[0]
 
     @cached_property
     def _log(self):
-        """The unit-excess coefficient set, in one pass: each step records
-        (k, coef_k, d_k) and runs _log_connection_unit_excess's step at
-        x = switch_point, whose stopping rule sets the last k."""
-        a, b, cfg = self.a, self.b, self.cfg
-        w = 1.0 - cfg.switch_point
-        A = gamma(a + b + 1.0) / (gamma(a + 1.0) * gamma(b + 1.0))
-        B = a * b * A
-        lw = math.log(w)
-        dk = _digamma(a + 1.0) + _digamma(b + 1.0) - _PSI_1 - _PSI_2
-        coef = 1.0  # coef_k
-        coef_w = 1.0  # coef_k * w^k, formed as the scalar path forms it
-        s, comp = 0.0, 0.0
-        bw = B * w
-        tail = 1.0 / (1.0 - w)
-        ok_streak = 0
-        terms = []
-        for k in range(cfg.max_terms):
-            terms.append((k, coef, dk))
-            if B == 0.0:
-                break
-            term = coef_w * (lw + dk)
-            y = term - comp
-            hi = s + y
-            comp = (hi - s) - y
-            s = hi
-            f_partial = A + bw * s
-            if abs(bw * term) * tail <= cfg.rel_tol * max(abs(f_partial), 1e-300):
-                ok_streak += 1
-                if ok_streak >= 2:
-                    break
-            else:
-                ok_streak = 0
-            dk += (
-                1.0 / (a + 1.0 + k)
-                + 1.0 / (b + 1.0 + k)
-                - 1.0 / (k + 1.0)
-                - 1.0 / (k + 2.0)
-            )
-            num, den = (a + 1.0 + k) * (b + 1.0 + k), (k + 1.0) * (k + 2.0)
-            coef_w *= num * w / den
-            coef *= num / den
-        else:
-            raise ConvergenceError(
-                f"log-case expansion for ({a}, {b}) at x={cfg.switch_point} did not "
-                f"converge within {cfg.max_terms} terms"
-            )
-        p = [ck for _, ck, _ in reversed(terms)]
-        q = [ck * d for _, ck, d in reversed(terms)]
-        return _Log(A, B, p, q, *zip(*terms[-2:]), cfg.rel_tol)
+        """The unit-excess coefficient set (a _Log)."""
+        return _build([self], "log")[0]
 
     @cached_property
     def _series_set(self):
@@ -532,62 +571,51 @@ class Hyp2f1Kernel:
 
     def array(self, xs) -> np.ndarray:
         """Values at every entry of the 1-D array ``xs``."""
-        return evaluate([(self, xs)])[0]
+        return evaluate([self], np.asarray(xs, dtype=float)[None, :])[0]
 
 
-def evaluate(requests) -> list:
-    """Values of many (kernel, xs) requests: one array per request, in
-    request order, each as ``kernel.array(xs)`` alone would give it.
-
-    Each Horner regime runs one loop over a (rows, points) array.  A row
-    belongs to one kernel and holds all of its points in the regime, from
-    every request that names it; its coefficients are padded with leading
-    zeros to the deepest row's (bit-neutral, see _horner), its points with
-    copies of its own last point.  The stopping rule is then checked on
-    real entries only, never on padding, and the first miss raises
-    ConvergenceError.  Points outside the Horner regimes go to hyp2f1 one
-    by one, after the stacked loops."""
-    outs, rows = [], {"series": {}, "log": {}}
-    for kernel, xs in requests:
-        xs = np.asarray(xs, dtype=float)
-        bad = ~((xs >= 0.0) & (xs < 1.0))
-        if bad.any():
-            raise DomainError(
-                f"argument must satisfy 0 <= x < 1, got {float(xs[bad][0])!r}"
-            )
-        out = np.empty_like(xs)
-        series = (xs <= kernel.cfg.switch_point) & kernel._horner
-        log = ~series & (xs > kernel.cfg.switch_point) & kernel._unit_excess
-        for regime, mask in (("series", series), ("log", log)):
-            if mask.any():
-                rows[regime].setdefault(kernel, []).append((out, mask, xs[mask]))
-        outs.append((kernel, xs, out, ~(series | log)))
-
-    for regime, by_kernel in rows.items():
-        if not by_kernel:
+def evaluate(kernels, xs) -> np.ndarray:
+    """F at a (kernels x points) array ``xs``, row i at the points of
+    kernels[i], each value as ``kernels[i](x)`` gives it.  Missing
+    coefficient sets are built in one _build call per regime.  Each Horner
+    regime runs one loop over the rows with points in it, their regime
+    points moved to the front and padded with copies of the last one (see
+    _horner for the coefficients' padding); the stopping rule is checked
+    on real entries only, the first miss raising ConvergenceError.  Other
+    points go to hyp2f1 one by one, after the stacked loops."""
+    xs = np.asarray(xs, dtype=float)
+    bad = ~((xs >= 0.0) & (xs < 1.0))
+    if bad.any():
+        raise DomainError(f"argument must satisfy 0 <= x < 1, got {float(xs[bad][0])!r}")
+    flags = np.array([[k.cfg.switch_point, k._horner, k._unit_excess] for k in kernels])
+    low = xs <= flags[:, :1]
+    masks = {"series": low & (flags[:, 1:2] == 1.0), "log": ~low & (flags[:, 2:] == 1.0)}
+    out = np.empty_like(xs)
+    for regime, mask in masks.items():
+        counts = mask.sum(axis=1)
+        rows = np.flatnonzero(counts)
+        if not rows.size:
             continue
-        kernels = list(by_kernel)
-        pts = [np.concatenate([x for _, _, x in by_kernel[k]]) for k in kernels]
-        width = max(map(len, pts))
-        xs = np.empty((len(pts), width))
-        for row, p in zip(xs, pts):
-            row[:len(p)] = p
-            row[len(p):] = p[-1]
-        values, ok = _AT[regime](_stack([k._coefs(regime) for k in kernels]), xs)
-        miss = ~ok & (np.arange(width) < [[len(p)] for p in pts])
+        users = [kernels[i] for i in rows.tolist()]
+        missing = [k for k in dict.fromkeys(users) if "_" + regime not in k.__dict__]
+        for k, coefs in zip(missing, _build(missing, regime) if missing else ()):
+            k.__dict__["_" + regime] = coefs  # the cached _series or _log
+        # boolean indexing runs row by row: each row's points land in order
+        counts = counts[rows]
+        real = np.arange(counts.max()) < counts[:, None]
+        pts = np.empty(real.shape)
+        pts[real] = xs[mask]
+        pts = np.where(real, pts, pts[np.arange(len(rows)), counts - 1][:, None])
+        values, ok = _AT[regime](_stack([k._coefs(regime) for k in users]), pts)
+        miss = ~ok & real
         if miss.any():
             i, j = np.argwhere(miss)[0]
-            kernels[i]._miss(float(xs[i, j]), regime)
-        for k, row in zip(kernels, values):
-            start = 0
-            for out, mask, x in by_kernel[k]:
-                out[mask] = row[start:start + len(x)]
-                start += len(x)
-
-    for kernel, xs, out, rest in outs:
-        for i in np.flatnonzero(rest):
-            out[i] = hyp2f1(kernel.a, kernel.b, kernel.c, float(xs[i]), kernel.cfg)
-    return [out for _, _, out, _ in outs]
+            users[i]._miss(float(pts[i, j]), regime)
+        out[mask] = values[real]
+    for i, j in np.argwhere(~(masks["series"] | masks["log"])).tolist():
+        k = kernels[i]
+        out[i, j] = hyp2f1(k.a, k.b, k.c, float(xs[i, j]), k.cfg)
+    return out
 
 
 def hyp2f1_at_one(a: float, b: float, c: float) -> float:

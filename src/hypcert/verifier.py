@@ -164,6 +164,11 @@ def _skipped(check_id: str, params: dict, reason: str) -> CheckResult:
     )
 
 
+def _worst(*margins):
+    """The smallest margin, or NaN if any is (the builtin min can drop one)."""
+    return math.nan if any(m != m for m in margins) else min(margins)
+
+
 def _result(check_id, params, margin, witnesses, tol) -> CheckResult:
     return CheckResult(
         check_id=check_id,
@@ -227,8 +232,8 @@ def _kernel_d(pp, delta, cfg):
 def _pair_values(pp, ep, delta, xs, cfg):
     """(F_c, F_d, 1-x^c) over the abscissa array xs."""
     w_c = _one_minus_pow(ep.c_exp, xs)
-    f_c, f_d = evaluate([(_kernel_c(pp, cfg), w_c),
-                         (_kernel_d(pp, delta, cfg), _one_minus_pow(ep.d_exp, xs))])
+    f_c, f_d = evaluate([_kernel_c(pp, cfg), _kernel_d(pp, delta, cfg)],
+                        np.stack([w_c, _one_minus_pow(ep.d_exp, xs)]))
     return f_c, f_d, w_c
 
 
@@ -244,9 +249,10 @@ def G_value(pp: ParamPair, ep: ExponentPair, delta: float, x: float,
     return float((f_d[0] - f_c[0]) / w_c[0])
 
 
-# fpp_positive's default abscissa count and difference step
+# fpp_positive's default abscissa count, difference step and abscissa set
 _FPP_N = 48
 _FPP_STEP = 1e-4
+_FPP = ("fpp", _FPP_N, _FPP_STEP)
 
 
 def _fpp_points(n):
@@ -268,20 +274,20 @@ def _abscissas(ep, grid, where):
 
 
 class _Column:
-    """One (pair, exponent pair) and its hypergeometric values, each
-    computed once.
+    """One (pair, exponent pair) and the work its checks share, each done
+    once: the gate (_gate), the abscissas and the hypergeometric values.
 
     The abscissa sets are the scan (the grid together with the near-1
     tail, sorted) and fpp_positive's points; see _abscissas.  A value is
     F_c (shift None) or F_d at a shift over one set.  ``reads`` declares
-    the (shift, set) pairs the column's checks will read; on first use,
-    F_c and all of them come from one ``evaluate`` call.  A value nobody
-    declared is computed when first asked for, and if the stacked call
-    raises, every value is computed on its own through ``kernel_d``, so a
-    check meets exactly the error it would meet alone.  G at a shift is
-    read off the grid part of the scan.  A single point (a localization
-    step) takes the same kernels and ufuncs, so it has the bits an array
-    would give it.  A crossing result is kept per shift for sharpness.
+    the (shift, set) pairs the checks will read; on first use, one
+    ``evaluate`` call gives F_c over the scan and the default fpp points
+    and F_d over those points at every declared shift, the F_d rows one
+    shared vector.  A value nobody declared is computed when first asked
+    for, and if the stacked call raises, every value is computed on its
+    own through ``kernel_d``, so a check meets exactly the error it would
+    meet alone.  A single point (a localization step) takes the same
+    kernels and ufuncs, so it has the bits an array would give it.
     """
 
     def __init__(self, pp: ParamPair, ep: ExponentPair,
@@ -296,9 +302,12 @@ class _Column:
         self.scan_xs = xs[self._order]
         self.kernel_c = _kernel_c(pp, cfg)
         self._kernels_d = {}
-        self._reads = list(reads)
+        self.reads = list(reads)
         self._values = {}
-        self.crossings = {}
+
+    @cached_property
+    def gate(self):
+        return _gate(self.pp, self.ep)
 
     @cached_property
     def fit_f_c(self):
@@ -321,14 +330,19 @@ class _Column:
 
     def _value(self, delta, where):
         """F_c (delta None) or F_d at delta over the abscissa set where."""
-        if self._reads:
-            keys = list(dict.fromkeys([(None, w) for _, w in self._reads] + self._reads))
-            self._reads = ()
+        if self.reads:
+            keys = list(dict.fromkeys([None] + [d for d, _ in self.reads]))
+            self.reads = ()
+            c, d = (np.concatenate([self._arguments(k, w) for w in ("scan", _FPP)])
+                    for k in keys[:2])
             try:
-                values = evaluate([(self._kernel(d), self._arguments(d, w)) for d, w in keys])
-                self._values.update(zip(keys, values))
+                rows = evaluate([self._kernel(k) for k in keys],
+                                np.vstack([c] + [d] * (len(keys) - 1)))
             except (ConvergenceError, DomainError):
-                pass  # each value is computed below, on its own, when read
+                rows = ()  # each value is computed below, on its own, when read
+            n = len(self._w_c)
+            self._values.update({(k, w): v for k, row in zip(keys, rows)
+                                 for w, v in (("scan", row[:n]), (_FPP, row[n:]))})
         if (delta, where) not in self._values:
             self._values[delta, where] = self._kernel(delta).array(self._arguments(delta, where))
         return self._values[delta, where]
@@ -410,20 +424,23 @@ def _extrap_high(xs, gs, c_exp):
     return float(coef[0])
 
 
-def _admissibility_gate(check_id, params, pp, ep):
-    """Common precondition gate; returns (None, dp, d1) when admissible or
-    (skip-result, None, None) when the tuple is out of scope."""
+def _gate(pp, ep):
+    """Why (pp, ep) is out of scope, or (dp, d1) when admissible."""
     dp = derive_params(pp)
     if condition_case(dp) is Case.INADMISSIBLE:
-        return _skipped(check_id, params, "inadmissible parameter pair"), None, None
-    r = ep.ratio
-    if not (0.0 < r <= dp.ratio_bound):
-        return (
-            _skipped(check_id, params, "exponent ratio above admissible bound"),
-            None,
-            None,
-        )
-    return None, dp, delta1(pp, ep)
+        return "inadmissible parameter pair"
+    if not (0.0 < ep.ratio <= dp.ratio_bound):
+        return "exponent ratio above admissible bound"
+    return dp, delta1(pp, ep)
+
+
+def _admissibility_gate(check_id, params, pp, ep, column=None):
+    """Common precondition gate, ``column``'s when given one: (None, dp, d1)
+    when admissible, else (skip-result, None, None)."""
+    gate = column.gate if column is not None else _gate(pp, ep)
+    if isinstance(gate, str):
+        return _skipped(check_id, params, gate), None, None
+    return (None, *gate)
 
 
 def _theorem_params(pp, ep, delta):
@@ -447,7 +464,7 @@ def check_G_monotone(pp: ParamPair, ep: ExponentPair, delta: float,
     This and the checks below read their values from ``column``, the
     _Column of (pp, ep), or from one they build from grid and cfg."""
     params = _theorem_params(pp, ep, delta)
-    skip, dp, d1 = _admissibility_gate("G_monotone", params, pp, ep)
+    skip, dp, d1 = _admissibility_gate("G_monotone", params, pp, ep, column)
     if skip is not None:
         return skip
     if not (pp.a - 1.0 < delta <= d1):
@@ -458,18 +475,16 @@ def check_G_monotone(pp: ParamPair, ep: ExponentPair, delta: float,
     steps = np.diff(gs)
     slack = MONOTONE_SLACK - steps
     i = int(np.argmin(slack))
-    margin = float(slack[i])
-    witnesses = [[float(xs[i]), float(steps[i])]] if margin <= 0.0 else []
+    margins = [float(slack[i])]
+    witnesses = [] if margins[0] > 0.0 else [[float(xs[i]), float(steps[i])]]
 
     lo_err = abs(_extrap_low(pp, ep, delta, cfg, col.fit_f_c) - c2(pp, delta))
     hi_err = abs(_extrap_high(xs, gs, ep.c_exp) - c1(pp, ep, delta))
     for x_end, err in ((0.0, lo_err), (float(xs[-1]), hi_err)):
-        m = ENDPOINT_TOL - err
-        if m <= 0.0:
+        margins.append(ENDPOINT_TOL - err)
+        if not margins[-1] > 0.0:
             witnesses.append([x_end, err])
-        margin = min(margin, m)
-
-    return _result("G_monotone", params, margin, witnesses, MONOTONE_SLACK)
+    return _result("G_monotone", params, _worst(*margins), witnesses, MONOTONE_SLACK)
 
 
 def check_sandwich(pp: ParamPair, ep: ExponentPair, delta: float,
@@ -483,7 +498,7 @@ def check_sandwich(pp: ParamPair, ep: ExponentPair, delta: float,
     at the threshold shift, while the identical strict inequality keeps
     a ~1e-8 quotient margin there."""
     params = _theorem_params(pp, ep, delta)
-    skip, dp, d1 = _admissibility_gate("sandwich", params, pp, ep)
+    skip, dp, d1 = _admissibility_gate("sandwich", params, pp, ep, column)
     if skip is not None:
         return skip
     if not (pp.a - 1.0 < delta <= d1):
@@ -495,7 +510,7 @@ def check_sandwich(pp: ParamPair, ep: ExponentPair, delta: float,
     margins = gap - INTERIOR_MARGIN
     i = int(np.argmin(margins))
     margin = float(margins[i])
-    witnesses = [[float(col.grid_xs[i]), float(gap[i])]] if margin <= 0.0 else []
+    witnesses = [] if margin > 0.0 else [[float(col.grid_xs[i]), float(gap[i])]]
     return _result("sandwich", params, margin, witnesses, INTERIOR_MARGIN)
 
 
@@ -534,30 +549,29 @@ def _localize(f, lo, f_lo, hi, f_hi):
 def find_crossing(pp: ParamPair, ep: ExponentPair, delta: float,
                   grid: GridSpec = DEFAULT_GRID,
                   cfg: SeriesConfig = DEFAULT_SERIES,
-                  column: _Column | None = None) -> CheckResult:
+                  column: _Column | None = None, localize: bool = True) -> CheckResult:
     """Both-sign witnesses for F_d - F_c when the shift exceeds the
     threshold: a point with difference > INTERIOR_MARGIN and one with
     difference < -INTERIOR_MARGIN, found by a clustered scan (plus a
-    near-1 tail scan).  The margin comes from the scan alone; _localize
-    then finds a "crossing_near" witness between the last strong positive
-    and the first strong negative."""
+    near-1 tail scan).  The margin comes from the scan alone; with
+    ``localize``, _localize then finds a "crossing_near" witness between
+    the last strong positive and the first strong negative (sharpness,
+    which reports no such witness, asks for none)."""
     params = _theorem_params(pp, ep, delta)
-    skip, dp, d1 = _admissibility_gate("crossing", params, pp, ep)
+    skip, dp, d1 = _admissibility_gate("crossing", params, pp, ep, column)
     if skip is not None:
         return skip
     if not (d1 < delta < 0.0):
         return _skipped("crossing", params, "shift not above the threshold")
 
     col = column if column is not None else _Column(pp, ep, grid, cfg)
-    if delta in col.crossings:
-        return col.crossings[delta]
     xs, ds = col.scan_xs, col.differences(delta)
     i_pos, i_neg = int(np.argmax(ds)), int(np.argmin(ds))
     best_pos, best_neg = float(ds[i_pos]), float(ds[i_neg])
-    margin = min(best_pos, -best_neg) - INTERIOR_MARGIN
+    margin = _worst(best_pos, -best_neg) - INTERIOR_MARGIN
     witnesses = [[float(xs[i_pos]), best_pos], [float(xs[i_neg]), best_neg]]
 
-    if margin > 0.0:
+    if margin > 0.0 and localize:
         j = int(np.argmax(ds < -INTERIOR_MARGIN))
         strong = np.flatnonzero(ds[:j] > INTERIOR_MARGIN)
         if strong.size:
@@ -565,10 +579,7 @@ def find_crossing(pp: ParamPair, ep: ExponentPair, delta: float,
             near = _localize(lambda x: col.difference_at(delta, x),
                              float(xs[i]), float(ds[i]), float(xs[j]), float(ds[j]))
             witnesses.append(["crossing_near", near])
-
-    result = _result("crossing", params, margin, witnesses, INTERIOR_MARGIN)
-    col.crossings[delta] = result
-    return result
+    return _result("crossing", params, margin, witnesses, INTERIOR_MARGIN)
 
 
 def check_crossing_control(pp: ParamPair, ep: ExponentPair, delta: float,
@@ -578,7 +589,7 @@ def check_crossing_control(pp: ParamPair, ep: ExponentPair, delta: float,
     """Absence control: just below the threshold no scanned point may show
     F_d - F_c < -INTERIOR_MARGIN (up to grid resolution)."""
     params = _theorem_params(pp, ep, delta)
-    skip, dp, d1 = _admissibility_gate("crossing_control", params, pp, ep)
+    skip, dp, d1 = _admissibility_gate("crossing_control", params, pp, ep, column)
     if skip is not None:
         return skip
     if not (pp.a - 1.0 < delta <= d1):
@@ -592,9 +603,10 @@ def check_crossing_control(pp: ParamPair, ep: ExponentPair, delta: float,
     return _result("crossing_control", params, margin, witnesses, INTERIOR_MARGIN)
 
 
-def _sharpness_candidate(pp, ep, threshold_form):
-    """The shift sharpness characterizes: delta1, or its rejected variant."""
-    return delta1(pp, ep) if threshold_form == "beta" else delta1_alpha_variant(pp, ep)
+def _sharpness_candidate(pp, ep, threshold_form, d1):
+    """The shift sharpness characterizes: delta1 (given as d1), or its
+    rejected variant."""
+    return d1 if threshold_form == "beta" else delta1_alpha_variant(pp, ep)
 
 
 def _sharpness_shifts(cand):
@@ -616,37 +628,39 @@ def check_sharpness(pp: ParamPair, ep: ExponentPair, threshold_form: str = "beta
     the strict inequality F_c < F_d holds grid-wide (tested on the
     difference quotient, whose margin stays scale-uniform where the raw
     gap collapses like w^2), while nudging the shift up by 1e-3 and 1e-2
-    (clipped below 0; fallback: halfway to 0) produces a sign change.
-    Run with threshold_form="alpha" this check uses the rejected variant
-    constant and is expected to fail."""
+    (clipped below 0; fallback: halfway to 0) produces a sign change.  The
+    sign change is read off find_crossing's scan alone: a failure reports
+    the scan's two witnesses, so no crossing is localized.  Run with
+    threshold_form="alpha" this check uses the rejected variant constant
+    and is expected to fail."""
     if threshold_form not in ("beta", "alpha"):
         raise DomainError(f"threshold_form must be beta|alpha, got {threshold_form!r}")
     params = {"a": pp.a, "b": pp.b, "c": ep.c_exp, "d": ep.d_exp,
               "threshold_form": threshold_form}
-    skip, dp, d1 = _admissibility_gate("sharpness", params, pp, ep)
+    skip, dp, d1 = _admissibility_gate("sharpness", params, pp, ep, column)
     if skip is not None:
         return skip
-    cand = _sharpness_candidate(pp, ep, threshold_form)
+    cand = _sharpness_candidate(pp, ep, threshold_form, d1)
 
     col = column if column is not None else _Column(pp, ep, grid, cfg)
     quots = col.G(cand)
     i_min = int(np.argmin(quots))
-    margin = float(quots[i_min]) - INTERIOR_MARGIN
-    witnesses = [[float(col.grid_xs[i_min]), float(quots[i_min])]] if margin <= 0.0 else []
+    margins = [float(quots[i_min]) - INTERIOR_MARGIN]
+    witnesses = [] if margins[0] > 0.0 else [[float(col.grid_xs[i_min]), float(quots[i_min])]]
 
     for nudged in _sharpness_shifts(cand):
-        sub = find_crossing(pp, ep, nudged, grid, cfg, column=col)
+        sub = find_crossing(pp, ep, nudged, grid, cfg, column=col, localize=False)
         if sub.status != "ok":
             # nudged shift fell outside (threshold, 0): counts as a failure
             # of the characterization at this form
             witnesses.append([f"no crossing range at shift {nudged!r}", 0.0])
-            margin = min(margin, -1.0)
+            margins.append(-1.0)
             continue
         if not sub.passed:
             witnesses.extend(sub.witnesses[:2])
-        margin = min(margin, sub.worst_margin)
+        margins.append(sub.worst_margin)
 
-    return _result("sharpness", params, margin, witnesses, INTERIOR_MARGIN)
+    return _result("sharpness", params, _worst(*margins), witnesses, INTERIOR_MARGIN)
 
 
 # ---------------------------------------------------------------------------
@@ -701,14 +715,14 @@ def check_f4_roots(n_scan: int = 10_000) -> CheckResult:
     except DomainError as exc:
         return CheckResult("f4_roots", params, False, -1.0, [[str(exc), 0.0]],
                            INTERIOR_MARGIN)
-    margin = min(INTERIOR_MARGIN - abs(f4(a0)), INTERIOR_MARGIN - abs(f4(a1)))
+    margin = _worst(INTERIOR_MARGIN - abs(f4(a0)), INTERIOR_MARGIN - abs(f4(a1)))
     witnesses = [[a0, f4(a0)], [a1, f4(a1)]]
 
     xs = np.linspace(1e-4, 1.0 - 1e-4, 2000)
     negative = _f4_cofactor(xs) < 0.0
     flips = np.flatnonzero(negative[:-1] != negative[1:])
     if not (len(flips) == 1 and a0 < xs[flips[0]] and xs[flips[0] + 1] < a1):
-        margin = min(margin, -1.0)
+        margin = _worst(margin, -1.0)
         witnesses.append([f"f4' sign changes at {xs[flips].tolist()}", 0.0])
     return _result("f4_roots", params, margin, witnesses, INTERIOR_MARGIN)
 
@@ -738,14 +752,14 @@ def check_lemma_g(pp: ParamPair, n: int = 256) -> CheckResult:
     if 0.0 < x0 < xmax and -dp.beta * x0 < y0 < 0.0:
         expected = dp.alpha * dp.beta / den
         dev = abs(g(x0, y0, dp) - expected) / expected
-        margin = min(margin, 1e-13 - dev, expected)
-        if 1e-13 - dev <= 0.0:
+        margin = _worst(margin, 1e-13 - dev, expected)
+        if not 1e-13 - dev > 0.0:
             witnesses.append([x0, dev])
 
     ys_b = np.linspace(-dp.beta * xmax, 0.0, n)
     slice_dev = float(np.max(np.abs(g(xmax, ys_b, dp) - g1(ys_b, dp))))
-    margin = min(margin, 1e-13 - slice_dev)
-    if 1e-13 - slice_dev <= 0.0:
+    margin = _worst(margin, 1e-13 - slice_dev)
+    if not 1e-13 - slice_dev > 0.0:
         witnesses.append(["boundary slice deviation", slice_dev])
 
     return _result("lemma_g", params, margin, witnesses, INTERIOR_MARGIN)
@@ -770,23 +784,23 @@ def check_lemma_g1(pp: ParamPair, n: int = 512) -> CheckResult:
         diff_min = float(np.min(np.diff(vals)))
         end_lo = dp.beta ** 2 * dp.p * (dp.p + dp.beta) / dp.k ** 2
         end_hi = dp.h * (dp.p + dp.beta) / dp.k ** 2
-        err = max(abs(vals[0] - end_lo), abs(vals[-1] - end_hi))
-        margin = min(diff_min, 1e-10 - err)
-        if diff_min <= 0.0:
+        err = -_worst(-abs(vals[0] - end_lo), -abs(vals[-1] - end_hi))
+        margin = _worst(diff_min, 1e-10 - err)
+        if not diff_min > 0.0:
             witnesses.append(["non-increasing step", diff_min])
-        if 1e-10 - err <= 0.0:
+        if not 1e-10 - err > 0.0:
             witnesses.append(["endpoint deviation", err])
         return _result("lemma_g1", params, margin, witnesses, 1e-10)
 
     i_min = int(np.argmin(vals))
     margin = vals[i_min] + INTERIOR_MARGIN
-    if margin <= 0.0:
+    if not margin > 0.0:
         witnesses.append([float(ys[i_min]), vals[i_min]])
     return _result("lemma_g1", params, margin, witnesses, INTERIOR_MARGIN)
 
 
 def check_lemma_Q(pp: ParamPair, ep: ExponentPair, delta: float,
-                  N: int = 200) -> CheckResult:
+                  N: int = 200, column: _Column | None = None) -> CheckResult:
     """Tail behavior of the coefficient sequence: Q strictly decreasing on
     1..N, Q(N) < Q(1), eventual Q < -1 (horizon doubled up to 64N), and
     the first-difference identity against Q1 to 1e-10 for n = 1..50.
@@ -794,10 +808,10 @@ def check_lemma_Q(pp: ParamPair, ep: ExponentPair, delta: float,
     On 1..max(N, 51) the gamma ratio of Q comes from its recurrence in n,
     anchored on one lgamma value; it must agree with the direct lgamma
     ratio at n = 50 and n = N to 1e-10 as well.  The horizon probes are
-    direct."""
+    direct.  A ``column`` of (pp, ep) lends its gate."""
     params = _theorem_params(pp, ep, delta)
     params["N"] = N
-    skip, dp, d1 = _admissibility_gate("lemma_Q", params, pp, ep)
+    skip, dp, d1 = _admissibility_gate("lemma_Q", params, pp, ep, column)
     if skip is not None:
         return skip
     if not (pp.a - 1.0 < delta <= d1):
@@ -809,10 +823,9 @@ def check_lemma_Q(pp: ParamPair, ep: ExponentPair, delta: float,
     witnesses = []
     diffs = qs[1:N] - qs[:N - 1]
     i = int(np.argmax(diffs))
-    margin = -float(diffs[i])
-    if margin <= 0.0:
+    margins = [-float(diffs[i]), float(qs[0] - qs[N - 1])]
+    if not margins[0] > 0.0:
         witnesses.append([float(i + 1), float(diffs[i])])
-    margin = min(margin, float(qs[0] - qs[N - 1]))
 
     horizon = N
     trend_ok = False
@@ -822,7 +835,7 @@ def check_lemma_Q(pp: ParamPair, ep: ExponentPair, delta: float,
             break
         horizon *= 2
     if not trend_ok:
-        margin = min(margin, -1.0)
+        margins.append(-1.0)
         witnesses.append([f"Q({horizon}) still >= -1", Q(horizon // 2, pp, ep, delta)])
 
     # Q(n+1) - Q(n) = R(n) / ((a+n-1)(b+n)) * Q1(n) for n = 1..50
@@ -833,15 +846,13 @@ def check_lemma_Q(pp: ParamPair, ep: ExponentPair, delta: float,
     # the recurrence against the direct lgamma ratio, an independent
     # reference for every gamma factor above
     refs = sorted({50, N})
-    direct = [Q_ratio(k, pp, delta) for k in refs]
-    ref_devs = [float(abs(ratios[k - 1] - d) / d) for k, d in zip(refs, direct)]
-    labels = [f"identity at n={k}" for k in range(1, 51)] + [f"gamma recurrence at n={k}" for k in refs]
-    for label, dev in zip(labels, [*devs.tolist(), *ref_devs]):
-        margin = min(margin, 1e-10 - dev)
-        if 1e-10 - dev <= 0.0:
-            witnesses.append([label, dev])
-
-    return _result("lemma_Q", params, margin, witnesses, 1e-10)
+    direct = np.array([Q_ratio(k, pp, delta) for k in refs])
+    devs = np.concatenate([devs, np.abs(ratios[np.array(refs) - 1] - direct) / direct])
+    # the smallest 1e-10 - dev: subtraction from a fixed number is monotone
+    margins.append(1e-10 - float(np.max(devs)))
+    witnesses += [[f"identity at n={k + 1}" if k < 50 else f"gamma recurrence at n={refs[k - 50]}",
+                   float(devs[k])] for k in np.flatnonzero(~(1e-10 - devs > 0.0)).tolist()]
+    return _result("lemma_Q", params, _worst(*margins), witnesses, 1e-10)
 
 
 def check_beta_convex(pp: ParamPair, n: int = 200) -> CheckResult:
@@ -855,9 +866,9 @@ def check_beta_convex(pp: ParamPair, n: int = 200) -> CheckResult:
     vals = [beta_fn(a - float(x), b + float(x)) for x in xs]
     d1s = [vals[i + 1] - vals[i] for i in range(n - 1)]
     d2s = [d1s[i + 1] - d1s[i] for i in range(n - 2)]
-    margin = min(min(d1s), min(d2s))
+    margin = _worst(*d1s, *d2s)
     witnesses = []
-    if margin <= 0.0:
+    if not margin > 0.0:
         i = min(range(n - 1), key=lambda i: d1s[i])
         witnesses.append([float(xs[i]), d1s[i]])
     return _result("beta_convex", params, margin, witnesses, 0.0)
@@ -872,7 +883,7 @@ def check_fpp_positive(pp: ParamPair, ep: ExponentPair, delta: float,
     f(x) = F(a-1-delta, b+delta; p; t(x)) - F(a-1, b; p; x) must exceed
     -1e-6 on an interior grid."""
     params = _theorem_params(pp, ep, delta)
-    skip, dp, d1 = _admissibility_gate("fpp_positive", params, pp, ep)
+    skip, dp, d1 = _admissibility_gate("fpp_positive", params, pp, ep, column)
     if skip is not None:
         return skip
     if not (pp.a - 1.0 < delta <= d1):
@@ -1010,7 +1021,7 @@ _CALLS = {
     "lemma_g": lambda t, cf, col: check_lemma_g(_pair(t)),
     "lemma_g1": lambda t, cf, col: check_lemma_g1(_pair(t)),
     "lemma_Q": lambda t, cf, col: check_lemma_Q(
-        _pair(t), _exponents(t), t["delta"], t["N"]),
+        _pair(t), _exponents(t), t["delta"], t["N"], col),
     "G_monotone": lambda t, cf, col: check_G_monotone(
         _pair(t), _exponents(t), t["delta"], cf.grid, cf.series, col),
     "sandwich": lambda t, cf, col: check_sandwich(
@@ -1050,16 +1061,16 @@ def _columns(tasks):
     return list(groups.values())
 
 
-def _column_reads(tasks):
+def _column_reads(tasks, d1):
     """The (shift, abscissa set) values the checks among tasks read from
-    their column."""
+    their column, whose threshold is d1."""
     reads = []
     for check_id, t in tasks:
         if check_id == "sharpness":
-            cand = _sharpness_candidate(_pair(t), _exponents(t), t["threshold_form"])
+            cand = _sharpness_candidate(_pair(t), _exponents(t), t["threshold_form"], d1)
             reads += [(s, "scan") for s in (cand, *_sharpness_shifts(cand))]
         elif check_id == "fpp_positive":
-            reads.append((t["delta"], ("fpp", _FPP_N, _FPP_STEP)))
+            reads.append((t["delta"], _FPP))
         elif check_id != "lemma_Q":
             reads.append((t["delta"], "scan"))
     return reads
@@ -1067,15 +1078,16 @@ def _column_reads(tasks):
 
 def _run_item(item):
     """Results of one pool item.  The tasks of a column share one _Column,
-    which fetches every value they read in one go and is dropped on
-    return; a ConvergenceError or DomainError becomes an error record of
-    the task that raised it."""
+    which gates once, fetches every value they read in one go and is
+    dropped on return; a ConvergenceError or DomainError becomes an error
+    record of the task that raised it."""
     tasks, config = item
     _, params = tasks[0]
     column = None
     if "d" in params:
-        column = _Column(_pair(params), _exponents(params), config.grid, config.series,
-                         _column_reads(tasks))
+        column = _Column(_pair(params), _exponents(params), config.grid, config.series)
+        # build_tasks makes column tasks for admissible columns only
+        column.reads = _column_reads(tasks, column.gate[1])
     results = []
     for check_id, params in tasks:
         try:

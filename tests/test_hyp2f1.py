@@ -447,40 +447,164 @@ def _mixed_kernels(seed):
 
 
 def test_evaluate_matches_kernel_point_by_point():
-    # the stacked rows pad coefficients with leading zeros and points with
-    # copies; neither may move a bit of any value, in any request order
+    # the stacked rows move each row's regime points to the front, pad
+    # coefficients with leading zeros and points with copies; none of it
+    # may move a bit of any value, in any row order, whether rows hold
+    # their own points, repeat a kernel or share one vector
     rng = random.Random(21)
     kernels = _mixed_kernels(22)
     horner = [k for k, _ in kernels if k._horner]
     assert len({len(k._series) for k in horner}) > 3
     assert len({len(k._log.p) for k in horner if k._unit_excess}) > 1
-    requests = []
+    width = max(len(xs) for _, xs in kernels)
+    rows = []
     for kernel, xs in kernels:
-        # a kernel may appear in several requests, in pieces
-        cut = rng.randrange(1, len(xs))
-        requests += [(kernel, np.array(xs[:cut])), (kernel, np.array(xs[cut:]))]
+        # a kernel may own several rows, each a shuffle of its points
+        # filled up to the width with repeats of them
+        for _ in range(2):
+            row = xs + [rng.choice(xs) for _ in range(width - len(xs))]
+            rng.shuffle(row)
+            rows.append((kernel, row))
+    # every regime: series, unit-excess log, non-integer connection,
+    # integer-excess series beyond the switch point, terminating
+    shared = [0.0, 0.3, 0.8, 0.81, 0.95, 0.99] + [0.99 * rng.random() for _ in range(width - 6)]
+    rows += [(kernel, shared) for kernel, _ in kernels]
     for _ in range(3):
-        rng.shuffle(requests)
-        for (kernel, xs), got in zip(requests, evaluate(requests)):
-            assert got.shape == xs.shape
-            for x, v in zip(xs.tolist(), got.tolist()):
+        rng.shuffle(rows)
+        got = evaluate([k for k, _ in rows], np.array([xs for _, xs in rows]))
+        assert got.shape == (len(rows), width)
+        for (kernel, xs), values in zip(rows, got.tolist()):
+            for x, v in zip(xs, values):
                 assert v == kernel(x), (kernel.a, kernel.b, kernel.c, x)
 
 
 def test_evaluate_checks_real_points_never_padding():
     # a kernel cut short passes at 0.01 and misses at 0.8; stacked with a
     # full kernel whose row is wider and reaches 0.8, only its own points
-    # are held to its stopping rule
+    # are held to its stopping rule: its one series point is padded out to
+    # the width of the other row, its log-regime points go elsewhere
     cut = Hyp2f1Kernel(-0.5, 0.5, 1.0)
     coefs = cut._series
     cut.__dict__["_series"] = coefs[len(coefs) // 2:]
     full = Hyp2f1Kernel(-0.3, 0.7, 1.0)
     wide = np.linspace(0.0, 0.8, 40)
-    got_cut, got_full = evaluate([(cut, np.array([0.01])), (full, wide)])
-    assert got_cut[0] == cut(0.01)
+    mostly_log = np.array([0.01] + [0.9] * 39)
+    got_cut, got_full = evaluate([cut, full], np.stack([mostly_log, wide]))
+    assert got_cut.tolist() == [cut(x) for x in mostly_log.tolist()]
     assert got_full.tolist() == [full(x) for x in wide.tolist()]
+    # a set already present is used as it is: evaluate did not rebuild it
+    assert len(cut._series) == len(coefs) - len(coefs) // 2
     with pytest.raises(ConvergenceError, match="at x=0.8"):
-        evaluate([(full, wide), (cut, np.array([0.01, 0.8]))])
+        evaluate([full, cut], np.stack([wide, np.array([0.01, 0.8] + [0.9] * 38)]))
+
+
+def _batch_kernels(seed):
+    """Kernels of every Horner shape under three configs, in one list:
+    family, general and unit-excess parameters, terminating ones left out."""
+    rng = random.Random(seed)
+    family = [abc for abc, _ in _family_points(seed, n_params=20)]
+    general = [(rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5), rng.uniform(0.2, 4.0))
+               for _ in range(20)]
+    unit = [(a, b, a + b + 1.0) for a, b in
+            ((rng.uniform(-0.9, 2.5), rng.uniform(-0.9, 2.5)) for _ in range(20))]
+    cfgs = (DEFAULT_SERIES, SeriesConfig(rel_tol=1e-10, switch_point=0.5),
+            SeriesConfig(rel_tol=1e-15, switch_point=0.9))
+    kernels = [Hyp2f1Kernel(a, b, c, rng.choice(cfgs)) for a, b, c in family + general + unit]
+    kernels = [k for k in kernels if k._horner]
+    rng.shuffle(kernels)
+    return kernels
+
+
+def test_batched_coefficient_sets_have_the_lone_bits():
+    # one build over a mixed batch gives every kernel the bits of its lone
+    # build and of the two-loop build, whatever else is in the batch
+    def bits(values):
+        if isinstance(values, (list, tuple)):
+            return [bits(v) for v in values]
+        return float(values).hex()
+
+    kernels = _batch_kernels(33)
+    logs = [k for k in kernels if k._unit_excess]
+    assert len(kernels) >= 50 and len(logs) >= 20
+    assert len({k.cfg for k in kernels}) == 3
+    for k, got in zip(kernels, h._build(kernels, "series")):
+        assert bits(got) == bits(h._build([k], "series")[0])
+        assert bits(got) == bits(_two_loop_series(k.a, k.b, k.c, k.cfg))
+        assert bits(got) == bits(Hyp2f1Kernel(k.a, k.b, k.c, k.cfg)._series)
+    for k, got in zip(logs, h._build(logs, "log")):
+        assert bits(got) == bits(h._build([k], "log")[0])
+        assert bits(got) == bits(_two_loop_log(k.a, k.b, k.cfg))
+    # B = a*b*A = 0 keeps its one term, in a batch as alone
+    zero = Hyp2f1Kernel(0.0, 0.7, 1.7)
+    lone = h._build([zero], "log")[0]
+    assert lone.p == [1.0] and lone.k == (0,)
+    assert bits(h._build([logs[0], zero, logs[1]], "log")[1]) == bits(lone)
+
+
+def test_evaluate_builds_each_regime_once(monkeypatch):
+    # one build call per regime for all rows of a call, and only for the
+    # sets not yet present
+    kernels = _batch_kernels(34)[:12]
+    xs = np.array([[0.1, 0.5, 0.85, 0.97]] * len(kernels))
+    calls = []
+    real = h._build
+
+    def counted(batch, regime):
+        calls.append((regime, len(batch)))
+        return real(batch, regime)
+
+    monkeypatch.setattr(h, "_build", counted)
+    first = evaluate(kernels + kernels[:3], np.vstack([xs, xs[:3]]))
+    n_log = sum(k._unit_excess for k in kernels)
+    assert calls == [("series", 12), ("log", n_log)]
+    assert evaluate(kernels, xs).tolist() == first[:12].tolist()
+    assert len(calls) == 2
+
+
+def test_a_row_that_does_not_converge_raises_as_it_raises_alone():
+    # a budget the series cannot meet: in a batch, the row raises the
+    # error its lone build raises, whichever rows come before it
+    good = [k for k in _batch_kernels(35) if k._unit_excess][:6]
+    # the series at x = 0.8 and the expansion at w = 0.99 keep terms far
+    # above 1e-300 of the sum for 1000 terms
+    for regime, sp in (("series", 0.8), ("log", 0.01)):
+        bad = Hyp2f1Kernel(-0.4, 0.6, 1.2, SeriesConfig(rel_tol=1e-300, max_terms=1000,
+                                                        switch_point=sp))
+        with pytest.raises(ConvergenceError) as alone:
+            h._build([bad], regime)
+        with pytest.raises(ConvergenceError) as batched:
+            h._build(good[:2] + [bad] + good[2:], regime)
+        assert str(batched.value) == str(alone.value)
+        assert "1000 terms" in str(alone.value)
+        with pytest.raises(ConvergenceError) as arrayed:
+            evaluate(good + [bad], np.full((len(good) + 1, 3), 0.005 if regime == "series" else 0.995))
+        assert str(arrayed.value) == str(alone.value)
+
+
+def test_the_series_rule_settled_per_row_agrees_point_by_point():
+    # on an array, series points are settled against their row's largest
+    # point; each must get the verdict the stopping rule gives it alone,
+    # in rows that pass everywhere and in rows cut short, which miss at
+    # their larger points
+    rng = random.Random(36)
+    sets, rows = [], []
+    for i, k in enumerate(_batch_kernels(36)[:24]):
+        k = Hyp2f1Kernel(k.a, k.b, k.c, k.cfg)
+        if i % 2:
+            coefs = k._series
+            k.__dict__["_series"] = coefs[len(coefs) // 3:]
+        sets.append(k._series_set)
+        rows.append(sorted(rng.uniform(0.0, k.cfg.switch_point) for _ in range(30)))
+    xs = np.array(rows)
+    _, ok = h._series_at(h._stack(sets), xs)
+    alone = [[bool(h._series_at(s, x)[1]) for x in row] for s, row in zip(sets, rows)]
+    assert np.broadcast_to(ok, xs.shape).tolist() == alone
+    assert sum(all(r) for r in alone) >= 6
+    assert sum(any(r) and not all(r) for r in alone) >= 6
+    # rows that all pass are settled without the per-point sides
+    full = [s for s, r in zip(sets, alone) if all(r)]
+    _, ok = h._series_at(h._stack(full), xs[[all(r) for r in alone]])
+    assert ok.all()
 
 
 def test_hyp2f1_at_the_zero_endpoint_fit_arguments(monkeypatch):

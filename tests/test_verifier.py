@@ -1,9 +1,12 @@
 """Certification harness: grids, the difference quotient, endpoint
 extrapolation, the individual checks, and suite assembly/determinism."""
 
+import importlib.util
 import json
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ from hypcert import (
     run_check,
     run_suite,
 )
-from hypcert import verifier
+from hypcert import constants, verifier
 from hypcert.cli import main
 from hypcert.verifier import (
     CHECK_IDS,
@@ -51,7 +54,7 @@ from hypcert.verifier import (
     make_grid,
     sweep_rows,
 )
-from hypcert.hyp2f1 import DEFAULT_SERIES
+from hypcert.hyp2f1 import DEFAULT_SERIES, SeriesConfig
 
 from _oracles import poly_eval
 
@@ -357,6 +360,64 @@ def test_lemma_Q_check():
         check_lemma_Q(HALF, EP23, D1_HALF, N=1)
 
 
+def test_worst_keeps_a_nan():
+    # the builtin min keeps a number it compares with a NaN; the margin
+    # fold must not
+    assert min(1.0, math.nan) == 1.0
+    assert verifier._worst(2.0, -1.0, 3.0) == -1.0
+    for margins in ((math.nan, 1.0), (1.0, math.nan), (-1.0, 2.0, math.nan)):
+        assert math.isnan(verifier._worst(*margins))
+
+
+def test_a_nan_constraint_fails_its_check(monkeypatch):
+    # a NaN endpoint error, identity deviation, sub-margin or difference
+    # is a failed constraint, with a witness, not a silently passing one
+    with monkeypatch.context() as m:
+        m.setattr(verifier, "_extrap_low", lambda *args: math.nan)
+        res = check_G_monotone(HALF, EP23, MID_HALF, SMALL_GRID)
+    assert not res.passed and math.isnan(res.worst_margin)
+    assert res.witnesses[0][0] == 0.0 and math.isnan(res.witnesses[0][1])
+
+    real_q1 = verifier.Q1
+
+    def q1(n, *args):
+        values = real_q1(n, *args)
+        values[n == 7] = math.nan
+        values[n == 3] *= 2.0
+        return values
+
+    with monkeypatch.context() as m:
+        m.setattr(verifier, "Q1", q1)
+        res = check_lemma_Q(HALF, EP23, MID_HALF)
+    assert not res.passed and math.isnan(res.worst_margin)
+    # failing identities in label order
+    assert [w[0] for w in res.witnesses] == ["identity at n=3", "identity at n=7"]
+
+    real_crossing = verifier.find_crossing
+
+    def nan_crossing(*args, **kwargs):
+        sub = real_crossing(*args, **kwargs)
+        return verifier.CheckResult(sub.check_id, sub.params, False, math.nan, sub.witnesses,
+                                    sub.tolerance_used)
+
+    with monkeypatch.context() as m:
+        m.setattr(verifier, "find_crossing", nan_crossing)
+        res = check_sharpness(HALF, EP23, "beta", SMALL_GRID)
+    assert not res.passed and math.isnan(res.worst_margin) and len(res.witnesses) == 4
+
+    calls = []
+    real_beta = verifier.beta_fn
+
+    def beta(x, y):
+        calls.append(x)
+        return math.nan if len(calls) == 100 else real_beta(x, y)
+
+    with monkeypatch.context() as m:
+        m.setattr(verifier, "beta_fn", beta)
+        res = check_beta_convex(ParamPair(0.3, 1.5))
+    assert not res.passed and res.witnesses
+
+
 def test_beta_convex_check_and_skip():
     assert check_beta_convex(ParamPair(0.3, 1.5)).passed
     res = check_beta_convex(ParamPair(0.9, 0.5))
@@ -548,9 +609,9 @@ def test_a_column_fetches_its_values_in_one_call(monkeypatch, small_report):
     calls = []
     real = verifier.evaluate
 
-    def counted(requests):
-        calls.append(len(requests))
-        return real(requests)
+    def counted(kernels, xs):
+        calls.append(len(kernels))
+        return real(kernels, xs)
 
     def unexpected(kernel, xs):
         raise AssertionError("a value the column did not declare")
@@ -567,6 +628,113 @@ def test_a_column_fetches_its_values_in_one_call(monkeypatch, small_report):
     for rec in small_report.checks:
         if "d" in rec.params:
             assert records[rec.check_id, json.dumps(rec.params, sort_keys=True)] == rec
+
+
+def _seed7_config(monkeypatch):
+    """The suite sample the benchmark draws for seed 7 (perfbench/workloads.py)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while they are defined
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    sample = workloads.draw_suite_sample(7)
+    return VerifyConfig(a_values=tuple(sample["a_values"]), b_specs=("1-a", *sample["b_values"]),
+                        ratio_specs=(*sample["ratios"], "bound"), workers=1)
+
+
+def test_a_column_gates_once_and_derives_its_parameters_once(monkeypatch):
+    # the admissibility gate is column work: computed once per column and
+    # read by every check of it, lemma_Q included; delta1 derives once
+    config = _seed7_config(monkeypatch)
+    gates, derived = [], []
+    real_gate, real_derive = verifier._gate, constants.derive_params
+
+    def gate(pp, ep):
+        gates.append((pp, ep))
+        return real_gate(pp, ep)
+
+    def derive(pp):
+        derived.append(pp)
+        return real_derive(pp)
+
+    monkeypatch.setattr(verifier, "_gate", gate)
+    monkeypatch.setattr(verifier, "derive_params", derive)
+    monkeypatch.setattr(constants, "derive_params", derive)
+    tasks = build_tasks(config)
+    columns = [g for g in verifier._columns(tasks) if "d" in g[0][1]]
+    derived.clear()
+    report = run_suite(config)
+    assert len(report.checks) == len(tasks)
+    assert len(gates) == len(set(gates)) == len(columns) >= 100
+    assert len(derived) <= 2500, len(derived)
+    derived.clear()
+    delta1(HALF, EP23)
+    assert len(derived) == 1
+
+
+def test_sharpness_localizes_no_crossing_of_its_own(monkeypatch, small_report):
+    # sharpness reads find_crossing's scan at shifts no crossing task owns
+    # and reports no crossing_near: no one-point evaluation happens there,
+    # and each crossing record still carries its crossing_near
+    shifts = []
+    real = verifier._Column.difference_at
+
+    def counted(self, delta, x):
+        shifts.append(delta)
+        return real(self, delta, x)
+
+    monkeypatch.setattr(verifier._Column, "difference_at", counted)
+    tasks = build_tasks(SMALL_CONFIG)
+    owned = {t["delta"] for kind, t in tasks if kind == "crossing"}
+    only_sharpness = set()
+    for kind, t in tasks:
+        if kind == "sharpness":
+            pp, ep = ParamPair(t["a"], t["b"]), ExponentPair(t["c"], t["d"])
+            only_sharpness |= set(verifier._sharpness_shifts(delta1(pp, ep))) - owned
+    assert only_sharpness
+    report = run_suite(SMALL_CONFIG)
+    assert report.checks == small_report.checks
+    assert shifts and not set(shifts) & only_sharpness
+    localized = [r for r in report.checks
+                 if r.check_id == "crossing" and r.passed and r.witnesses[-1][0] == "crossing_near"]
+    assert len(localized) == sum(r.check_id == "crossing" and r.passed for r in report.checks)
+
+    # a crossing task after sharpness on the same column, at the shift
+    # they share, still localizes its witness
+    t = next(t for kind, t in tasks if kind == "sharpness")
+    pp, ep = ParamPair(t["a"], t["b"]), ExponentPair(t["c"], t["d"])
+    shared = verifier._sharpness_shifts(delta1(pp, ep))[1]
+    col = verifier._Column(pp, ep, SMALL_GRID)
+    check_sharpness(pp, ep, "beta", SMALL_GRID, column=col)
+    got = find_crossing(pp, ep, shared, SMALL_GRID, column=col)
+    assert got == find_crossing(pp, ep, shared, SMALL_GRID)
+    assert got.witnesses[-1][0] == "crossing_near"
+
+
+def test_a_row_that_does_not_converge_fails_only_its_records(monkeypatch, small_report):
+    # a kernel whose series cannot meet its budget makes the column's
+    # stacked build raise; the column then evaluates shift by shift, so
+    # the one check that reads that kernel gets the error it gets alone
+    t = next(t for kind, t in build_tasks(SMALL_CONFIG) if kind == "sharpness")
+    pp, ep = ParamPair(t["a"], t["b"]), ExponentPair(t["c"], t["d"])
+    bad = verifier._sharpness_shifts(delta1(pp, ep))[0]
+    starved = SeriesConfig(rel_tol=1e-300, max_terms=1000)
+    real = verifier._kernel_d
+
+    def kernel_d(pp_, delta, cfg):
+        return real(pp_, delta, starved if (pp_, delta) == (pp, bad) else cfg)
+
+    monkeypatch.setattr(verifier, "_kernel_d", kernel_d)
+    with pytest.raises(ConvergenceError) as alone:
+        check_sharpness(pp, ep, "beta", SMALL_GRID)
+    assert "1000 terms" in str(alone.value)
+    report = run_suite(SMALL_CONFIG)
+    for got, want in zip(report.checks, small_report.checks):
+        if (got.check_id, got.params) == ("sharpness", t):
+            assert got.status == f"error: ConvergenceError: {alone.value}"
+        else:
+            assert got == want
 
 
 def test_the_zero_endpoint_fit_takes_F_c_once_per_column(monkeypatch, small_report):
