@@ -1,6 +1,13 @@
 """Gauss hypergeometric evaluation and numerical certification of sharp
 two-sided comparison bounds between F(a-1, b; a+b; 1-x^c) and its shifted
-companion F(a-1-delta, b+delta; a+b; 1-x^d)."""
+companion F(a-1-delta, b+delta; a+b; 1-x^d).
+
+``import hypcert`` loads the scalar evaluator (``hypcert.hyp2f1``), the
+closed forms (``hypcert.constants``) and the gamma functions, none of which
+imports NumPy.  The verifier's names (``run_suite``, ``VerifyConfig``, ...)
+are exported too, but ``hypcert.verifier``, and with it NumPy and the array
+evaluator ``hypcert.kernels``, loads on the first use of one of them.
+"""
 
 from .constants import (
     Case,
@@ -29,26 +36,41 @@ from .errors import ConvergenceError, DomainError, PoleError
 from .hyp2f1 import (
     DEFAULT_SERIES,
     SeriesConfig,
-    elliptic_Ea,
-    elliptic_Ka,
     hyp2f1,
     hyp2f1_at_one,
     hyp2f1_dx,
 )
-from .special import agm_elliptic_K, beta, gamma, gamma_ratio, ln_gamma
-from .verifier import (
-    CheckResult,
-    DEFAULT_CONFIG,
-    G_value,
-    GridSpec,
-    Report,
-    VerifyConfig,
-    isolate_roots_f4,
-    run_check,
-    run_suite,
-)
+from .special import beta, gamma, ln_gamma
 
 __version__ = "0.1.0"
+
+# names exported from hypcert.verifier, which loads when one is first used
+_VERIFIER_NAMES = (
+    "CheckResult",
+    "DEFAULT_CONFIG",
+    "G_value",
+    "GridSpec",
+    "Report",
+    "VerifyConfig",
+    "isolate_roots_f4",
+    "run_check",
+    "run_suite",
+)
+
+
+def __getattr__(name):
+    if name in _VERIFIER_NAMES:
+        from . import verifier
+
+        value = getattr(verifier, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_VERIFIER_NAMES))
+
 
 __all__ = [
     "Case",
@@ -77,24 +99,12 @@ __all__ = [
     "PoleError",
     "DEFAULT_SERIES",
     "SeriesConfig",
-    "elliptic_Ea",
-    "elliptic_Ka",
     "hyp2f1",
     "hyp2f1_at_one",
     "hyp2f1_dx",
-    "agm_elliptic_K",
     "beta",
     "gamma",
-    "gamma_ratio",
     "ln_gamma",
-    "CheckResult",
-    "DEFAULT_CONFIG",
-    "G_value",
-    "GridSpec",
-    "Report",
-    "VerifyConfig",
-    "isolate_roots_f4",
-    "run_check",
-    "run_suite",
+    *_VERIFIER_NAMES,
     "__version__",
 ]

@@ -13,6 +13,9 @@ A config file (line-oriented ``key = value``, ``#`` comments) can preload
 grid, tolerance, sample, worker, and output settings for verify/sweep;
 explicit flags override file values.  Invalid keys or combinations are
 rejected before any computation starts.
+
+``eval`` and ``constants`` run without NumPy: the handlers that need the
+verifier (verify, sweep, roots) import it when they run.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import sys
 from dataclasses import replace
 
 from .constants import (
+    CHECK_IDS,
     ExponentPair,
     ParamPair,
     c1,
@@ -33,17 +37,6 @@ from .constants import (
 )
 from .errors import ConvergenceError, DomainError
 from .hyp2f1 import DEFAULT_SERIES, SeriesConfig, hyp2f1, hyp2f1_at_one
-from .verifier import (
-    CHECK_IDS,
-    DEFAULT_CONFIG,
-    GridSpec,
-    SWEEP_HEADER,
-    VerifyConfig,
-    isolate_roots_f4,
-    run_check,
-    run_suite,
-    sweep_rows,
-)
 
 _INT_KEYS = ("n_points", "max_terms", "workers", "seed")
 _FLOAT_KEYS = ("x_lo", "x_hi", "rel_tol", "switch_point", "d_exp")
@@ -97,8 +90,10 @@ def _parse_config_file(path: str) -> dict:
     return settings
 
 
-def _grid_from(settings: dict) -> GridSpec:
+def _grid_from(settings: dict):
     """The grid: defaults <- config file."""
+    from .verifier import DEFAULT_CONFIG, GridSpec
+
     return GridSpec(
         n_points=settings.get("n_points", DEFAULT_CONFIG.grid.n_points),
         x_lo=settings.get("x_lo", DEFAULT_CONFIG.grid.x_lo),
@@ -119,8 +114,10 @@ def _series_from(ns, settings: dict) -> SeriesConfig:
     return series
 
 
-def _build_verify_config(ns, settings: dict) -> tuple[VerifyConfig, str | None]:
+def _build_verify_config(ns, settings: dict):
     """Merge defaults <- config file <- flags; returns (config, out path)."""
+    from .verifier import DEFAULT_CONFIG, VerifyConfig
+
     config = VerifyConfig(
         grid=_grid_from(settings),
         series=_series_from(ns, settings),
@@ -176,6 +173,8 @@ def cmd_constants(ns) -> int:
 
 
 def cmd_roots(ns) -> int:
+    from .verifier import isolate_roots_f4
+
     a0, a1 = isolate_roots_f4()
     print(f"a0 = {_fmt(a0)}  f4(a0) = {_fmt(f4(a0))}")
     print(f"a1 = {_fmt(a1)}  f4(a1) = {_fmt(f4(a1))}")
@@ -183,6 +182,8 @@ def cmd_roots(ns) -> int:
 
 
 def cmd_verify(ns) -> int:
+    from .verifier import run_check, run_suite
+
     settings = _parse_config_file(ns.config) if ns.config else {}
     config, out = _build_verify_config(ns, settings)
     if ns.check is not None:
@@ -194,6 +195,8 @@ def cmd_verify(ns) -> int:
 
 
 def cmd_sweep(ns) -> int:
+    from .verifier import SWEEP_HEADER, sweep_rows
+
     settings = _parse_config_file(ns.config) if ns.config else {}
     grid = _grid_from(settings)
     series = _series_from(ns, settings)

@@ -30,11 +30,26 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
 from .special import beta as beta_fn
 from .special import ln_gamma
+
+# The named checks of hypcert.verifier, in canonical order.  They live
+# here, with no NumPy import, so the command line can offer them as
+# choices without loading the verifier.
+CHECK_IDS = (
+    "G_monotone",
+    "sandwich",
+    "crossing",
+    "crossing_control",
+    "sharpness",
+    "f4_roots",
+    "lemma_g",
+    "lemma_g1",
+    "lemma_Q",
+    "beta_convex",
+    "fpp_positive",
+)
 
 # Grid/domain checks may evaluate g and g1 on the closure of their open
 # domains; allow this much overshoot before calling it a domain error.
@@ -370,23 +385,6 @@ def Q_ratio(n: int, pp: ParamPair, delta: float) -> float:
     )
 
 
-def Q_sequence(m: int, pp: ParamPair, ep: ExponentPair, delta: float):
-    """Arrays (R(n), Q(n)) for n = 1..m, R by its recurrence
-
-        R(n+1) = R(n) (u+n-1)(v+n) / ((a+n-1)(b+n))
-
-    from R(1) = Q_ratio(1): one lgamma anchor instead of four lgamma
-    values per n."""
-    _check_index(m, "Q_sequence")
-    u = pp.a - delta
-    v = pp.b + delta
-    ns = np.arange(1.0, m + 1.0)
-    n = ns[:-1]
-    steps = (u + n - 1.0) * (v + n) / ((pp.a + n - 1.0) * (pp.b + n))
-    ratios = Q_ratio(1, pp, delta) * np.concatenate([[1.0], np.cumprod(steps)])
-    return ratios, ratios * _q_factor(ns, pp, ep, delta)
-
-
 def A(pp: ParamPair, ep: ExponentPair, delta: float) -> float:
     """Constant term of the difference quadratic Q1:
 
@@ -425,6 +423,7 @@ def lemma_quadratic(y: float, dp: DerivedParams, ep: ExponentPair) -> float:
 
 
 __all__ = [
+    "CHECK_IDS",
     "Case",
     "ParamPair",
     "DerivedParams",
@@ -450,7 +449,6 @@ __all__ = [
     "g",
     "Q",
     "Q_ratio",
-    "Q_sequence",
     "Q1",
     "A",
     "lemma_quadratic",

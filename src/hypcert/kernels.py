@@ -1,0 +1,316 @@
+"""Gauss hypergeometric function over arrays: fixed-parameter kernels.
+
+``Hyp2f1Kernel`` fixes (a, b, c) and evaluates many points: the series
+and the unit-excess expansion become polynomials with precomputed
+coefficients, run by Horner's rule.  Many kernels' coefficients come from
+one build, with the bits of each one's own.  ``evaluate(kernels, xs)``
+runs one Horner loop per regime over a (kernels x points) matrix, the
+coefficients padded with leading zeros to the longest list, which leaves
+every bit as it was: for x >= 0, 0*x + 0 = +0, and the first real
+coefficient c then gives +0*x + c = c exactly, where the unpadded loop
+starts.  A kernel's one-point and array paths both take the logarithm
+with ``np.log``, which gives a point the same bits alone or in any array.
+
+This module holds all of the evaluator's NumPy.  Points outside the two
+Horner regimes, the series contract and the stopping rule come from the
+scalar evaluator, ``hypcert.hyp2f1``.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import namedtuple
+from functools import cached_property
+
+import numpy as np
+
+from .errors import ConvergenceError, DomainError
+from .hyp2f1 import (_EXCESS_SNAP, _PSI_1, _PSI_2, DEFAULT_SERIES, SeriesConfig, _check_params,
+                     _digamma, _horner, _stop, _terminating, hyp2f1)
+from .special import gamma
+
+
+# The power series: coefficients t_N..t_0 (highest first), the powers k
+# and coefficients c of its last two terms, and rel_tol.
+_Series = namedtuple("_Series", "coefs k c tol")
+
+# The unit-excess expansion F = A + B*w*(ln w * P(w) + Q(w)): coefficients
+# coef_k of P and coef_k*d_k of Q (highest first), the (k, coef_k, d_k) of
+# its last two terms, and rel_tol.
+_Log = namedtuple("_Log", "A B p q k c d tol")
+
+
+def _series_at(s, x):
+    """Value at x, and whether x meets the stopping rule of _raw_series on
+    both of the last two terms.  On an array, each side |c_k| x^k / (1-x)
+    grows with x and its roundings move it by far less than 2**-40 of
+    itself, so a point whose bound clears the sides at its row's largest
+    point by that much meets the rule; only if some point does not is each
+    point checked."""
+    value = _horner(s.coefs, x)
+    bound = s.tol * abs(value)
+    if isinstance(x, np.ndarray):
+        top = x.max(axis=-1, keepdims=True)
+        sides = np.maximum(*(abs(ck) * top ** k for k, ck in zip(s.k, s.c))) / (1.0 - top)
+        ok = bound >= sides * (1.0 + 2.0 ** -40)
+        if ok.all():
+            return value, ok
+    tail = 1.0 / (1.0 - x)
+    ok = True
+    for k, ck in zip(s.k, s.c):
+        ok = ok & (abs(ck) * x ** k * tail <= bound)
+    return value, ok
+
+
+def _log_at(s, x):
+    """Value at x, and whether x meets the stopping rule of
+    _log_connection_unit_excess on both of the last two terms."""
+    w = 1.0 - x
+    lw = np.log(w)
+    p = _horner(s.p, w)
+    q = _horner(s.q, w)
+    bw = s.B * w
+    value = s.A + bw * (lw * p + q)
+    tail = 1.0 / (1.0 - w)
+    bound = s.tol * (abs(value) + 1e-300)
+    ok = True
+    for k, ck, dk in zip(s.k, s.c, s.d):
+        ok = ok & (abs(bw * (ck * w ** k * (lw + dk))) * tail <= bound)
+    return value, ok
+
+
+_AT = {"series": _series_at, "log": _log_at}
+
+
+def _stack(sets):
+    """Coefficient sets of several kernels as one set over (rows, points)
+    arrays: coefficient lists right-aligned behind leading zeros in one
+    (depth, rows, 1) array, every other number a (rows, 1) column.  One
+    set stays as it is: its numbers broadcast over its one row."""
+    if len(sets) == 1:
+        return sets[0]
+    fields = []
+    for vals in zip(*sets):
+        if isinstance(vals[0], list):
+            depth = max(map(len, vals))
+            field = np.zeros((depth, len(vals), 1))
+            for i, v in enumerate(vals):
+                field[depth - len(v):, i, 0] = v
+        elif isinstance(vals[0], tuple):
+            field = tuple(np.array(v, dtype=float)[:, None] for v in zip(*vals))
+        else:
+            field = np.array(vals, dtype=float)[:, None]
+        fields.append(field)
+    return type(sets[0])(*fields)
+
+
+def _build(kernels, regime):
+    """The coefficient sets of one regime for the list ``kernels``, lists
+    t_N..t_0 ("series") or _Log sets ("log"), each with the bits of the
+    kernel's scalar loop (_raw_series, _log_connection_unit_excess) at
+    x = switch_point or w = 1 - switch_point: the loop's running products
+    and sums are np.cumprod and np.cumsum along the terms of a (rows,
+    terms) array, the same IEEE operations in the same order, and its
+    stopping rule, a Kahan sum, runs per row in Python (_stop).  Blocks
+    double until every row has stopped; a row that reaches max_terms
+    raises the loop's ConvergenceError; a log row with B = 0 keeps one term."""
+    log, ones = regime == "log", [1.0] * len(kernels)
+    a, b, c, x = np.array([[k.a, k.b, k.c, k.cfg.switch_point] for k in kernels]).T[:, :, None]
+    if log:
+        x = 1.0 - x  # w
+        A = [gamma(k.a + k.b + 1.0) / (gamma(k.a + 1.0) * gamma(k.b + 1.0)) for k in kernels]
+        B = [k.a * k.b * A_ for k, A_ in zip(kernels, A)]
+        bw = np.array(B)[:, None] * x
+        lw = np.array([[math.log(w)] for w in x[:, 0].tolist()])
+        d0 = [_digamma(k.a + 1.0) + _digamma(k.b + 1.0) - _PSI_1 - _PSI_2 for k in kernels]
+        carry, floor = np.array([ones, ones, d0]), 1e-300  # coef_k, coef_k w^k, d_k
+    else:
+        A, B, bw, lw = [0.0] * len(kernels), ones, np.ones_like(x), None
+        carry, floor = np.array([ones, ones]), 0.0  # coef_n, t_n
+    rows = [a, b, c, x, bw, lw, 1.0 / (1.0 - x)]
+    state = [(0.0 if log else 1.0, 0.0, 0)] * len(kernels)  # Kahan s, comp; streak
+    coefs, ds, qs = ([[] for _ in kernels] for _ in range(3))  # coef_k, d_k, coef_k d_k
+    # first block: the terms a geometric series in x needs, and 16 more
+    size = 16 + int(max(0.0, *(math.log(k.cfg.rel_tol) / math.log(xk)
+                               for k, xk in zip(kernels, x[:, 0].tolist()))))
+    act, n0 = list(range(len(kernels))), 0
+    while act:
+        a, b, c, x, bw, lw, tail = rows
+        n = np.arange(n0, n0 + size, dtype=float)
+        run = np.empty((len(carry), len(act), size + 1))
+        run[:, :, 0] = carry
+        if log:
+            ak, bk, n1, n2 = a + 1.0 + n, b + 1.0 + n, n + 1.0, n + 2.0
+            num, den = ak * bk, n1 * n2
+            run[2, :, 1:] = 1.0 / ak + 1.0 / bk - 1.0 / n1 - 1.0 / n2
+            np.cumsum(run[2], axis=1, out=run[2])
+        else:
+            num, den = (a + n) * (b + n), (c + n) * (n + 1.0)
+        np.divide(num, den, out=run[0, :, 1:])
+        np.divide(num * x, den, out=run[1, :, 1:])
+        np.cumprod(run[:2], axis=2, out=run[:2])
+        carry = run[:, :, -1]
+        terms = run[1, :, :-1] * (lw + run[2, :, :-1]) if log else run[1, :, 1:]
+        lhs = np.abs(bw * terms) * tail
+        parts = [run[0], run[2], run[0] * run[2]] if log else [run[0]]
+        chains = zip(*(part.tolist() for part in parts))
+        keep = []
+        for r, (i, ts, ls, chain) in enumerate(zip(act, terms.tolist(), lhs.tolist(), chains)):
+            k = kernels[i]
+            top = min(size, k.cfg.max_terms - n0)
+            stop, state[i] = _stop(ts[:top], ls[:top], k.cfg.rel_tol, A[i], float(bw[r, 0]),
+                                   floor, state[i])
+            stop = 0 if log and B[i] == 0.0 else stop  # the log loop's first step breaks
+            # coefficients 0..K: the log loop stops at K = n, the series one at n + 1
+            end = size if stop is None else stop + (1 if log else 2)
+            for got, values in zip((coefs[i], ds[i], qs[i]), chain):
+                got += values[:end]
+            if stop is None and top < size:
+                raise ConvergenceError(
+                    f"log-case expansion for ({k.a}, {k.b}) at x={k.cfg.switch_point} did not "
+                    f"converge within {k.cfg.max_terms} terms" if log else
+                    f"series for ({k.a}, {k.b}; {k.c}) at x={k.cfg.switch_point} did not "
+                    f"reach rel_tol={k.cfg.rel_tol} within {k.cfg.max_terms} terms")
+            if stop is None:
+                keep.append(r)
+        act = [act[r] for r in keep]
+        if act:  # the next block, for the rows still running
+            rows = [None if v is None else v[keep] for v in rows]
+            carry, n0, size = carry[:, keep], n0 + size, min(2 * size, 8192)
+    if not log:
+        return [p[::-1] for p in coefs]
+    return [_Log(A_, B_, p[::-1], q[::-1], tuple(range(len(p) - len(p[-2:]), len(p))),
+                 tuple(p[-2:]), tuple(d[-2:]), k.cfg.rel_tol)
+            for k, A_, B_, p, d, q in zip(kernels, A, B, coefs, ds, qs)]
+
+
+class Hyp2f1Kernel:
+    """F(a, b; c; .) for fixed parameters, at one point or over an array.
+
+    Points go to regimes exactly as in hyp2f1.  In the two regimes the
+    comparison family lives in, the power series (x <= switch_point) and
+    the unit-excess logarithmic expansion (x beyond it), F is a polynomial
+    in x or in w = 1-x whose coefficients do not depend on the point.
+    They are built once, on first use, by _build (``evaluate`` builds the
+    sets of all its kernels in one call), and evaluated by Horner's rule.
+    The truncation is where hyp2f1's own stopping rule stops at the
+    regime's worst argument, x = switch_point for the series and
+    w = 1 - switch_point for the expansion, so a value depends only on
+    (a, b, c, x, cfg).  Every point is then held to the stopping rule on
+    its last two terms and raises ConvergenceError if it misses it.
+    Terminating parameters, non-unit integer excess and non-integer
+    excess go to hyp2f1 point by point.
+
+    ``kernel(x)`` runs _horner on a Python float; ``kernel.array(xs)`` is
+    ``evaluate([kernel], [xs])[0]``, which runs the same code on a
+    (rows, points) array.  The steps are separate IEEE multiplies and adds
+    (NumPy fuses neither), padding a row with leading zero coefficients
+    does not change its bits (see _horner), and both paths take
+    ``np.log``, so a point has the same bits alone or inside any array,
+    stacked with any other kernels.
+    """
+
+    def __init__(self, a: float, b: float, c: float, cfg: SeriesConfig | None = None):
+        _check_params(a, b, c)
+        if b < a:
+            a, b = b, a
+        self.a, self.b, self.c = a, b, c
+        self.cfg = DEFAULT_SERIES if cfg is None else cfg
+        e = c - a - b
+        self._horner = not _terminating(a, b)
+        self._unit_excess = (self._horner and abs(e - round(e)) <= _EXCESS_SNAP
+                             and round(e) == 1)
+
+    @cached_property
+    def _series(self):
+        """Coefficients t_N..t_0 of the power series, highest first."""
+        return _build([self], "series")[0]
+
+    @cached_property
+    def _log(self):
+        """The unit-excess coefficient set (a _Log)."""
+        return _build([self], "log")[0]
+
+    @cached_property
+    def _series_set(self):
+        coefs = self._series
+        top = len(coefs) - 1
+        return _Series(coefs, (top - 1, top), (coefs[1], coefs[0]), self.cfg.rel_tol)
+
+    def _coefs(self, regime):
+        """The coefficient set of a regime."""
+        return self._series_set if regime == "series" else self._log
+
+    def _regime(self, x) -> str | None:
+        """The Horner regime that covers x: "series", "log" or None."""
+        if x <= self.cfg.switch_point:
+            return "series" if self._horner else None
+        return "log" if self._unit_excess else None
+
+    def _miss(self, x, regime):
+        raise ConvergenceError(
+            f"{regime} coefficients for ({self.a}, {self.b}; {self.c}) miss "
+            f"rel_tol={self.cfg.rel_tol} at x={x!r}"
+        )
+
+    def __call__(self, x: float) -> float:
+        if not (0.0 <= x < 1.0):
+            raise DomainError(f"argument must satisfy 0 <= x < 1, got {x!r}")
+        regime = self._regime(x)
+        if regime is None:
+            return hyp2f1(self.a, self.b, self.c, x, self.cfg)
+        value, ok = _AT[regime](self._coefs(regime), x)
+        if not ok:
+            self._miss(x, regime)
+        return float(value)
+
+    def array(self, xs) -> np.ndarray:
+        """Values at every entry of the 1-D array ``xs``."""
+        return evaluate([self], np.asarray(xs, dtype=float)[None, :])[0]
+
+
+def evaluate(kernels, xs) -> np.ndarray:
+    """F at a (kernels x points) array ``xs``, row i at the points of
+    kernels[i], each value as ``kernels[i](x)`` gives it.  Missing
+    coefficient sets are built in one _build call per regime.  Each Horner
+    regime runs one loop over the rows with points in it, their regime
+    points moved to the front and padded with copies of the last one (see
+    _horner for the coefficients' padding); the stopping rule is checked
+    on real entries only, the first miss raising ConvergenceError.  Other
+    points go to hyp2f1 one by one, after the stacked loops."""
+    xs = np.asarray(xs, dtype=float)
+    bad = ~((xs >= 0.0) & (xs < 1.0))
+    if bad.any():
+        raise DomainError(f"argument must satisfy 0 <= x < 1, got {float(xs[bad][0])!r}")
+    flags = np.array([[k.cfg.switch_point, k._horner, k._unit_excess] for k in kernels])
+    low = xs <= flags[:, :1]
+    masks = {"series": low & (flags[:, 1:2] == 1.0), "log": ~low & (flags[:, 2:] == 1.0)}
+    out = np.empty_like(xs)
+    for regime, mask in masks.items():
+        counts = mask.sum(axis=1)
+        rows = np.flatnonzero(counts)
+        if not rows.size:
+            continue
+        users = [kernels[i] for i in rows.tolist()]
+        missing = [k for k in dict.fromkeys(users) if "_" + regime not in k.__dict__]
+        for k, coefs in zip(missing, _build(missing, regime) if missing else ()):
+            k.__dict__["_" + regime] = coefs  # the cached _series or _log
+        # boolean indexing runs row by row: each row's points land in order
+        counts = counts[rows]
+        real = np.arange(counts.max()) < counts[:, None]
+        pts = np.empty(real.shape)
+        pts[real] = xs[mask]
+        pts = np.where(real, pts, pts[np.arange(len(rows)), counts - 1][:, None])
+        values, ok = _AT[regime](_stack([k._coefs(regime) for k in users]), pts)
+        miss = ~ok & real
+        if miss.any():
+            i, j = np.argwhere(miss)[0]
+            users[i]._miss(float(pts[i, j]), regime)
+        out[mask] = values[real]
+    for i, j in np.argwhere(~(masks["series"] | masks["log"])).tolist():
+        k = kernels[i]
+        out[i, j] = hyp2f1(k.a, k.b, k.c, float(xs[i, j]), k.cfg)
+    return out
+
+
+__all__ = ["Hyp2f1Kernel", "evaluate"]

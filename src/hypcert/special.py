@@ -1,4 +1,4 @@
-"""Gamma-family primitives and an AGM elliptic-integral oracle.
+"""Gamma-family primitives.
 
 The gamma functions delegate to the platform's libm ``lgamma`` (binary64,
 comfortably inside the 1e-13 relative contract the rest of the package
@@ -8,9 +8,7 @@ arguments are supported only through the reflection formula
     Gamma(x) * Gamma(1-x) = pi / sin(pi * x),
 
 which is the only regime the verification layer ever touches (arguments in
-(-1, 0)).  ``agm_elliptic_K`` is an independent route to the classical
-complete elliptic integral K and is used to cross-check the hypergeometric
-evaluator rather than the other way around.
+(-1, 0)).
 """
 
 from __future__ import annotations
@@ -60,36 +58,3 @@ def beta(x: float, y: float) -> float:
     if not (x > 0.0 and y > 0.0):
         raise DomainError(f"beta needs positive arguments, got ({x!r}, {y!r})")
     return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
-
-
-def gamma_ratio(n: int, a: float, b: float) -> float:
-    """Gamma(n + a) / Gamma(n + b) for a positive integer n.
-
-    For large n this behaves like n**(a-b); the test suite pins that
-    asymptotic.  Both shifted arguments must be positive.
-    """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"gamma_ratio needs a positive integer n, got {n!r}")
-    if not (n + a > 0.0 and n + b > 0.0):
-        raise DomainError(
-            f"gamma_ratio needs n+a and n+b positive, got n={n}, a={a!r}, b={b!r}"
-        )
-    return math.exp(math.lgamma(n + a) - math.lgamma(n + b))
-
-
-def agm_elliptic_K(r: float) -> float:
-    """Complete elliptic integral K(r) = pi / (2 AGM(1, sqrt(1-r^2))).
-
-    The arithmetic-geometric mean converges quadratically; a few iterations
-    reach the binary64 fixed point, giving K to ~1e-15 relative.  Valid for
-    0 <= r < 1.
-    """
-    if not (0.0 <= r < 1.0):
-        raise DomainError(f"agm_elliptic_K needs 0 <= r < 1, got {r!r}")
-    a = 1.0
-    b = math.sqrt(1.0 - r * r)
-    for _ in range(64):
-        if abs(a - b) <= 4e-16 * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (2.0 * a)

@@ -35,9 +35,12 @@ from functools import cached_property
 import numpy as np
 
 from .constants import (
+    CHECK_IDS,
     Case,
     ExponentPair,
     ParamPair,
+    _check_index,
+    _q_factor,
     c1,
     c2,
     condition_case,
@@ -50,11 +53,10 @@ from .constants import (
     Q,
     Q1,
     Q_ratio,
-    Q_sequence,
 )
 from .errors import ConvergenceError, DomainError
-from .hyp2f1 import (DEFAULT_SERIES, Hyp2f1Kernel, SeriesConfig, evaluate, hyp2f1,
-                     hyp2f1_at_one)
+from .hyp2f1 import DEFAULT_SERIES, SeriesConfig, hyp2f1, hyp2f1_at_one
+from .kernels import Hyp2f1Kernel, evaluate
 from .special import beta as beta_fn
 
 # Strictness thresholds shared across checks: theorem inequalities are
@@ -69,20 +71,6 @@ ENDPOINT_TOL = 1e-5
 _TANH_GAMMA = 3.0
 
 _SPACINGS = ("clustered", "uniform")
-
-CHECK_IDS = (
-    "G_monotone",
-    "sandwich",
-    "crossing",
-    "crossing_control",
-    "sharpness",
-    "f4_roots",
-    "lemma_g",
-    "lemma_g1",
-    "lemma_Q",
-    "beta_convex",
-    "fpp_positive",
-)
 
 
 @dataclass(frozen=True)
@@ -797,6 +785,23 @@ def check_lemma_g1(pp: ParamPair, n: int = 512) -> CheckResult:
     if not margin > 0.0:
         witnesses.append([float(ys[i_min]), vals[i_min]])
     return _result("lemma_g1", params, margin, witnesses, INTERIOR_MARGIN)
+
+
+def Q_sequence(m: int, pp: ParamPair, ep: ExponentPair, delta: float):
+    """Arrays (R(n), Q(n)) for n = 1..m, R by its recurrence
+
+        R(n+1) = R(n) (u+n-1)(v+n) / ((a+n-1)(b+n))
+
+    from R(1) = Q_ratio(1): one lgamma anchor instead of four lgamma
+    values per n."""
+    _check_index(m, "Q_sequence")
+    u = pp.a - delta
+    v = pp.b + delta
+    ns = np.arange(1.0, m + 1.0)
+    n = ns[:-1]
+    steps = (u + n - 1.0) * (v + n) / ((pp.a + n - 1.0) * (pp.b + n))
+    ratios = Q_ratio(1, pp, delta) * np.concatenate([[1.0], np.cumprod(steps)])
+    return ratios, ratios * _q_factor(ns, pp, ep, delta)
 
 
 def check_lemma_Q(pp: ParamPair, ep: ExponentPair, delta: float,

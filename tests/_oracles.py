@@ -1,15 +1,22 @@
 # Independent numerical oracles used by the test suite.
 #
-# Everything in here is deliberately written from scratch against textbook
-# formulas, with no imports from the package under test, so that agreement
-# between package and oracle is evidence and not circularity.  The oracles
-# were written (and their reference values frozen into the tests) before the
-# package implementation.
+# Everything in here down to the last section is deliberately written
+# directly from textbook formulas, with no use of the package under test,
+# so that agreement between package and oracle is evidence and not
+# circularity.  The oracles were written (and their reference values frozen
+# into the tests) before the package implementation.  The last section holds
+# helpers that only the tests use; they are built on the package and are
+# not oracles.
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+
+# used by the last section only
+from hypcert.errors import DomainError
+from hypcert.hyp2f1 import _check_params, hyp2f1
 
 # Bernoulli-number coefficients B_{2j}/(2j(2j-1)) for the Stirling series of
 # ln Gamma; enough terms that the truncation error at x >= 30 is far below
@@ -93,6 +100,17 @@ def quadrature_E(r: float, n_nodes: int = 80) -> float:
     half = math.pi / 4.0
     t = half * (nodes + 1.0)
     vals = np.sqrt(1.0 - (r * r) * np.sin(t) ** 2)
+    return float(half * np.dot(weights, vals))
+
+
+def quadrature_K(r: float, n_nodes: int = 80) -> float:
+    """K(r) = int_0^{pi/2} dt / sqrt(1 - r^2 sin^2 t) by Gauss-Legendre.
+
+    A route to K independent of the AGM, to cross-check it."""
+    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    half = math.pi / 4.0
+    t = half * (nodes + 1.0)
+    vals = 1.0 / np.sqrt(1.0 - (r * r) * np.sin(t) ** 2)
     return float(half * np.dot(weights, vals))
 
 
@@ -204,6 +222,62 @@ def sturm_root_count(p, lo, hi):
         return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
     return sign_changes(Fraction(lo)) - sign_changes(Fraction(hi))
+
+
+# ---------------------------------------------------------------------------
+# Helpers that only the tests use.  Built on the package (hyp2f1, its
+# parameter check and DomainError): not oracles.
+
+
+@dataclass(frozen=True)
+class HypParams:
+    """Parameter triple (a, b; c) with the package's parameter check."""
+
+    a: float
+    b: float
+    c: float
+
+    def __post_init__(self) -> None:
+        _check_params(self.a, self.b, self.c)
+
+    @property
+    def excess(self) -> float:
+        return self.c - self.a - self.b
+
+
+def gamma_ratio(n: int, a: float, b: float) -> float:
+    """Gamma(n + a) / Gamma(n + b) for a positive integer n.
+
+    For large n this behaves like n**(a-b); the test suite pins that
+    asymptotic.  Both shifted arguments must be positive.
+    """
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise DomainError(f"gamma_ratio needs a positive integer n, got {n!r}")
+    if not (n + a > 0.0 and n + b > 0.0):
+        raise DomainError(
+            f"gamma_ratio needs n+a and n+b positive, got n={n}, a={a!r}, b={b!r}"
+        )
+    return math.exp(math.lgamma(n + a) - math.lgamma(n + b))
+
+
+def elliptic_Ka(a: float, r: float) -> float:
+    """Generalized complete elliptic integral of the first kind:
+    (pi/2) * F(a, 1-a; 1; r^2) for a in (0,1), r in (0,1)."""
+    if not (0.0 < a < 1.0):
+        raise DomainError(f"elliptic_Ka needs a in (0,1), got {a!r}")
+    if not (0.0 < r < 1.0):
+        raise DomainError(f"elliptic_Ka needs r in (0,1), got {r!r}")
+    return 0.5 * math.pi * hyp2f1(a, 1.0 - a, 1.0, r * r)
+
+
+def elliptic_Ea(a: float, r: float) -> float:
+    """Generalized complete elliptic integral of the second kind:
+    (pi/2) * F(a-1, 1-a; 1; r^2) for a in (0,1), r in (0,1)."""
+    if not (0.0 < a < 1.0):
+        raise DomainError(f"elliptic_Ea needs a in (0,1), got {a!r}")
+    if not (0.0 < r < 1.0):
+        raise DomainError(f"elliptic_Ea needs r in (0,1), got {r!r}")
+    return 0.5 * math.pi * hyp2f1(a - 1.0, 1.0 - a, 1.0, r * r)
 
 
 if __name__ == "__main__":

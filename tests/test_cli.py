@@ -76,6 +76,22 @@ def test_eval_usage_errors(capsys):
     assert code == 2
 
 
+def test_eval_non_finite_inputs_are_domain_errors(capsys):
+    # exit 2 before any series runs; without the check, a NaN parameter runs
+    # the whole term budget and exits 1, and --tol inf prints
+    # 1.0725520833333333 for a value of 1.0817584805176634
+    for flag in ("--a", "--b", "--c"):
+        argv = {"--a": "0.3", "--b": "0.5", "--c": "1.8"}
+        for bad in ("nan", "inf", "-inf"):
+            argv[flag] = bad
+            code, out, err = run_cli(capsys, "eval", *(f"{k}={v}" for k, v in argv.items()),
+                                     "--x", "0.7")
+            assert (code, out) == (2, "") and "must be finite" in err, (flag, bad)
+    code, out, err = run_cli(capsys, "eval", "--a", "0.3", "--b", "0.5", "--c", "1.8",
+                             "--x", "0.7", "--tol", "inf")
+    assert (code, out) == (2, "") and "rel_tol must be positive and finite" in err
+
+
 # ---------------------------------------------------------------------------
 # constants / roots
 

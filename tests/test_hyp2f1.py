@@ -15,19 +15,26 @@ from hypcert import (
     ConvergenceError,
     DomainError,
     SeriesConfig,
-    agm_elliptic_K,
-    elliptic_Ea,
-    elliptic_Ka,
     hyp2f1,
     hyp2f1_at_one,
     hyp2f1_dx,
 )
 from hypcert import verifier
 from hypcert.constants import Case, ExponentPair, ParamPair, condition_case, delta1, derive_params
-from hypcert.hyp2f1 import DEFAULT_SERIES, Hyp2f1Kernel, HypParams, evaluate
+from hypcert.hyp2f1 import DEFAULT_SERIES
+from hypcert.kernels import Hyp2f1Kernel, evaluate
 from hypcert.special import gamma
 
-from _oracles import agm_E, agm_K, centered_diff, pochhammer_series_2f1, quadrature_E
+from _oracles import (
+    HypParams,
+    agm_E,
+    agm_K,
+    centered_diff,
+    elliptic_Ea,
+    elliptic_Ka,
+    pochhammer_series_2f1,
+    quadrature_E,
+)
 
 # route-forcing configs: raw series everywhere below 0.96, connection
 # formulas everywhere above 0.5
@@ -36,6 +43,8 @@ CONN_CFG = SeriesConfig(switch_point=0.5)
 
 # the module itself: the package-level name hyp2f1 is the function
 h = importlib.import_module("hypcert.hyp2f1")
+# the array evaluator: _build, _stack, _series_at and the _Log set
+hk = importlib.import_module("hypcert.kernels")
 
 
 def test_value_at_zero_is_one():
@@ -169,7 +178,7 @@ def test_derivative_against_finite_difference():
 
 def test_elliptic_wrappers_reduce_to_classical():
     for r in (0.2, 0.5, 0.8, 0.95):
-        assert elliptic_Ka(0.5, r) == pytest.approx(agm_elliptic_K(r), rel=1e-12)
+        assert elliptic_Ka(0.5, r) == pytest.approx(agm_K(r), rel=1e-12)
         assert elliptic_Ea(0.5, r) == pytest.approx(agm_E(r), rel=1e-11)
     # E(0.6) double-checked against Gauss-Legendre quadrature
     assert elliptic_Ea(0.5, 0.6) == pytest.approx(1.4180833944487243, rel=1e-12)
@@ -217,6 +226,27 @@ def test_series_config_validation():
         SeriesConfig(max_terms=10)
     with pytest.raises(DomainError):
         SeriesConfig(switch_point=1.0)
+    # an infinite tolerance would stop every series at its second term
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(DomainError, match="positive and finite"):
+            SeriesConfig(rel_tol=bad)
+
+
+def test_non_finite_parameters_are_domain_errors_at_once():
+    # every entry refuses a non-finite a, b or c in its one parameter
+    # check, before any work; without it, a NaN parameter runs the whole
+    # 2,000,000-term budget before a ConvergenceError, an infinite c gives
+    # 1.0, and the kernel raises a bare ValueError from round()
+    nan, inf = float("nan"), float("inf")
+    for bad in ((nan, 0.5, 1.5), (0.5, nan, 1.5), (0.5, 0.5, nan), (0.5, 0.5, inf),
+                (-inf, 0.5, 1.5), (0.5, inf, 1.5), (0.5, 0.5, -inf)):
+        for x in (0.0, 0.5, 0.9):
+            with pytest.raises(DomainError, match="parameters must be finite"):
+                hyp2f1(*bad, x)
+        with pytest.raises(DomainError, match="parameters must be finite"):
+            hyp2f1_at_one(*bad)
+        with pytest.raises(DomainError, match="parameters must be finite"):
+            Hyp2f1Kernel(*bad)
 
 
 def test_evaluation_is_deterministic():
@@ -392,7 +422,7 @@ def _two_loop_log(a, b, cfg):
         coef *= (a + 1.0 + k) * (b + 1.0 + k) / ((k + 1.0) * (k + 2.0))
     p = [ck for _, ck, _ in reversed(terms)]
     q = [ck * d for _, ck, d in reversed(terms)]
-    return h._Log(A, a * b * A, p, q, *zip(*terms[-2:]), cfg.rel_tol)
+    return hk._Log(A, a * b * A, p, q, *zip(*terms[-2:]), cfg.rel_tol)
 
 
 def test_kernel_coefficients_match_a_two_loop_build():
@@ -527,18 +557,18 @@ def test_batched_coefficient_sets_have_the_lone_bits():
     logs = [k for k in kernels if k._unit_excess]
     assert len(kernels) >= 50 and len(logs) >= 20
     assert len({k.cfg for k in kernels}) == 3
-    for k, got in zip(kernels, h._build(kernels, "series")):
-        assert bits(got) == bits(h._build([k], "series")[0])
+    for k, got in zip(kernels, hk._build(kernels, "series")):
+        assert bits(got) == bits(hk._build([k], "series")[0])
         assert bits(got) == bits(_two_loop_series(k.a, k.b, k.c, k.cfg))
         assert bits(got) == bits(Hyp2f1Kernel(k.a, k.b, k.c, k.cfg)._series)
-    for k, got in zip(logs, h._build(logs, "log")):
-        assert bits(got) == bits(h._build([k], "log")[0])
+    for k, got in zip(logs, hk._build(logs, "log")):
+        assert bits(got) == bits(hk._build([k], "log")[0])
         assert bits(got) == bits(_two_loop_log(k.a, k.b, k.cfg))
     # B = a*b*A = 0 keeps its one term, in a batch as alone
     zero = Hyp2f1Kernel(0.0, 0.7, 1.7)
-    lone = h._build([zero], "log")[0]
+    lone = hk._build([zero], "log")[0]
     assert lone.p == [1.0] and lone.k == (0,)
-    assert bits(h._build([logs[0], zero, logs[1]], "log")[1]) == bits(lone)
+    assert bits(hk._build([logs[0], zero, logs[1]], "log")[1]) == bits(lone)
 
 
 def test_evaluate_builds_each_regime_once(monkeypatch):
@@ -547,13 +577,13 @@ def test_evaluate_builds_each_regime_once(monkeypatch):
     kernels = _batch_kernels(34)[:12]
     xs = np.array([[0.1, 0.5, 0.85, 0.97]] * len(kernels))
     calls = []
-    real = h._build
+    real = hk._build
 
     def counted(batch, regime):
         calls.append((regime, len(batch)))
         return real(batch, regime)
 
-    monkeypatch.setattr(h, "_build", counted)
+    monkeypatch.setattr(hk, "_build", counted)
     first = evaluate(kernels + kernels[:3], np.vstack([xs, xs[:3]]))
     n_log = sum(k._unit_excess for k in kernels)
     assert calls == [("series", 12), ("log", n_log)]
@@ -571,9 +601,9 @@ def test_a_row_that_does_not_converge_raises_as_it_raises_alone():
         bad = Hyp2f1Kernel(-0.4, 0.6, 1.2, SeriesConfig(rel_tol=1e-300, max_terms=1000,
                                                         switch_point=sp))
         with pytest.raises(ConvergenceError) as alone:
-            h._build([bad], regime)
+            hk._build([bad], regime)
         with pytest.raises(ConvergenceError) as batched:
-            h._build(good[:2] + [bad] + good[2:], regime)
+            hk._build(good[:2] + [bad] + good[2:], regime)
         assert str(batched.value) == str(alone.value)
         assert "1000 terms" in str(alone.value)
         with pytest.raises(ConvergenceError) as arrayed:
@@ -596,14 +626,14 @@ def test_the_series_rule_settled_per_row_agrees_point_by_point():
         sets.append(k._series_set)
         rows.append(sorted(rng.uniform(0.0, k.cfg.switch_point) for _ in range(30)))
     xs = np.array(rows)
-    _, ok = h._series_at(h._stack(sets), xs)
-    alone = [[bool(h._series_at(s, x)[1]) for x in row] for s, row in zip(sets, rows)]
+    _, ok = hk._series_at(hk._stack(sets), xs)
+    alone = [[bool(hk._series_at(s, x)[1]) for x in row] for s, row in zip(sets, rows)]
     assert np.broadcast_to(ok, xs.shape).tolist() == alone
     assert sum(all(r) for r in alone) >= 6
     assert sum(any(r) and not all(r) for r in alone) >= 6
     # rows that all pass are settled without the per-point sides
     full = [s for s, r in zip(sets, alone) if all(r)]
-    _, ok = h._series_at(h._stack(full), xs[[all(r) for r in alone]])
+    _, ok = hk._series_at(hk._stack(full), xs[[all(r) for r in alone]])
     assert ok.all()
 
 

