@@ -136,9 +136,12 @@ def _build_verify_config(ns, settings: dict):
 def _write_text(out: str | None, text: str) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {out!r}: {exc}") from exc
 
 
 def cmd_eval(ns) -> int:
@@ -221,8 +224,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float, default=None,
                         help="series relative tolerance")
     common.add_argument("--out", default=None, help="output file (default stdout)")
-    common.add_argument("--format", choices=("json", "csv"), default=None,
-                        help="output format (verify: json, sweep: csv)")
 
     parser = argparse.ArgumentParser(
         prog="hypcert",
@@ -268,7 +269,6 @@ _FLAG_SCOPE = {
     "workers": ("verify",),
     "tol": ("eval", "verify", "sweep"),
     "out": ("verify", "sweep"),
-    "format": ("verify", "sweep"),
 }
 
 
@@ -276,10 +276,6 @@ def _validate_combo(ns) -> None:
     for flag, cmds in _FLAG_SCOPE.items():
         if getattr(ns, flag, None) is not None and ns.cmd not in cmds:
             raise DomainError(f"--{flag} does not apply to {ns.cmd!r}")
-    if ns.format is not None:
-        expected = "json" if ns.cmd == "verify" else "csv"
-        if ns.format != expected:
-            raise DomainError(f"{ns.cmd} emits {expected}, not {ns.format}")
     if ns.cmd == "verify" and ns.check is not None and ns.suite:
         raise DomainError("--suite and --check are mutually exclusive")
 

@@ -21,9 +21,11 @@ This module is the scalar evaluator and imports only ``math``, so
 ``hypcert.hyp2f1`` and ``hypcert.hyp2f1_at_one`` load without NumPy.  The
 array evaluator, ``Hyp2f1Kernel`` and ``evaluate``, lives in
 ``hypcert.kernels`` and shares the pieces kept here: the series contract
-(``SeriesConfig``), the parameter check, the regime tests, the digamma
-constants, the Horner step (``_horner``) and the stopping rule
-(``_stop``).
+(``SeriesConfig``), the parameter check, the regime tests, the Horner step
+(``_horner``) and the two scalar loops, ``_raw_series`` and
+``_log_connection_unit_excess``.  Each loop is its regime's only
+truncation rule: a kernel keeps as many terms as the loop sums at
+``switch_point``.
 """
 
 from __future__ import annotations
@@ -128,28 +130,35 @@ _PSI_1 = _digamma(1.0)  # -EulerGamma
 _PSI_2 = _digamma(2.0)  # 1 - EulerGamma
 
 
-def _raw_series(a: float, b: float, c: float, x: float, cfg: SeriesConfig) -> float:
-    """Power series with Kahan compensation and a geometric tail bound.
+def _raw_series(a: float, b: float, c: float, x: float, cfg: SeriesConfig) -> tuple[float, int]:
+    """Power series with Kahan compensation and a geometric tail bound: the
+    sum, and the index of the last term summed.
 
     Stops once |term| / (1 - x) <= rel_tol * |sum| twice in a row; raises
-    ConvergenceError when the budget runs out first.
+    ConvergenceError when the budget runs out first.  This is the series
+    regime's one truncation rule: Hyp2f1Kernel keeps the terms it sums at
+    x = switch_point.
     """
     s = 1.0
     comp = 0.0
     t = 1.0
     tail = 1.0 / (1.0 - x)
+    tol = cfg.rel_tol
     ok_streak = 0
-    for n in range(cfg.max_terms):
-        t *= (a + n) * (b + n) * x / ((c + n) * (n + 1.0))
+    n = 0.0  # the term index as a float: exact, and no int-float mixing
+    for _ in range(cfg.max_terms):
+        n1 = n + 1.0
+        t *= (a + n) * (b + n) * x / ((c + n) * n1)
+        n = n1
         # Kahan update
         y = t - comp
         hi = s + y
         comp = (hi - s) - y
         s = hi
-        if abs(t) * tail <= cfg.rel_tol * abs(s):
+        if abs(t) * tail <= tol * abs(s):
             ok_streak += 1
             if ok_streak >= 2:
-                return s
+                return s, int(n)
         else:
             ok_streak = 0
     raise ConvergenceError(
@@ -158,49 +167,59 @@ def _raw_series(a: float, b: float, c: float, x: float, cfg: SeriesConfig) -> fl
     )
 
 
-def _log_connection_unit_excess(a: float, b: float, x: float, cfg: SeriesConfig) -> float:
-    """F(a, b; a+b+1; x) near x = 1 via the logarithmic expansion in w = 1-x.
+def _log_start(a: float, b: float) -> tuple[float, float, float]:
+    """A, B and d_0 of the unit-excess expansion (see
+    _log_connection_unit_excess)."""
+    A = gamma(a + b + 1.0) / (gamma(a + 1.0) * gamma(b + 1.0))
+    return A, a * b * A, _digamma(a + 1.0) + _digamma(b + 1.0) - _PSI_1 - _PSI_2
+
+
+def _log_connection_unit_excess(
+    a: float, b: float, x: float, cfg: SeriesConfig, start: tuple[float, float, float]
+) -> tuple[float, int]:
+    """F(a, b; a+b+1; x) near x = 1 via the logarithmic expansion in w = 1-x,
+    and the index k of the last term summed.
 
     F = A + B*w * sum_k coef_k * w^k * (ln w + d_k), with
         A = Gamma(a+b+1) / (Gamma(a+1) Gamma(b+1)),   B = a*b*A,
         coef_0 = 1,  coef_{k+1} = coef_k (a+1+k)(b+1+k) / ((k+1)(k+2)),
         d_0 = psi(a+1) + psi(b+1) - psi(1) - psi(2),
-        d_{k+1} = d_k + 1/(a+1+k) + 1/(b+1+k) - 1/(k+1) - 1/(k+2).
+        d_{k+1} = d_k + 1/(a+1+k) + 1/(b+1+k) - 1/(k+1) - 1/(k+2);
+    ``start`` is (A, B, d_0), from _log_start.  The stopping rule is the
+    regime's one truncation rule: Hyp2f1Kernel keeps the terms it sums at
+    x = switch_point.
     """
+    A, B, dk = start
     w = 1.0 - x
-    c = a + b + 1.0
-    A = gamma(c) / (gamma(a + 1.0) * gamma(b + 1.0))
-    B = a * b * A
     if B == 0.0 or w == 0.0:
-        return A
+        return A, 0
     lw = math.log(w)
-    dk = _digamma(a + 1.0) + _digamma(b + 1.0) - _PSI_1 - _PSI_2
     coef = 1.0
     s = 0.0
     comp = 0.0
     bw = B * w
     tail = 1.0 / (1.0 - w)
+    tol = cfg.rel_tol
+    a1, b1 = a + 1.0, b + 1.0
     ok_streak = 0
-    for k in range(cfg.max_terms):
+    k = 0.0  # the term index as a float: exact, and no int-float mixing
+    for _ in range(cfg.max_terms):
         term = coef * (lw + dk)
         y = term - comp
         hi = s + y
         comp = (hi - s) - y
         s = hi
         f_partial = A + bw * s
-        if abs(bw * term) * tail <= cfg.rel_tol * max(abs(f_partial), 1e-300):
+        if abs(bw * term) * tail <= tol * max(abs(f_partial), 1e-300):
             ok_streak += 1
             if ok_streak >= 2:
-                return A + bw * s
+                return A + bw * s, int(k)
         else:
             ok_streak = 0
-        dk += (
-            1.0 / (a + 1.0 + k)
-            + 1.0 / (b + 1.0 + k)
-            - 1.0 / (k + 1.0)
-            - 1.0 / (k + 2.0)
-        )
-        coef *= (a + 1.0 + k) * (b + 1.0 + k) * w / ((k + 1.0) * (k + 2.0))
+        k1, k2 = k + 1.0, k + 2.0
+        dk += 1.0 / (a1 + k) + 1.0 / (b1 + k) - 1.0 / k1 - 1.0 / k2
+        coef *= (a1 + k) * (b1 + k) * w / (k1 * k2)
+        k = k1
     raise ConvergenceError(
         f"log-case expansion for ({a}, {b}) at x={x} did not converge "
         f"within {cfg.max_terms} terms"
@@ -221,7 +240,7 @@ def _connection_noninteger(
         # both sub-series would sit on a coefficient pole; retreat to the
         # plain series where its contract still applies
         if x <= 0.99:
-            return _raw_series(a, b, c, x, cfg)
+            return _raw_series(a, b, c, x, cfg)[0]
         raise ConvergenceError(
             f"excess {e!r} too close to an integer for the connection formula"
         )
@@ -229,14 +248,14 @@ def _connection_noninteger(
         gamma(c)
         * gamma(e)
         / (gamma(c - a) * gamma(c - b))
-        * _raw_series(a, b, 1.0 - e, w, cfg)
+        * _raw_series(a, b, 1.0 - e, w, cfg)[0]
     )
     second = (
         gamma(c)
         * gamma(-e)
         / (gamma(a) * gamma(b))
         * math.pow(w, e)
-        * _raw_series(c - a, c - b, 1.0 + e, w, cfg)
+        * _raw_series(c - a, c - b, 1.0 + e, w, cfg)[0]
     )
     return first + second
 
@@ -264,14 +283,14 @@ def hyp2f1(a: float, b: float, c: float, x: float, cfg: SeriesConfig | None = No
     if b < a:
         a, b = b, a
     if _terminating(a, b) or x <= cfg.switch_point:
-        return _raw_series(a, b, c, x, cfg)
+        return _raw_series(a, b, c, x, cfg)[0]
     e = c - a - b
     m = round(e)
     if abs(e - m) <= _EXCESS_SNAP:
         if m == 1:
-            return _log_connection_unit_excess(a, b, x, cfg)
+            return _log_connection_unit_excess(a, b, x, cfg, _log_start(a, b))[0]
         # integer excess != 1: budgeted plain series only
-        return _raw_series(a, b, c, x, cfg)
+        return _raw_series(a, b, c, x, cfg)[0]
     return _connection_noninteger(a, b, c, x, cfg)
 
 
@@ -294,26 +313,6 @@ def _horner(coefs, x):
         acc *= x
         acc += ck
     return acc
-
-
-def _stop(terms, lhs, tol, A, bw, floor, state):
-    """_log_connection_unit_excess's stopping rule (_raw_series's: A = 0, bw = 1,
-    floor = 0) over terms with left sides lhs: the index it stops at, or
-    None and the Kahan state (s, comp, streak) after them."""
-    s, comp, streak = state
-    for j, (t, left) in enumerate(zip(terms, lhs)):
-        y = t - comp
-        hi = s + y
-        comp = (hi - s) - y
-        s = hi
-        f = abs(A + bw * s)
-        if left <= tol * (floor if f < floor else f):
-            streak += 1
-            if streak >= 2:
-                return j, None
-        else:
-            streak = 0
-    return None, (s, comp, streak)
 
 
 def hyp2f1_at_one(a: float, b: float, c: float) -> float:

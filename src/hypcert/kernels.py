@@ -2,32 +2,29 @@
 
 ``Hyp2f1Kernel`` fixes (a, b, c) and evaluates many points: the series
 and the unit-excess expansion become polynomials with precomputed
-coefficients, run by Horner's rule.  Many kernels' coefficients come from
-one build, with the bits of each one's own.  ``evaluate(kernels, xs)``
-runs one Horner loop per regime over a (kernels x points) matrix, the
-coefficients padded with leading zeros to the longest list, which leaves
-every bit as it was: for x >= 0, 0*x + 0 = +0, and the first real
-coefficient c then gives +0*x + c = c exactly, where the unpadded loop
-starts.  A kernel's one-point and array paths both take the logarithm
+coefficients, run by Horner's rule.  ``evaluate(kernels, xs)`` runs one
+Horner loop per regime over a (kernels x points) matrix, the coefficients
+padded with leading zeros to the longest list, which leaves every bit as
+it was: for x >= 0, 0*x + 0 = +0, and the first real coefficient c then
+gives +0*x + c = c exactly, where the unpadded loop starts.  A kernel's one-point and array paths both take the logarithm
 with ``np.log``, which gives a point the same bits alone or in any array.
 
 This module holds all of the evaluator's NumPy.  Points outside the two
-Horner regimes, the series contract and the stopping rule come from the
-scalar evaluator, ``hypcert.hyp2f1``.
+Horner regimes, the series contract and each regime's truncation come
+from the scalar evaluator, ``hypcert.hyp2f1``: a kernel runs the regime's
+scalar loop once, at ``switch_point``, and keeps as many terms as it sums.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .hyp2f1 import (_EXCESS_SNAP, _PSI_1, _PSI_2, DEFAULT_SERIES, SeriesConfig, _check_params,
-                     _digamma, _horner, _stop, _terminating, hyp2f1)
-from .special import gamma
+from .hyp2f1 import (_EXCESS_SNAP, DEFAULT_SERIES, SeriesConfig, _check_params, _horner,
+                     _log_connection_unit_excess, _log_start, _raw_series, _terminating, hyp2f1)
 
 
 # The power series: coefficients t_N..t_0 (highest first), the powers k
@@ -104,86 +101,6 @@ def _stack(sets):
     return type(sets[0])(*fields)
 
 
-def _build(kernels, regime):
-    """The coefficient sets of one regime for the list ``kernels``, lists
-    t_N..t_0 ("series") or _Log sets ("log"), each with the bits of the
-    kernel's scalar loop (_raw_series, _log_connection_unit_excess) at
-    x = switch_point or w = 1 - switch_point: the loop's running products
-    and sums are np.cumprod and np.cumsum along the terms of a (rows,
-    terms) array, the same IEEE operations in the same order, and its
-    stopping rule, a Kahan sum, runs per row in Python (_stop).  Blocks
-    double until every row has stopped; a row that reaches max_terms
-    raises the loop's ConvergenceError; a log row with B = 0 keeps one term."""
-    log, ones = regime == "log", [1.0] * len(kernels)
-    a, b, c, x = np.array([[k.a, k.b, k.c, k.cfg.switch_point] for k in kernels]).T[:, :, None]
-    if log:
-        x = 1.0 - x  # w
-        A = [gamma(k.a + k.b + 1.0) / (gamma(k.a + 1.0) * gamma(k.b + 1.0)) for k in kernels]
-        B = [k.a * k.b * A_ for k, A_ in zip(kernels, A)]
-        bw = np.array(B)[:, None] * x
-        lw = np.array([[math.log(w)] for w in x[:, 0].tolist()])
-        d0 = [_digamma(k.a + 1.0) + _digamma(k.b + 1.0) - _PSI_1 - _PSI_2 for k in kernels]
-        carry, floor = np.array([ones, ones, d0]), 1e-300  # coef_k, coef_k w^k, d_k
-    else:
-        A, B, bw, lw = [0.0] * len(kernels), ones, np.ones_like(x), None
-        carry, floor = np.array([ones, ones]), 0.0  # coef_n, t_n
-    rows = [a, b, c, x, bw, lw, 1.0 / (1.0 - x)]
-    state = [(0.0 if log else 1.0, 0.0, 0)] * len(kernels)  # Kahan s, comp; streak
-    coefs, ds, qs = ([[] for _ in kernels] for _ in range(3))  # coef_k, d_k, coef_k d_k
-    # first block: the terms a geometric series in x needs, and 16 more
-    size = 16 + int(max(0.0, *(math.log(k.cfg.rel_tol) / math.log(xk)
-                               for k, xk in zip(kernels, x[:, 0].tolist()))))
-    act, n0 = list(range(len(kernels))), 0
-    while act:
-        a, b, c, x, bw, lw, tail = rows
-        n = np.arange(n0, n0 + size, dtype=float)
-        run = np.empty((len(carry), len(act), size + 1))
-        run[:, :, 0] = carry
-        if log:
-            ak, bk, n1, n2 = a + 1.0 + n, b + 1.0 + n, n + 1.0, n + 2.0
-            num, den = ak * bk, n1 * n2
-            run[2, :, 1:] = 1.0 / ak + 1.0 / bk - 1.0 / n1 - 1.0 / n2
-            np.cumsum(run[2], axis=1, out=run[2])
-        else:
-            num, den = (a + n) * (b + n), (c + n) * (n + 1.0)
-        np.divide(num, den, out=run[0, :, 1:])
-        np.divide(num * x, den, out=run[1, :, 1:])
-        np.cumprod(run[:2], axis=2, out=run[:2])
-        carry = run[:, :, -1]
-        terms = run[1, :, :-1] * (lw + run[2, :, :-1]) if log else run[1, :, 1:]
-        lhs = np.abs(bw * terms) * tail
-        parts = [run[0], run[2], run[0] * run[2]] if log else [run[0]]
-        chains = zip(*(part.tolist() for part in parts))
-        keep = []
-        for r, (i, ts, ls, chain) in enumerate(zip(act, terms.tolist(), lhs.tolist(), chains)):
-            k = kernels[i]
-            top = min(size, k.cfg.max_terms - n0)
-            stop, state[i] = _stop(ts[:top], ls[:top], k.cfg.rel_tol, A[i], float(bw[r, 0]),
-                                   floor, state[i])
-            stop = 0 if log and B[i] == 0.0 else stop  # the log loop's first step breaks
-            # coefficients 0..K: the log loop stops at K = n, the series one at n + 1
-            end = size if stop is None else stop + (1 if log else 2)
-            for got, values in zip((coefs[i], ds[i], qs[i]), chain):
-                got += values[:end]
-            if stop is None and top < size:
-                raise ConvergenceError(
-                    f"log-case expansion for ({k.a}, {k.b}) at x={k.cfg.switch_point} did not "
-                    f"converge within {k.cfg.max_terms} terms" if log else
-                    f"series for ({k.a}, {k.b}; {k.c}) at x={k.cfg.switch_point} did not "
-                    f"reach rel_tol={k.cfg.rel_tol} within {k.cfg.max_terms} terms")
-            if stop is None:
-                keep.append(r)
-        act = [act[r] for r in keep]
-        if act:  # the next block, for the rows still running
-            rows = [None if v is None else v[keep] for v in rows]
-            carry, n0, size = carry[:, keep], n0 + size, min(2 * size, 8192)
-    if not log:
-        return [p[::-1] for p in coefs]
-    return [_Log(A_, B_, p[::-1], q[::-1], tuple(range(len(p) - len(p[-2:]), len(p))),
-                 tuple(p[-2:]), tuple(d[-2:]), k.cfg.rel_tol)
-            for k, A_, B_, p, d, q in zip(kernels, A, B, coefs, ds, qs)]
-
-
 class Hyp2f1Kernel:
     """F(a, b; c; .) for fixed parameters, at one point or over an array.
 
@@ -191,15 +108,15 @@ class Hyp2f1Kernel:
     comparison family lives in, the power series (x <= switch_point) and
     the unit-excess logarithmic expansion (x beyond it), F is a polynomial
     in x or in w = 1-x whose coefficients do not depend on the point.
-    They are built once, on first use, by _build (``evaluate`` builds the
-    sets of all its kernels in one call), and evaluated by Horner's rule.
-    The truncation is where hyp2f1's own stopping rule stops at the
-    regime's worst argument, x = switch_point for the series and
-    w = 1 - switch_point for the expansion, so a value depends only on
-    (a, b, c, x, cfg).  Every point is then held to the stopping rule on
-    its last two terms and raises ConvergenceError if it misses it.
-    Terminating parameters, non-unit integer excess and non-integer
-    excess go to hyp2f1 point by point.
+    They are built once, on first use, and evaluated by Horner's rule.
+    The truncation is the regime's scalar loop's (_raw_series,
+    _log_connection_unit_excess), run once at its worst argument,
+    x = switch_point, which also raises the loop's ConvergenceError; the
+    coefficients then come from the loop's recurrence with the point left
+    out, so a value depends only on (a, b, c, x, cfg).  Every point is
+    then held to the stopping rule on its last two terms and raises
+    ConvergenceError if it misses it.  Terminating parameters, non-unit
+    integer excess and non-integer excess go to hyp2f1 point by point.
 
     ``kernel(x)`` runs _horner on a Python float; ``kernel.array(xs)`` is
     ``evaluate([kernel], [xs])[0]``, which runs the same code on a
@@ -223,13 +140,38 @@ class Hyp2f1Kernel:
 
     @cached_property
     def _series(self):
-        """Coefficients t_N..t_0 of the power series, highest first."""
-        return _build([self], "series")[0]
+        """Coefficients t_N..t_0 of the power series, highest first: N is
+        the last term _raw_series sums at x = switch_point, and each t_n
+        comes from its recurrence with x left out."""
+        a, b, c, cfg = self.a, self.b, self.c, self.cfg
+        top = _raw_series(a, b, c, cfg.switch_point, cfg)[1]
+        coefs, t, n = [1.0], 1.0, 0.0
+        for _ in range(top):
+            t *= (a + n) * (b + n) / ((c + n) * (n + 1.0))
+            coefs.append(t)
+            n += 1.0
+        return coefs[::-1]
 
     @cached_property
     def _log(self):
-        """The unit-excess coefficient set (a _Log)."""
-        return _build([self], "log")[0]
+        """The unit-excess coefficient set (a _Log): coef_k and d_k for k up
+        to the last term _log_connection_unit_excess sums at
+        x = switch_point, from its recurrences with w left out."""
+        a, b, cfg = self.a, self.b, self.cfg
+        start = A, B, dk = _log_start(a, b)
+        top = _log_connection_unit_excess(a, b, cfg.switch_point, cfg, start)[1]
+        a1, b1 = a + 1.0, b + 1.0
+        p, d, coef, k = [1.0], [dk], 1.0, 0.0
+        for _ in range(top):
+            k1, k2 = k + 1.0, k + 2.0
+            dk += 1.0 / (a1 + k) + 1.0 / (b1 + k) - 1.0 / k1 - 1.0 / k2
+            coef *= (a1 + k) * (b1 + k) / (k1 * k2)
+            p.append(coef)
+            d.append(dk)
+            k = k1
+        q = [ck * dj for ck, dj in zip(p, d)]
+        return _Log(A, B, p[::-1], q[::-1], tuple(range(max(top - 1, 0), top + 1)),
+                    tuple(p[-2:]), tuple(d[-2:]), cfg.rel_tol)
 
     @cached_property
     def _series_set(self):
@@ -271,8 +213,8 @@ class Hyp2f1Kernel:
 
 def evaluate(kernels, xs) -> np.ndarray:
     """F at a (kernels x points) array ``xs``, row i at the points of
-    kernels[i], each value as ``kernels[i](x)`` gives it.  Missing
-    coefficient sets are built in one _build call per regime.  Each Horner
+    kernels[i], each value as ``kernels[i](x)`` gives it.  Each kernel's
+    coefficient sets are its cached ones, built on first use.  Each Horner
     regime runs one loop over the rows with points in it, their regime
     points moved to the front and padded with copies of the last one (see
     _horner for the coefficients' padding); the stopping rule is checked
@@ -292,9 +234,6 @@ def evaluate(kernels, xs) -> np.ndarray:
         if not rows.size:
             continue
         users = [kernels[i] for i in rows.tolist()]
-        missing = [k for k in dict.fromkeys(users) if "_" + regime not in k.__dict__]
-        for k, coefs in zip(missing, _build(missing, regime) if missing else ()):
-            k.__dict__["_" + regime] = coefs  # the cached _series or _log
         # boolean indexing runs row by row: each row's points land in order
         counts = counts[rows]
         real = np.arange(counts.max()) < counts[:, None]

@@ -195,9 +195,6 @@ def test_verify_out_path_from_config(capsys, tmp_path):
 def test_verify_usage_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, "verify", "--check", "f4_roots", "--suite")
     assert code == 2 and "mutually exclusive" in err
-    code, _, err = run_cli(capsys, "verify", "--check", "f4_roots",
-                           "--format", "csv")
-    assert code == 2 and "json" in err
     bad = tmp_path / "bad.cfg"
     bad.write_text("not_a_key = 3\n")
     code, _, err = run_cli(capsys, "verify", "--config", str(bad))
@@ -207,6 +204,16 @@ def test_verify_usage_errors(capsys, tmp_path):
     assert code == 2 and "bad value" in err
     code, _, err = run_cli(capsys, "verify", "--config", str(tmp_path / "nope.cfg"))
     assert code == 2 and "cannot read" in err
+
+
+def test_verify_out_that_cannot_be_written_is_a_usage_error(capsys, tmp_path):
+    # a directory, and a file in a missing directory: exit 2 with a
+    # message, not a traceback and not the verification-failure code
+    for out in (tmp_path, tmp_path / "missing" / "r.json"):
+        code, stdout, err = run_cli(capsys, "verify", "--check", "f4_roots",
+                                    "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert err.startswith(f"error: cannot write {str(out)!r}: ")
 
 
 def test_flag_scope_enforced(capsys):
@@ -226,7 +233,7 @@ def test_sweep_csv_round_trip(capsys, tmp_path):
     cfg.write_text("n_points = 32\n")
     code, out, _ = run_cli(capsys, "sweep", "--a", "0.5", "--b", "0.5",
                            "--c", "2", "--d", "3", "--delta", repr(D1_HALF),
-                           "--config", str(cfg), "--format", "csv")
+                           "--config", str(cfg))
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == SWEEP_HEADER
@@ -269,11 +276,26 @@ def test_percent_format_is_the_17_digit_format_spec():
         assert "%.17g" % v == f"{v:.17g}"
 
 
-def test_sweep_rejects_json_format(capsys):
-    code, _, err = run_cli(capsys, "sweep", "--a", "0.5", "--b", "0.5",
-                           "--c", "2", "--d", "3", "--delta", "-0.05",
-                           "--format", "json")
-    assert code == 2 and "csv" in err
+def test_format_is_a_usage_error(capsys):
+    # each subcommand writes one format, so there is no --format option
+    for cmd in (["verify", "--check", "f4_roots"],
+                ["sweep", "--a", "0.5", "--b", "0.5", "--c", "2", "--d", "3",
+                 "--delta", "-0.05"]):
+        for fmt in ("json", "csv"):
+            code, out, err = run_cli(capsys, *cmd, "--format", fmt)
+            assert code == 2 and out == ""
+            assert "unrecognized arguments: --format" in err
+
+
+def test_sweep_out_that_cannot_be_written_is_a_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("n_points = 16\n")
+    for out in (tmp_path, tmp_path / "missing" / "g.csv"):
+        code, stdout, err = run_cli(capsys, "sweep", "--a", "0.5", "--b", "0.5",
+                                    "--c", "2", "--d", "3", "--delta", "-0.05",
+                                    "--config", str(cfg), "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert err.startswith(f"error: cannot write {str(out)!r}: ")
 
 
 # ---------------------------------------------------------------------------

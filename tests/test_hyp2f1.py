@@ -43,7 +43,8 @@ CONN_CFG = SeriesConfig(switch_point=0.5)
 
 # the module itself: the package-level name hyp2f1 is the function
 h = importlib.import_module("hypcert.hyp2f1")
-# the array evaluator: _build, _stack, _series_at and the _Log set
+# the array evaluator: _stack, _series_at, the _Log set and the scalar
+# loops it imports
 hk = importlib.import_module("hypcert.kernels")
 
 
@@ -545,70 +546,63 @@ def _batch_kernels(seed):
     return kernels
 
 
-def test_batched_coefficient_sets_have_the_lone_bits():
-    # one build over a mixed batch gives every kernel the bits of its lone
-    # build and of the two-loop build, whatever else is in the batch
-    def bits(values):
-        if isinstance(values, (list, tuple)):
-            return [bits(v) for v in values]
-        return float(values).hex()
-
-    kernels = _batch_kernels(33)
-    logs = [k for k in kernels if k._unit_excess]
-    assert len(kernels) >= 50 and len(logs) >= 20
-    assert len({k.cfg for k in kernels}) == 3
-    for k, got in zip(kernels, hk._build(kernels, "series")):
-        assert bits(got) == bits(hk._build([k], "series")[0])
-        assert bits(got) == bits(_two_loop_series(k.a, k.b, k.c, k.cfg))
-        assert bits(got) == bits(Hyp2f1Kernel(k.a, k.b, k.c, k.cfg)._series)
-    for k, got in zip(logs, hk._build(logs, "log")):
-        assert bits(got) == bits(hk._build([k], "log")[0])
-        assert bits(got) == bits(_two_loop_log(k.a, k.b, k.cfg))
-    # B = a*b*A = 0 keeps its one term, in a batch as alone
+def test_a_log_set_with_b_zero_keeps_one_term():
+    # B = a*b*A = 0: the expansion is A, and its set keeps the one term
     zero = Hyp2f1Kernel(0.0, 0.7, 1.7)
-    lone = hk._build([zero], "log")[0]
-    assert lone.p == [1.0] and lone.k == (0,)
-    assert bits(hk._build([logs[0], zero, logs[1]], "log")[1]) == bits(lone)
+    assert zero._log.p == [1.0] and zero._log.k == (0,)
 
 
 def test_evaluate_builds_each_regime_once(monkeypatch):
-    # one build call per regime for all rows of a call, and only for the
-    # sets not yet present
+    # each distinct kernel runs its regime's scalar loop once, at
+    # switch_point, when a call first has points for it in that regime; a
+    # kernel on several rows is built once, and a second call runs none
     kernels = _batch_kernels(34)[:12]
     xs = np.array([[0.1, 0.5, 0.85, 0.97]] * len(kernels))
     calls = []
-    real = hk._build
 
-    def counted(batch, regime):
-        calls.append((regime, len(batch)))
-        return real(batch, regime)
+    def counted(regime, loop):
+        def run(a, b, *rest):
+            calls.append((regime, a, b, rest[1] if regime == "series" else rest[0]))
+            return loop(a, b, *rest)
+        return run
 
-    monkeypatch.setattr(hk, "_build", counted)
+    monkeypatch.setattr(hk, "_raw_series", counted("series", hk._raw_series))
+    monkeypatch.setattr(hk, "_log_connection_unit_excess",
+                        counted("log", hk._log_connection_unit_excess))
     first = evaluate(kernels + kernels[:3], np.vstack([xs, xs[:3]]))
-    n_log = sum(k._unit_excess for k in kernels)
-    assert calls == [("series", 12), ("log", n_log)]
+    assert calls == ([("series", k.a, k.b, k.cfg.switch_point) for k in kernels]
+                     + [("log", k.a, k.b, k.cfg.switch_point) for k in kernels
+                        if k._unit_excess])
+    assert sum(k._unit_excess for k in kernels) >= 3
+    calls.clear()
     assert evaluate(kernels, xs).tolist() == first[:12].tolist()
-    assert len(calls) == 2
+    assert calls == []
 
 
 def test_a_row_that_does_not_converge_raises_as_it_raises_alone():
-    # a budget the series cannot meet: in a batch, the row raises the
-    # error its lone build raises, whichever rows come before it
+    # a budget the series cannot meet: the kernel raises its regime's
+    # scalar loop's error at switch_point, alone and inside evaluate,
+    # whichever rows come before it
     good = [k for k in _batch_kernels(35) if k._unit_excess][:6]
     # the series at x = 0.8 and the expansion at w = 0.99 keep terms far
     # above 1e-300 of the sum for 1000 terms
+    a, b = -0.4, 0.6
     for regime, sp in (("series", 0.8), ("log", 0.01)):
-        bad = Hyp2f1Kernel(-0.4, 0.6, 1.2, SeriesConfig(rel_tol=1e-300, max_terms=1000,
-                                                        switch_point=sp))
+        cfg = SeriesConfig(rel_tol=1e-300, max_terms=1000, switch_point=sp)
+        with pytest.raises(ConvergenceError) as scalar:
+            if regime == "series":
+                h._raw_series(a, b, a + b + 1.0, sp, cfg)
+            else:
+                h._log_connection_unit_excess(a, b, sp, cfg, h._log_start(a, b))
+        assert "1000 terms" in str(scalar.value)
+        bad = Hyp2f1Kernel(a, b, a + b + 1.0, cfg)
         with pytest.raises(ConvergenceError) as alone:
-            hk._build([bad], regime)
-        with pytest.raises(ConvergenceError) as batched:
-            hk._build(good[:2] + [bad] + good[2:], regime)
-        assert str(batched.value) == str(alone.value)
-        assert "1000 terms" in str(alone.value)
+            bad._coefs(regime)
+        assert str(alone.value) == str(scalar.value)
         with pytest.raises(ConvergenceError) as arrayed:
-            evaluate(good + [bad], np.full((len(good) + 1, 3), 0.005 if regime == "series" else 0.995))
-        assert str(arrayed.value) == str(alone.value)
+            evaluate(good[:2] + [bad] + good[2:],
+                     np.full((len(good) + 1, 3), 0.005 if regime == "series" else 0.995))
+        assert str(arrayed.value) == str(scalar.value)
 
 
 def test_the_series_rule_settled_per_row_agrees_point_by_point():

@@ -1,15 +1,19 @@
-"""tools/compare_reports.py on small synthetic reports."""
+"""tools/compare_reports.py on small synthetic reports, and the names
+perfbench/tracer.py wraps."""
 
+import importlib
 import importlib.util
 import json
 import math
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_reports.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "compare_reports.py"
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
-def _tool():
-    spec = importlib.util.spec_from_file_location("compare_reports", TOOL)
+def _load(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -28,7 +32,7 @@ def _write(path, records, stamp):
 
 
 def test_compare_reports_counts_moves_and_fails_on_verdicts(tmp_path, capsys):
-    tool = _tool()
+    tool = _load(TOOL)
     base = [_record("crossing", -0.1, 1e-3, [[0.2, 1e-3], ["crossing_near", 0.31]]),
             _record("crossing", -0.2, 2e-3),
             _record("sandwich", -0.3, 5e-4),
@@ -68,3 +72,20 @@ def test_compare_reports_counts_moves_and_fails_on_verdicts(tmp_path, capsys):
     assert tool.main([old, fewer]) == 1
     out = capsys.readouterr().out
     assert "1 only in old, 1 only in new" in out
+
+
+def test_every_name_the_tracer_wraps_resolves():
+    # a traced name that is renamed or deleted drops its layer from the
+    # benchmark's trace ("# absent:"); resolve each the way the tracer does
+    tracer = _load(TRACER)
+    targets = tracer._targets(False)
+    assert len(targets) > 20
+    for _, modname, attr, _, _ in targets:
+        mod = importlib.import_module(modname)
+        if attr == "*":
+            names = tracer._constants_functions(mod)
+            assert names and all(callable(getattr(mod, n)) for n in names)
+            continue
+        owner, _, name = attr.rpartition(".")
+        holder = getattr(mod, owner) if owner else mod
+        assert callable(getattr(holder, name, None)), f"{modname}.{attr}"
