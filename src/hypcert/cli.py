@@ -21,6 +21,7 @@ verifier (verify, sweep, roots) import it when they run.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -38,7 +39,7 @@ from .constants import (
 from .errors import ConvergenceError, DomainError
 from .hyp2f1 import DEFAULT_SERIES, SeriesConfig, hyp2f1, hyp2f1_at_one
 
-_INT_KEYS = ("n_points", "max_terms", "workers", "seed")
+_INT_KEYS = ("n_points", "max_terms", "workers")
 _FLOAT_KEYS = ("x_lo", "x_hi", "rel_tol", "switch_point", "d_exp")
 _STR_KEYS = ("spacing", "threshold_form", "out")
 _LIST_KEYS = ("a_values", "b_values", "ratios")
@@ -127,7 +128,6 @@ def _build_verify_config(ns, settings: dict):
         d_exp=settings.get("d_exp", DEFAULT_CONFIG.d_exp),
         threshold_form=settings.get("threshold_form", DEFAULT_CONFIG.threshold_form),
         workers=ns.workers if ns.workers is not None else settings.get("workers"),
-        seed=settings.get("seed", DEFAULT_CONFIG.seed),
     )
     out = ns.out if ns.out is not None else settings.get("out")
     return config, out
@@ -189,6 +189,11 @@ def cmd_verify(ns) -> int:
 
     settings = _parse_config_file(ns.config) if ns.config else {}
     config, out = _build_verify_config(ns, settings)
+    # refused before the run; the file is opened only to write the report
+    if out is not None and os.path.isdir(out):
+        raise DomainError(f"cannot write {out!r}: is a directory")
+    if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
+        raise DomainError(f"cannot write {out!r}: its directory does not exist")
     if ns.check is not None:
         report = run_check(ns.check, config)
     else:

@@ -13,9 +13,9 @@ together:
   right up to the largest double below 1;
 * the reflection-based connection formula for non-integer excess.
 
-Series termination is tail-aware: the plain series stops only when the
-current term times the geometric tail bound 1/(1-x) is below tolerance,
-which is what makes zero-balanced cases (e = 0) trustworthy at x = 0.999.
+Every series stops at the first term where a proven bound on the sum of
+all later terms is within rel_tol of a floor on |F|, zero-balanced cases
+(e = 0) at x = 0.999 included.
 
 This module is the scalar evaluator and imports only ``math``, so
 ``hypcert.hyp2f1`` and ``hypcert.hyp2f1_at_one`` load without NumPy.  The
@@ -130,21 +130,40 @@ _PSI_1 = _digamma(1.0)  # -EulerGamma
 _PSI_2 = _digamma(2.0)  # 1 - EulerGamma
 
 
-def _raw_series(a: float, b: float, c: float, x: float, cfg: SeriesConfig) -> tuple[float, int]:
-    """Power series with Kahan compensation and a geometric tail bound: the
-    sum, and the index of the last term summed.
+def _tail_factor(x: float, a: float, b: float, c: float, n: float) -> float:
+    """rho/(1-rho), rho = x times a bound on (a+m)(b+m)/((c+m)(m+1)) for
+    every m >= n >= 0, or inf where no rho < 1 is proven: times term n of a
+    series with these ratios, it bounds the sum of the later terms.
 
-    Stops once |term| / (1 - x) <= rel_tol * |sum| twice in a row; raises
+    The factor is 1 + (s m + ab - c)/((c+m)(m+1)), s = a+b-c-1.  Past
+    max(-a, -b, -c) it is positive and (c+m)(m+1) grows with m; the
+    numerator is at most max(s, 0) m + max(ab-c, 0), and m/((c+m)(m+1))
+    falls once m*m >= c.  So from such an n on (n*n >= c too where s > 0)
+    the factor is at most its bound at n.  On the comparison family
+    (-1 < a < 0 < b, c = a+b+1: s = -2, ab < c) rho = x for n >= 1."""
+    s = a + b - c - 1.0
+    if n <= max(-a, -b, -c) or (s > 0.0 and n * n < c):
+        return math.inf
+    rho = x * (1.0 + (max(s, 0.0) * n + max(a * b - c, 0.0)) / ((c + n) * (n + 1.0)))
+    return rho / (1.0 - rho) if rho < 1.0 else math.inf
+
+
+def _raw_series(a: float, b: float, c: float, x: float, cfg: SeriesConfig) -> tuple[float, int]:
+    """Power series with Kahan compensation: the sum, and the index of the
+    last term summed.
+
+    Stops at the first N whose tail bound T = |t_N| _tail_factor(x, .., N)
+    is at most rel_tol (|s_N| - T), that is T (1 + rel_tol) <= rel_tol
+    |s_N|, trying the factor at its least, x/(1-x), first; raises
     ConvergenceError when the budget runs out first.  This is the series
     regime's one truncation rule: Hyp2f1Kernel keeps the terms it sums at
-    x = switch_point.
-    """
+    x = switch_point."""
     s = 1.0
     comp = 0.0
     t = 1.0
-    tail = 1.0 / (1.0 - x)
     tol = cfg.rel_tol
-    ok_streak = 0
+    tol1 = 1.0 + tol
+    geo1 = x / (1.0 - x) * tol1
     n = 0.0  # the term index as a float: exact, and no int-float mixing
     for _ in range(cfg.max_terms):
         n1 = n + 1.0
@@ -155,12 +174,9 @@ def _raw_series(a: float, b: float, c: float, x: float, cfg: SeriesConfig) -> tu
         hi = s + y
         comp = (hi - s) - y
         s = hi
-        if abs(t) * tail <= tol * abs(s):
-            ok_streak += 1
-            if ok_streak >= 2:
+        if abs(t) * geo1 <= tol * abs(s):
+            if abs(t) * (_tail_factor(x, a, b, c, n) * tol1) <= tol * abs(s):
                 return s, int(n)
-        else:
-            ok_streak = 0
     raise ConvergenceError(
         f"series for ({a}, {b}; {c}) at x={x} did not reach rel_tol="
         f"{cfg.rel_tol} within {cfg.max_terms} terms"
@@ -174,6 +190,19 @@ def _log_start(a: float, b: float) -> tuple[float, float, float]:
     return A, a * b * A, _digamma(a + 1.0) + _digamma(b + 1.0) - _PSI_1 - _PSI_2
 
 
+def _log_tail(a: float, b: float, w: float, lw: float, k: float, dk: float) -> float:
+    """T / |B w coef_k w^k|, T the tail bound of _log_connection_unit_excess
+    after term k at w = e^lw (d_k = dk), or inf."""
+    ratio = _tail_factor(w, a + 1.0, b + 1.0, 2.0, k)
+    if ratio == math.inf:
+        return ratio
+    u, v = min(a + 1.0, 1.0) + k, min(b + 1.0, 2.0) + k
+    drift = abs(a) * (1.0 + u) / (u * u) + abs(1.0 - b) * (1.0 + v) / (v * v)
+    m = k + 1.0
+    log_part = -lw if -m * lw >= 1.0 else math.exp(-1.0 - m * lw) / m
+    return (log_part + abs(dk) + drift) * ratio
+
+
 def _log_connection_unit_excess(
     a: float, b: float, x: float, cfg: SeriesConfig, start: tuple[float, float, float]
 ) -> tuple[float, int]:
@@ -185,9 +214,21 @@ def _log_connection_unit_excess(
         coef_0 = 1,  coef_{k+1} = coef_k (a+1+k)(b+1+k) / ((k+1)(k+2)),
         d_0 = psi(a+1) + psi(b+1) - psi(1) - psi(2),
         d_{k+1} = d_k + 1/(a+1+k) + 1/(b+1+k) - 1/(k+1) - 1/(k+2);
-    ``start`` is (A, B, d_0), from _log_start.  The stopping rule is the
-    regime's one truncation rule: Hyp2f1Kernel keeps the terms it sums at
-    x = switch_point.
+    ``start`` is (A, B, d_0), from _log_start.
+
+    Term j is at most |B coef_j| w^(j+1) (|ln w| + |d_j|) in size.  Past
+    term K: |coef_j| falls by the ratios _tail_factor bounds (a+1, b+1;
+    2); |d_j| <= |d_K| + sum_(i>=K) |d_(i+1) - d_i|, each step at most
+    |a|/(u+i-K)^2 + |1-b|/(v+i-K)^2 with u = min(a+1, 1) + K and
+    v = min(b+1, 2) + K, so the sum is at most |a|(1+u)/u^2 + |1-b|(1+v)/v^2;
+    and w^(K+1) |ln w| grows only up to w = e^(-1/(K+1)), where it is
+    1/(e (K+1)).  _log_tail takes each factor at its largest over
+    w' <= w, so its bound T holds at every such w'.  The loop stops at the
+    first K with T <= rel_tol min(|A|, |partial| - T), trying the least T
+    first; |partial| - T bounds |F| below, and where F is monotone on
+    [0, 1) the smaller of it and A = F(1) does so for every x' >= x.  This
+    is the regime's one truncation rule: Hyp2f1Kernel keeps the terms it
+    sums at x = switch_point.
     """
     A, B, dk = start
     w = 1.0 - x
@@ -198,10 +239,10 @@ def _log_connection_unit_excess(
     s = 0.0
     comp = 0.0
     bw = B * w
-    tail = 1.0 / (1.0 - w)
+    geo = w / (1.0 - w)
     tol = cfg.rel_tol
+    tol_a = tol * abs(A)
     a1, b1 = a + 1.0, b + 1.0
-    ok_streak = 0
     k = 0.0  # the term index as a float: exact, and no int-float mixing
     for _ in range(cfg.max_terms):
         term = coef * (lw + dk)
@@ -209,13 +250,10 @@ def _log_connection_unit_excess(
         hi = s + y
         comp = (hi - s) - y
         s = hi
-        f_partial = A + bw * s
-        if abs(bw * term) * tail <= tol * max(abs(f_partial), 1e-300):
-            ok_streak += 1
-            if ok_streak >= 2:
+        if abs(bw * coef) * ((abs(lw) + abs(dk)) * geo) <= tol_a:
+            tail = abs(bw * coef) * _log_tail(a, b, w, lw, k, dk)
+            if tail <= tol * min(abs(A), abs(A + bw * s) - tail):
                 return A + bw * s, int(k)
-        else:
-            ok_streak = 0
         k1, k2 = k + 1.0, k + 2.0
         dk += 1.0 / (a1 + k) + 1.0 / (b1 + k) - 1.0 / k1 - 1.0 / k2
         coef *= (a1 + k) * (b1 + k) * w / (k1 * k2)

@@ -6,13 +6,16 @@ coefficients, run by Horner's rule.  ``evaluate(kernels, xs)`` runs one
 Horner loop per regime over a (kernels x points) matrix, the coefficients
 padded with leading zeros to the longest list, which leaves every bit as
 it was: for x >= 0, 0*x + 0 = +0, and the first real coefficient c then
-gives +0*x + c = c exactly, where the unpadded loop starts.  A kernel's one-point and array paths both take the logarithm
-with ``np.log``, which gives a point the same bits alone or in any array.
+gives +0*x + c = c exactly, where the unpadded loop starts.  A kernel's
+one-point and array paths both take the logarithm with ``np.log``, which
+gives a point the same bits alone or in any array.
 
 This module holds all of the evaluator's NumPy.  Points outside the two
 Horner regimes, the series contract and each regime's truncation come
 from the scalar evaluator, ``hypcert.hyp2f1``: a kernel runs the regime's
 scalar loop once, at ``switch_point``, and keeps as many terms as it sums.
+The loop's tail bound there holds for every point of the regime, so no
+point is checked again.
 """
 
 from __future__ import annotations
@@ -22,83 +25,43 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .hyp2f1 import (_EXCESS_SNAP, DEFAULT_SERIES, SeriesConfig, _check_params, _horner,
-                     _log_connection_unit_excess, _log_start, _raw_series, _terminating, hyp2f1)
+                     _log_connection_unit_excess, _log_start, _raw_series, hyp2f1)
 
-
-# The power series: coefficients t_N..t_0 (highest first), the powers k
-# and coefficients c of its last two terms, and rel_tol.
-_Series = namedtuple("_Series", "coefs k c tol")
 
 # The unit-excess expansion F = A + B*w*(ln w * P(w) + Q(w)): coefficients
-# coef_k of P and coef_k*d_k of Q (highest first), the (k, coef_k, d_k) of
-# its last two terms, and rel_tol.
-_Log = namedtuple("_Log", "A B p q k c d tol")
-
-
-def _series_at(s, x):
-    """Value at x, and whether x meets the stopping rule of _raw_series on
-    both of the last two terms.  On an array, each side |c_k| x^k / (1-x)
-    grows with x and its roundings move it by far less than 2**-40 of
-    itself, so a point whose bound clears the sides at its row's largest
-    point by that much meets the rule; only if some point does not is each
-    point checked."""
-    value = _horner(s.coefs, x)
-    bound = s.tol * abs(value)
-    if isinstance(x, np.ndarray):
-        top = x.max(axis=-1, keepdims=True)
-        sides = np.maximum(*(abs(ck) * top ** k for k, ck in zip(s.k, s.c))) / (1.0 - top)
-        ok = bound >= sides * (1.0 + 2.0 ** -40)
-        if ok.all():
-            return value, ok
-    tail = 1.0 / (1.0 - x)
-    ok = True
-    for k, ck in zip(s.k, s.c):
-        ok = ok & (abs(ck) * x ** k * tail <= bound)
-    return value, ok
+# coef_k of P and coef_k*d_k of Q, highest first.
+_Log = namedtuple("_Log", "A B p q")
 
 
 def _log_at(s, x):
-    """Value at x, and whether x meets the stopping rule of
-    _log_connection_unit_excess on both of the last two terms."""
+    """The unit-excess expansion's value at x."""
     w = 1.0 - x
-    lw = np.log(w)
-    p = _horner(s.p, w)
-    q = _horner(s.q, w)
-    bw = s.B * w
-    value = s.A + bw * (lw * p + q)
-    tail = 1.0 / (1.0 - w)
-    bound = s.tol * (abs(value) + 1e-300)
-    ok = True
-    for k, ck, dk in zip(s.k, s.c, s.d):
-        ok = ok & (abs(bw * (ck * w ** k * (lw + dk))) * tail <= bound)
-    return value, ok
+    return s.A + s.B * w * (np.log(w) * _horner(s.p, w) + _horner(s.q, w))
 
 
-_AT = {"series": _series_at, "log": _log_at}
+_AT = {"series": _horner, "log": _log_at}
+
+
+def _pad(lists):
+    """Coefficient lists right-aligned behind leading zeros, (depth, rows, 1)."""
+    depth = max(map(len, lists))
+    out = np.zeros((depth, len(lists), 1))
+    for i, v in enumerate(lists):
+        out[depth - len(v):, i, 0] = v
+    return out
 
 
 def _stack(sets):
-    """Coefficient sets of several kernels as one set over (rows, points)
-    arrays: coefficient lists right-aligned behind leading zeros in one
-    (depth, rows, 1) array, every other number a (rows, 1) column.  One
-    set stays as it is: its numbers broadcast over its one row."""
+    """Several kernels' coefficient sets as one over (rows, points) arrays:
+    lists padded (_pad), A and B as (rows, 1) columns; one set as it is."""
     if len(sets) == 1:
         return sets[0]
-    fields = []
-    for vals in zip(*sets):
-        if isinstance(vals[0], list):
-            depth = max(map(len, vals))
-            field = np.zeros((depth, len(vals), 1))
-            for i, v in enumerate(vals):
-                field[depth - len(v):, i, 0] = v
-        elif isinstance(vals[0], tuple):
-            field = tuple(np.array(v, dtype=float)[:, None] for v in zip(*vals))
-        else:
-            field = np.array(vals, dtype=float)[:, None]
-        fields.append(field)
-    return type(sets[0])(*fields)
+    if isinstance(sets[0], list):
+        return _pad(sets)
+    return _Log(*(_pad(v) if isinstance(v[0], list) else np.array(v)[:, None]
+                  for v in zip(*sets)))
 
 
 class Hyp2f1Kernel:
@@ -110,13 +73,20 @@ class Hyp2f1Kernel:
     in x or in w = 1-x whose coefficients do not depend on the point.
     They are built once, on first use, and evaluated by Horner's rule.
     The truncation is the regime's scalar loop's (_raw_series,
-    _log_connection_unit_excess), run once at its worst argument,
-    x = switch_point, which also raises the loop's ConvergenceError; the
-    coefficients then come from the loop's recurrence with the point left
-    out, so a value depends only on (a, b, c, x, cfg).  Every point is
-    then held to the stopping rule on its last two terms and raises
-    ConvergenceError if it misses it.  Terminating parameters, non-unit
-    integer excess and non-integer excess go to hyp2f1 point by point.
+    _log_connection_unit_excess), run once at x = switch_point, which
+    also raises the loop's ConvergenceError; the coefficients then come
+    from the loop's recurrence with the point left out, so a value depends
+    only on (a, b, c, x, cfg).
+
+    The loop's bound then holds at every point of the regime where F is
+    monotone on [0, 1), every series term after the first of one sign; so
+    Horner runs only on these parameters.  On the comparison family,
+    -1 < a < 0 < b and c = a+b+1, F falls from 1 to A = F(1) > 0: the
+    series' floor at switch_point holds below it, and the log floor is A.
+    With a, b, c > 0, F rises from 1: the series' bound over its partial
+    sum grows with x, and the log floor at switch_point holds above it.
+    Other parameters, and non-unit excess beyond switch_point, go to
+    hyp2f1 point by point.
 
     ``kernel(x)`` runs _horner on a Python float; ``kernel.array(xs)`` is
     ``evaluate([kernel], [xs])[0]``, which runs the same code on a
@@ -133,10 +103,9 @@ class Hyp2f1Kernel:
             a, b = b, a
         self.a, self.b, self.c = a, b, c
         self.cfg = DEFAULT_SERIES if cfg is None else cfg
-        e = c - a - b
-        self._horner = not _terminating(a, b)
-        self._unit_excess = (self._horner and abs(e - round(e)) <= _EXCESS_SNAP
-                             and round(e) == 1)
+        unit = abs(c - a - b - 1.0) <= _EXCESS_SNAP
+        self._horner = (a > 0.0 and c > 0.0) or (-1.0 < a < 0.0 < b and unit)
+        self._unit_excess = self._horner and unit
 
     @cached_property
     def _series(self):
@@ -161,27 +130,19 @@ class Hyp2f1Kernel:
         start = A, B, dk = _log_start(a, b)
         top = _log_connection_unit_excess(a, b, cfg.switch_point, cfg, start)[1]
         a1, b1 = a + 1.0, b + 1.0
-        p, d, coef, k = [1.0], [dk], 1.0, 0.0
+        p, q, coef, k = [1.0], [dk], 1.0, 0.0
         for _ in range(top):
             k1, k2 = k + 1.0, k + 2.0
             dk += 1.0 / (a1 + k) + 1.0 / (b1 + k) - 1.0 / k1 - 1.0 / k2
             coef *= (a1 + k) * (b1 + k) / (k1 * k2)
             p.append(coef)
-            d.append(dk)
+            q.append(coef * dk)
             k = k1
-        q = [ck * dj for ck, dj in zip(p, d)]
-        return _Log(A, B, p[::-1], q[::-1], tuple(range(max(top - 1, 0), top + 1)),
-                    tuple(p[-2:]), tuple(d[-2:]), cfg.rel_tol)
-
-    @cached_property
-    def _series_set(self):
-        coefs = self._series
-        top = len(coefs) - 1
-        return _Series(coefs, (top - 1, top), (coefs[1], coefs[0]), self.cfg.rel_tol)
+        return _Log(A, B, p[::-1], q[::-1])
 
     def _coefs(self, regime):
         """The coefficient set of a regime."""
-        return self._series_set if regime == "series" else self._log
+        return self._series if regime == "series" else self._log
 
     def _regime(self, x) -> str | None:
         """The Horner regime that covers x: "series", "log" or None."""
@@ -189,22 +150,13 @@ class Hyp2f1Kernel:
             return "series" if self._horner else None
         return "log" if self._unit_excess else None
 
-    def _miss(self, x, regime):
-        raise ConvergenceError(
-            f"{regime} coefficients for ({self.a}, {self.b}; {self.c}) miss "
-            f"rel_tol={self.cfg.rel_tol} at x={x!r}"
-        )
-
     def __call__(self, x: float) -> float:
         if not (0.0 <= x < 1.0):
             raise DomainError(f"argument must satisfy 0 <= x < 1, got {x!r}")
         regime = self._regime(x)
         if regime is None:
             return hyp2f1(self.a, self.b, self.c, x, self.cfg)
-        value, ok = _AT[regime](self._coefs(regime), x)
-        if not ok:
-            self._miss(x, regime)
-        return float(value)
+        return float(_AT[regime](self._coefs(regime), x))
 
     def array(self, xs) -> np.ndarray:
         """Values at every entry of the 1-D array ``xs``."""
@@ -217,9 +169,8 @@ def evaluate(kernels, xs) -> np.ndarray:
     coefficient sets are its cached ones, built on first use.  Each Horner
     regime runs one loop over the rows with points in it, their regime
     points moved to the front and padded with copies of the last one (see
-    _horner for the coefficients' padding); the stopping rule is checked
-    on real entries only, the first miss raising ConvergenceError.  Other
-    points go to hyp2f1 one by one, after the stacked loops."""
+    _horner for the coefficients' padding).  Other points go to hyp2f1 one
+    by one, after the stacked loops."""
     xs = np.asarray(xs, dtype=float)
     bad = ~((xs >= 0.0) & (xs < 1.0))
     if bad.any():
@@ -233,19 +184,14 @@ def evaluate(kernels, xs) -> np.ndarray:
         rows = np.flatnonzero(counts)
         if not rows.size:
             continue
-        users = [kernels[i] for i in rows.tolist()]
         # boolean indexing runs row by row: each row's points land in order
         counts = counts[rows]
         real = np.arange(counts.max()) < counts[:, None]
         pts = np.empty(real.shape)
         pts[real] = xs[mask]
         pts = np.where(real, pts, pts[np.arange(len(rows)), counts - 1][:, None])
-        values, ok = _AT[regime](_stack([k._coefs(regime) for k in users]), pts)
-        miss = ~ok & real
-        if miss.any():
-            i, j = np.argwhere(miss)[0]
-            users[i]._miss(float(pts[i, j]), regime)
-        out[mask] = values[real]
+        sets = _stack([kernels[i]._coefs(regime) for i in rows.tolist()])
+        out[mask] = _AT[regime](sets, pts)[real]
     for i, j in np.argwhere(~(masks["series"] | masks["log"])).tolist():
         k = kernels[i]
         out[i, j] = hyp2f1(k.a, k.b, k.c, float(xs[i, j]), k.cfg)

@@ -72,6 +72,9 @@ _TANH_GAMMA = 3.0
 
 _SPACINGS = ("clustered", "uniform")
 
+# json.dumps(params, sort_keys=True) with one encoder for every record
+_SORTED_JSON = json.JSONEncoder(sort_keys=True).encode
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -186,9 +189,7 @@ class Report:
 
 
 def _canonical_order(results) -> tuple:
-    return tuple(
-        sorted(results, key=lambda r: (r.check_id, json.dumps(r.params, sort_keys=True)))
-    )
+    return tuple(sorted(results, key=lambda r: (r.check_id, _SORTED_JSON(r.params))))
 
 
 def _build_report(meta: dict, results) -> Report:
@@ -200,11 +201,13 @@ def _build_report(meta: dict, results) -> Report:
 # G and its envelopes
 
 
-def _one_minus_pow(e, x):
-    """1 - x^e of a float or (entrywise) of an array, formed through
-    expm1/log1p so that it stays accurate at both ends.  NumPy's ufuncs
-    give an entry the same bits alone or inside any array."""
-    return -np.expm1(e * np.log1p(x - 1.0))
+def _one_minus_pow(e, x, x_lo=0.0):
+    """1 - x^e of a float or (entrywise) of an array, formed through expm1
+    so that it stays accurate at both ends: of log1p(x-1) from x_lo up, of
+    log(x) below it, where x-1 would lose x (below about 1e-8) and 1 - x^e
+    round to 1.  NumPy's ufuncs give an entry the same bits alone or inside
+    any array."""
+    return -np.expm1(e * np.where(x < x_lo, np.log(x), np.log1p(x - 1.0)))
 
 
 def _kernel_c(pp, cfg):
@@ -249,12 +252,13 @@ def _fpp_points(n):
 
 def _abscissas(ep, grid, where):
     """(x, arguments of F_c, arguments of F_d) over one abscissa set of a
-    column with exponents ep: "scan", the grid then the near-1 tail
-    (unsorted), with 1-x^c and 1-x^d; or ("fpp", n, step), fpp_positive's
-    points x-step, x, x+step, with x and t(x) = 1-(1-x)^(d/c)."""
+    column with exponents ep: "scan", the grid, the near-1 tail and the
+    near-0 head (unsorted), with 1-x^c and 1-x^d; or ("fpp", n, step),
+    fpp_positive's points x-step, x, x+step, with x and
+    t(x) = 1-(1-x)^(d/c)."""
     if where == "scan":
-        xs = np.concatenate([make_grid(grid), _tail_abscissas(ep)])
-        return xs, _one_minus_pow(ep.c_exp, xs), _one_minus_pow(ep.d_exp, xs)
+        xs = np.concatenate([make_grid(grid), _tail_abscissas(ep), _head_abscissas(ep, grid.x_lo)])
+        return xs, _one_minus_pow(ep.c_exp, xs, grid.x_lo), _one_minus_pow(ep.d_exp, xs, grid.x_lo)
     _, n, step = where
     x = _fpp_points(n)
     xs = np.concatenate([x - step, x, x + step])
@@ -346,8 +350,8 @@ class _Column:
 
     def difference_at(self, delta, x: float) -> float:
         """F_d - F_c at one abscissa."""
-        return (self.kernel_d(delta)(float(_one_minus_pow(self.ep.d_exp, x)))
-                - self.kernel_c(float(_one_minus_pow(self.ep.c_exp, x))))
+        return (self.kernel_d(delta)(float(_one_minus_pow(self.ep.d_exp, x, self.grid.x_lo)))
+                - self.kernel_c(float(_one_minus_pow(self.ep.c_exp, x, self.grid.x_lo))))
 
     def fpp_differences(self, delta, n, step):
         """f(x) = F(a-1-delta, b+delta; p; t(x)) - F(a-1, b; p; x) at x-step,
@@ -508,6 +512,14 @@ def _tail_abscissas(ep, n=160):
     threshold lives in this tail."""
     ws = np.logspace(-8.0, math.log10(0.3), n)
     return np.exp(np.log1p(-ws) / ep.c_exp)
+
+
+def _head_abscissas(ep, x_lo, n=64):
+    """Abscissas below the grid, log-spaced from max(1e-12, 10^(-15/d)), where
+    x^d >= 1e-15, up to x_lo, left out: for shifts just above the threshold
+    the sign change can lie here."""
+    xs = np.logspace(math.log10(max(1e-12, 10.0 ** (-15.0 / ep.d_exp))), math.log10(x_lo), n + 1)
+    return xs[xs < x_lo]
 
 
 def _localize(f, lo, f_lo, hi, f_hi):
@@ -923,7 +935,6 @@ class VerifyConfig:
     d_exp: float = 3.0
     threshold_form: str = "beta"
     workers: int | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.threshold_form not in ("beta", "alpha"):
@@ -1125,7 +1136,6 @@ def _suite_meta(config: VerifyConfig) -> dict:
             "monotone_slack": MONOTONE_SLACK,
             "endpoint_tol": ENDPOINT_TOL,
         },
-        "seed": config.seed,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
 

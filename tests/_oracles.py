@@ -160,6 +160,41 @@ def case_boundary_exact(a: Fraction) -> Fraction:
     return 4 * h * (beta + p) - p ** 4
 
 
+def series_exact(a, b, c, x, n: int, extra: int = 40, weights=None):
+    """The power series sum_m u_m of F(a, b; c; x), u_m = t_m x^m, in exact
+    rational arithmetic, with a, b, c, x the exact values of their floats
+    (or Fractions): (the sum through u_top, the sum of u_m w_m over
+    n < m <= top, a bound on |u_m| summed over m > top), top = n + extra.
+    The weights w_m are 1, or weights(m) (Fractions).
+
+    Past top each ratio |u_(m+1)/u_m| = x |(a+m)(b+m)| / ((c+m)(m+1)) is at
+    most rho = x (1 + (|a+b-c-1| + |ab-c|) / (c+top)), as (a+m)(b+m) -
+    (c+m)(m+1) = (a+b-c-1) m + ab - c and m/(m+1), 1/(m+1) <= 1.  Sums run
+    by Horner's rule from the top, so each step multiplies by a small
+    ratio and adds a small number, which keeps the Fractions cheap."""
+    a, b, c, x = (Fraction(v) for v in (a, b, c, x))
+    top = n + extra
+    assert top > max(-a, -b, -c)
+    (an, ad), (bn, bd), (cn, cd), (xn, xd) = (v.as_integer_ratio() for v in (a, b, c, x))
+    ratios = [Fraction(xn * (an + m * ad) * (bn + m * bd) * cd,
+                       xd * ad * bd * (cn + m * cd) * (m + 1)) for m in range(top)]
+    weight = weights or (lambda m: 1)
+    total, tail = Fraction(1), Fraction(weight(top))
+    for m in range(top - 1, -1, -1):
+        total = 1 + ratios[m] * total
+        if m > n:
+            tail = weight(m) + ratios[m] * tail
+    u = Fraction(1)
+    for r in ratios[:n + 1]:
+        u *= r
+    tail *= u  # u is u_(n+1), the first term past n
+    for r in ratios[n + 1:]:
+        u *= r
+    rho = x * (1 + (abs(a + b - c - 1) + abs(a * b - c)) / (c + top))
+    assert rho < 1
+    return total, tail, abs(u) * rho / (1 - rho)
+
+
 # Polynomials in exact rational arithmetic: coefficient lists, lowest
 # degree first, entries Fraction (or int).
 

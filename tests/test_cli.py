@@ -216,6 +216,37 @@ def test_verify_out_that_cannot_be_written_is_a_usage_error(capsys, tmp_path):
         assert err.startswith(f"error: cannot write {str(out)!r}: ")
 
 
+def test_verify_refuses_an_unwritable_out_before_running(capsys, tmp_path, monkeypatch):
+    # a directory, and a file in a missing directory, are refused before
+    # the suite runs, and an existing file is not opened early
+    from hypcert import verifier
+
+    def never(*args):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr(verifier, "run_suite", never)
+    for out in (tmp_path, tmp_path / "missing" / "r.json"):
+        code, stdout, err = run_cli(capsys, "verify", "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert err.startswith(f"error: cannot write {str(out)!r}: ")
+    kept = tmp_path / "kept.json"
+    kept.write_text("old\n")
+    with pytest.raises(AssertionError, match="the suite ran"):
+        main(["verify", "--out", str(kept)])
+    assert kept.read_text() == "old\n"
+
+
+def test_seed_is_no_longer_a_config_key(capsys, tmp_path):
+    # nothing in the program is random; the key left with the field
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text(REDUCED + "seed = 3\n")
+    code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "unknown config key 'seed'" in err
+    code, out, _ = run_cli(capsys, "verify", "--check", "f4_roots", "--workers", "1")
+    assert code == 0 and "seed" not in json.loads(out)["meta"]
+
+
 def test_flag_scope_enforced(capsys):
     code, _, err = run_cli(capsys, "eval", "--a", "0.5", "--b", "0.5",
                            "--c", "1", "--x", "0.5", "--workers", "2")

@@ -7,6 +7,7 @@ closed forms F(a,b;b;x) = (1-x)^(-a), and finite differences.
 import importlib
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from _oracles import (
     elliptic_Ka,
     pochhammer_series_2f1,
     quadrature_E,
+    series_exact,
 )
 
 # route-forcing configs: raw series everywhere below 0.96, connection
@@ -43,8 +45,7 @@ CONN_CFG = SeriesConfig(switch_point=0.5)
 
 # the module itself: the package-level name hyp2f1 is the function
 h = importlib.import_module("hypcert.hyp2f1")
-# the array evaluator: _stack, _series_at, the _Log set and the scalar
-# loops it imports
+# the array evaluator: the _Log set and the scalar loops it imports
 hk = importlib.import_module("hypcert.kernels")
 
 
@@ -357,32 +358,37 @@ def test_kernel_refuses_what_the_scalar_refuses():
             kernel(bad)
 
 
-def test_kernel_raises_on_a_point_its_truncation_misses():
-    # cut the series coefficients short: the per-point stopping check must
-    # raise instead of returning the truncated value
-    kernel = Hyp2f1Kernel(-0.5, 0.5, 1.0)
-    coefs = kernel._series
-    kernel.__dict__["_series"] = coefs[len(coefs) // 2:]
-    assert kernel(0.01) == pytest.approx(hyp2f1(-0.5, 0.5, 1.0, 0.01), rel=1e-15)
-    with pytest.raises(ConvergenceError):
-        kernel(0.8)
-    with pytest.raises(ConvergenceError):
-        kernel.array(np.array([0.01, 0.8]))
+def _ratio_sup(a, b, c, n):
+    """1 + (max(s, 0) n + max(ab - c, 0))/((c+n)(n+1)), s = a+b-c-1: a bound
+    on (a+m)(b+m)/((c+m)(m+1)) for every m >= n, or None where it is not
+    proven (n <= max(-a, -b, -c), or s > 0 and n^2 < c)."""
+    s = a + b - c - 1.0
+    if n <= -a or n <= -b or n <= -c or (s > 0.0 and n * n < c):
+        return None
+    return 1.0 + (max(s, 0.0) * n + max(a * b - c, 0.0)) / ((c + n) * (n + 1.0))
+
+
+def _geometric(rho):
+    """rho/(1-rho), the sum of rho^i over i >= 1, or inf."""
+    return rho / (1.0 - rho) if rho is not None and rho < 1.0 else math.inf
 
 
 def _two_loop_series(a, b, c, cfg):
-    """Series coefficients (highest first) built in two loops: the scalar
-    Kahan loop at switch_point for the term count, then the coefficients."""
+    """Series coefficients (highest first) built in two loops: the Kahan
+    sum at switch_point, stopped at the first N whose tail bound
+    T = |t_N| rho/(1-rho) is at most rel_tol (|s_N| - T), tested as
+    T (1 + rel_tol) <= rel_tol |s_N|, then the coefficients."""
     x = cfg.switch_point
-    s, comp, t, tail, streak = 1.0, 0.0, 1.0, 1.0 / (1.0 - x), 0
+    s, comp, t = 1.0, 0.0, 1.0
     for n in range(cfg.max_terms):
         t *= (a + n) * (b + n) * x / ((c + n) * (n + 1.0))
         y = t - comp
         hi = s + y
         comp = (hi - s) - y
         s = hi
-        streak = streak + 1 if abs(t) * tail <= cfg.rel_tol * abs(s) else 0
-        if streak >= 2:
+        sup = _ratio_sup(a, b, c, n + 1.0)
+        geometric = _geometric(None if sup is None else x * sup)
+        if abs(t) * (geometric * (1.0 + cfg.rel_tol)) <= cfg.rel_tol * abs(s):
             break
     n_top = n + 1
     coefs = [1.0]
@@ -392,25 +398,33 @@ def _two_loop_series(a, b, c, cfg):
 
 
 def _two_loop_log(a, b, cfg):
-    """The unit-excess coefficient set built in two loops: the scalar
-    expansion at switch_point for the last k, then gammas, digammas and
-    coefficients computed afresh."""
+    """The unit-excess coefficient set built in two loops: the expansion at
+    switch_point, stopped at the first k whose tail bound over every
+    w' <= w is at most rel_tol min(|A|, |partial| - bound), then gammas,
+    digammas and coefficients computed afresh."""
     w = 1.0 - cfg.switch_point
     A = gamma(a + b + 1.0) / (gamma(a + 1.0) * gamma(b + 1.0))
     B = a * b * A
-    lw, bw, tail = math.log(w), B * w, 1.0 / (1.0 - w)
+    lw, bw = math.log(w), B * w
     dk = h._digamma(a + 1.0) + h._digamma(b + 1.0) - h._PSI_1 - h._PSI_2
-    coef, s, comp, streak = 1.0, 0.0, 0.0, 0
+    coef, s, comp = 1.0, 0.0, 0.0
     for k_top in range(cfg.max_terms):
         term = coef * (lw + dk)
         y = term - comp
         hi = s + y
         comp = (hi - s) - y
         s = hi
-        ok = abs(bw * term) * tail <= cfg.rel_tol * max(abs(A + bw * s), 1e-300)
-        streak = streak + 1 if ok else 0
-        if streak >= 2:
-            break
+        sup = _ratio_sup(a + 1.0, b + 1.0, 2.0, k_top)
+        if sup is not None:
+            # sup |d_j| over j > k: |d_k| plus the sum of |d_(i+1) - d_i|
+            u, v = min(a + 1.0, 1.0) + k_top, min(b + 1.0, 2.0) + k_top
+            drift = abs(a) * (1.0 + u) / (u * u) + abs(1.0 - b) * (1.0 + v) / (v * v)
+            # sup of w'^(k+1) |ln w'| over w' <= w, over w^(k+1)
+            m = k_top + 1.0
+            log_part = -lw if -m * lw >= 1.0 else math.exp(-1.0 - m * lw) / m
+            tail = abs(bw * coef) * ((log_part + abs(dk) + drift) * _geometric(w * sup))
+            if tail <= cfg.rel_tol * min(abs(A), abs(A + bw * s) - tail):
+                break
         dk += 1.0 / (a + 1.0 + k_top) + 1.0 / (b + 1.0 + k_top) \
             - 1.0 / (k_top + 1.0) - 1.0 / (k_top + 2.0)
         coef *= (a + 1.0 + k_top) * (b + 1.0 + k_top) * w / ((k_top + 1.0) * (k_top + 2.0))
@@ -418,18 +432,20 @@ def _two_loop_log(a, b, cfg):
     dk = h._digamma(a + 1.0) + h._digamma(b + 1.0) - h._PSI_1 - h._PSI_2
     coef, terms = 1.0, []
     for k in range(k_top + 1):
-        terms.append((k, coef, dk))
+        terms.append((coef, dk))
         dk += 1.0 / (a + 1.0 + k) + 1.0 / (b + 1.0 + k) - 1.0 / (k + 1.0) - 1.0 / (k + 2.0)
         coef *= (a + 1.0 + k) * (b + 1.0 + k) / ((k + 1.0) * (k + 2.0))
-    p = [ck for _, ck, _ in reversed(terms)]
-    q = [ck * d for _, ck, d in reversed(terms)]
-    return hk._Log(A, a * b * A, p, q, *zip(*terms[-2:]), cfg.rel_tol)
+    p = [ck for ck, _ in reversed(terms)]
+    q = [ck * d for ck, d in reversed(terms)]
+    return hk._Log(A, a * b * A, p, q)
 
 
 def test_kernel_coefficients_match_a_two_loop_build():
     # one pass builds each coefficient set; every number must have the
     # bits of the two-loop build, on family and general parameters and on
-    # configs that move the truncation
+    # configs that move the truncation.  Sets are built for every
+    # non-terminating kernel, Horner-run or not: the general parameters
+    # reach the tail bound's branches that the family never takes
     def bits(values):
         """Exact text of every number in a (nested) coefficient set."""
         if isinstance(values, (list, tuple)):
@@ -448,15 +464,80 @@ def test_kernel_coefficients_match_a_two_loop_build():
     for a, b, c in family + general + unit:
         for cfg in cfgs:
             kernel = Hyp2f1Kernel(a, b, c, cfg)
-            if not kernel._horner:
-                continue
             ka, kb = kernel.a, kernel.b
+            if h._terminating(ka, kb):
+                continue
             assert bits(kernel._series) == bits(_two_loop_series(ka, kb, c, cfg))
             n_series += 1
-            if kernel._unit_excess:
+            if abs(c - ka - kb - 1.0) <= 1e-9:
                 assert bits(kernel._log) == bits(_two_loop_log(ka, kb, cfg))
                 n_log += 1
     assert n_series >= 200 and n_log >= 150
+
+
+def test_each_coefficient_set_meets_rel_tol_in_exact_arithmetic():
+    # exact rationals: the remainder past a set's last term (summed 40
+    # terms further, plus a geometric bound on the rest) is at most rel_tol
+    # times an exact floor on |F| over the regime, at its worst points: the
+    # series at switch_point (and a quarter of it), the log expansion at
+    # w = 1 - switch_point and a quarter of it (and where w^(k+1)|ln w|
+    # peaks, were that inside).  Family kernels and kernels with a, b, c > 0,
+    # under the configs of the two-loop test
+    rng = random.Random(18)
+    positive = [(rng.uniform(0.05, 2.5), rng.uniform(0.05, 2.5), rng.uniform(0.2, 4.0))
+                for _ in range(2)]
+    positive += [(a, b, a + b + 1.0) for a, b in
+                 ((rng.uniform(0.05, 2.5), rng.uniform(0.05, 2.5)) for _ in range(2))]
+    family = [abc for abc, _ in _family_points(18, n_params=3)]
+    cfgs = (DEFAULT_SERIES, SeriesConfig(rel_tol=1e-10, switch_point=0.5),
+            SeriesConfig(rel_tol=1e-15, switch_point=0.9))
+    n_log = 0
+    for a, b, c in family + positive:
+        for cfg in cfgs:
+            kernel = Hyp2f1Kernel(a, b, c, cfg)
+            assert kernel._horner
+            a, b = Fraction(kernel.a), Fraction(kernel.b)
+            tol, sp = Fraction(cfg.rel_tol), Fraction(cfg.switch_point)
+            n = len(kernel._series) - 1
+            floors = {}
+            for x in (sp, sp / 4):
+                total, tail, rest = series_exact(a, b, c, x, n)
+                floors[x] = total - rest
+                assert abs(tail) + rest <= tol * floors[x], (a, b, c, cfg, x)
+            if not kernel._unit_excess:
+                continue
+            # F = A + B w sum_k u_k (ln w + d_k): u_k the terms of
+            # F(a+1, b+1; 2; w), B = ab A, d_k = d_0 + e_k with e_k rational
+            lg = kernel._log
+            top_k = len(lg.p) - 1
+            d0 = lg.q[-1]
+            e = [Fraction(0)]
+            for i in range(top_k + 41):
+                e.append(e[-1] + 1 / (a + 1 + i) + 1 / (b + 1 + i) - Fraction(1, i + 1)
+                         - Fraction(1, i + 2))
+            w_max = 1.0 - cfg.switch_point
+            peak = math.exp(-1.0 / (top_k + 1))
+            for w in (w_max, w_max / 4) + ((peak,) if peak < w_max else ()):
+                lw = math.log(w)
+                pad = Fraction(1e-14) * (abs(lw) + abs(d0) + 1)
+                p_tail, rest = series_exact(a + 1, b + 1, 2, w, top_k)[1:]
+                e_tail = series_exact(a + 1, b + 1, 2, w, top_k, weights=e.__getitem__)[1]
+                # |d_k| past the last e: |d_0| + |e_top| + the sum over i >= top
+                # of |a|/((a+1+i)(i+1)) + |1-b|/((b+1+i)(i+2)) <= .../i^2
+                sup_d = abs(d0) + abs(e[-1]) + (abs(a) + abs(1 - b)) / (len(e) - 2)
+                bound = (abs((Fraction(lw) + Fraction(d0)) * p_tail + e_tail)
+                         + pad * p_tail + rest * (abs(Fraction(lw)) + sup_d + pad))
+                # the floor: A on the family, where F falls to it; where F
+                # rises, F(switch_point).  |R| = |ab| A w |tail sum|
+                if kernel.a < 0:
+                    assert abs(a * b) * Fraction(w) * bound <= tol, (a, b, cfg, w)
+                else:
+                    big_a = Fraction(gamma(kernel.a + kernel.b + 1.0)
+                                     / (gamma(kernel.a + 1.0) * gamma(kernel.b + 1.0)))
+                    assert (abs(a * b) * big_a * (1 + Fraction(1e-13)) * Fraction(w) * bound
+                            <= tol * floors[sp]), (a, b, cfg, w)
+                n_log += 1
+    assert n_log >= 3 * 5 * 2
 
 
 # ---------------------------------------------------------------------------
@@ -510,10 +591,10 @@ def test_evaluate_matches_kernel_point_by_point():
 
 
 def test_evaluate_checks_real_points_never_padding():
-    # a kernel cut short passes at 0.01 and misses at 0.8; stacked with a
-    # full kernel whose row is wider and reaches 0.8, only its own points
-    # are held to its stopping rule: its one series point is padded out to
-    # the width of the other row, its log-regime points go elsewhere
+    # a kernel cut short, stacked with a full kernel whose row is wider and
+    # reaches 0.8: its one series point is padded out to the width of the
+    # other row and its log-regime points go elsewhere, and every value
+    # keeps the bits it has alone
     cut = Hyp2f1Kernel(-0.5, 0.5, 1.0)
     coefs = cut._series
     cut.__dict__["_series"] = coefs[len(coefs) // 2:]
@@ -525,8 +606,11 @@ def test_evaluate_checks_real_points_never_padding():
     assert got_full.tolist() == [full(x) for x in wide.tolist()]
     # a set already present is used as it is: evaluate did not rebuild it
     assert len(cut._series) == len(coefs) - len(coefs) // 2
-    with pytest.raises(ConvergenceError, match="at x=0.8"):
-        evaluate([full, cut], np.stack([wide, np.array([0.01, 0.8] + [0.9] * 38)]))
+    # in the other row order too, with the cut kernel's truncated 0.8
+    reaching = np.array([0.01, 0.8] + [0.9] * 38)
+    got_full, got_cut = evaluate([full, cut], np.stack([wide, reaching]))
+    assert got_cut.tolist() == [cut(x) for x in reaching.tolist()]
+    assert got_full.tolist() == [full(x) for x in wide.tolist()]
 
 
 def _batch_kernels(seed):
@@ -549,7 +633,7 @@ def _batch_kernels(seed):
 def test_a_log_set_with_b_zero_keeps_one_term():
     # B = a*b*A = 0: the expansion is A, and its set keeps the one term
     zero = Hyp2f1Kernel(0.0, 0.7, 1.7)
-    assert zero._log.p == [1.0] and zero._log.k == (0,)
+    assert zero._log.p == [1.0] and len(zero._log.q) == 1
 
 
 def test_evaluate_builds_each_regime_once(monkeypatch):
@@ -603,32 +687,6 @@ def test_a_row_that_does_not_converge_raises_as_it_raises_alone():
             evaluate(good[:2] + [bad] + good[2:],
                      np.full((len(good) + 1, 3), 0.005 if regime == "series" else 0.995))
         assert str(arrayed.value) == str(scalar.value)
-
-
-def test_the_series_rule_settled_per_row_agrees_point_by_point():
-    # on an array, series points are settled against their row's largest
-    # point; each must get the verdict the stopping rule gives it alone,
-    # in rows that pass everywhere and in rows cut short, which miss at
-    # their larger points
-    rng = random.Random(36)
-    sets, rows = [], []
-    for i, k in enumerate(_batch_kernels(36)[:24]):
-        k = Hyp2f1Kernel(k.a, k.b, k.c, k.cfg)
-        if i % 2:
-            coefs = k._series
-            k.__dict__["_series"] = coefs[len(coefs) // 3:]
-        sets.append(k._series_set)
-        rows.append(sorted(rng.uniform(0.0, k.cfg.switch_point) for _ in range(30)))
-    xs = np.array(rows)
-    _, ok = hk._series_at(hk._stack(sets), xs)
-    alone = [[bool(hk._series_at(s, x)[1]) for x in row] for s, row in zip(sets, rows)]
-    assert np.broadcast_to(ok, xs.shape).tolist() == alone
-    assert sum(all(r) for r in alone) >= 6
-    assert sum(any(r) and not all(r) for r in alone) >= 6
-    # rows that all pass are settled without the per-point sides
-    full = [s for s, r in zip(sets, alone) if all(r)]
-    _, ok = hk._series_at(hk._stack(full), xs[[all(r) for r in alone]])
-    assert ok.all()
 
 
 def test_hyp2f1_at_the_zero_endpoint_fit_arguments(monkeypatch):

@@ -195,14 +195,15 @@ SCAN_EXPONENTS = [ExponentPair(2.0, 3.0), ExponentPair(0.9, 3.0), ExponentPair(0
 def test_argument_ufuncs_give_a_point_the_same_bits_in_any_array():
     # 1-x^e and the log regime's ln w, as the one-point path and the array
     # path take them: one point alone, a contiguous array, a strided view
+    x_lo = DEFAULT_GRID.x_lo
     for ep in SCAN_EXPONENTS:
         xs = _abscissas(ep, DEFAULT_GRID, "scan")[0]
         strided = np.repeat(xs, 3)[1::3]
         assert not strided.flags.c_contiguous
         for e in (ep.c_exp, ep.d_exp):
-            full = _one_minus_pow(e, xs)
-            assert _one_minus_pow(e, strided).tolist() == full.tolist()
-            assert [float(_one_minus_pow(e, x)) for x in xs.tolist()] == full.tolist()
+            full = _one_minus_pow(e, xs, x_lo)
+            assert _one_minus_pow(e, strided, x_lo).tolist() == full.tolist()
+            assert [float(_one_minus_pow(e, x, x_lo)) for x in xs.tolist()] == full.tolist()
             w = 1.0 - full
             logs = np.log(w)
             assert np.log(np.repeat(w, 3)[1::3]).tolist() == logs.tolist()
@@ -210,17 +211,22 @@ def test_argument_ufuncs_give_a_point_the_same_bits_in_any_array():
 
 
 def test_argument_ufuncs_stay_within_an_ulp_of_math():
-    # every ufunc of 1-x^e = -expm1(e*log1p(x-1)) and the log regime's
-    # ln w, on the inputs the formulas feed it, against the math module;
-    # the two rounding differences of the composite add up to <= 2 ulps
+    # every ufunc of 1-x^e = -expm1(e*log1p(x-1)), or -expm1(e*log(x))
+    # below x_lo, and the log regime's ln w, on the inputs the formulas
+    # feed it, against the math module; the two rounding differences of
+    # the composite add up to <= 2 ulps
+    x_lo = DEFAULT_GRID.x_lo
     for ep in SCAN_EXPONENTS:
         xs = _abscissas(ep, DEFAULT_GRID, "scan")[0]
+        assert (xs < x_lo).sum() >= 64  # the head, and grid points that round below x_lo
+        assert _ulps(np.log(xs), [math.log(v) for v in xs.tolist()]).max() <= 1
         for e in (ep.c_exp, ep.d_exp):
-            u = np.log1p(xs - 1.0)
-            assert _ulps(u, [math.log1p(v) for v in (xs - 1.0).tolist()]).max() <= 1
+            u = np.where(xs < x_lo, np.log(xs), np.log1p(xs - 1.0))
+            assert _ulps(np.log1p(xs - 1.0), [math.log1p(v) for v in (xs - 1.0).tolist()]).max() <= 1
             assert _ulps(np.expm1(e * u), [math.expm1(v) for v in (e * u).tolist()]).max() <= 1
-            got = _one_minus_pow(e, xs)
-            ref = [-math.expm1(e * math.log1p(x - 1.0)) for x in xs.tolist()]
+            got = _one_minus_pow(e, xs, x_lo)
+            ref = [-math.expm1(e * (math.log(x) if x < x_lo else math.log1p(x - 1.0)))
+                   for x in xs.tolist()]
             assert _ulps(got, ref).max() <= 2
             w = 1.0 - got
             assert _ulps(np.log(w), [math.log(v) for v in w.tolist()]).max() <= 1
@@ -319,6 +325,28 @@ def test_sharpness_alpha_form_fails():
     assert res.witnesses  # failures always carry witnesses
     with pytest.raises(DomainError):
         check_sharpness(HALF, EP23, "gamma")
+
+
+def test_crossing_sees_a_sign_change_below_the_grid():
+    # a perfbench suite tuple (seed 44) whose positive side lies below
+    # x_lo = 1e-4: the scan's head abscissas find it, and the localized
+    # crossing lands there too, through the same log-based arguments
+    pp, ep = ParamPair(0.9279491029812077, 2.457393289273285), ExponentPair(0.8559757946211618, 1.0)
+    res = find_crossing(pp, ep, -0.00012198838262001722)
+    assert res.passed and res.worst_margin > 0.0
+    (x_pos, d_pos), (_, d_neg), (tag, near) = res.witnesses
+    assert x_pos < DEFAULT_GRID.x_lo and d_pos > INTERIOR_MARGIN > -INTERIOR_MARGIN > d_neg
+    assert tag == "crossing_near" and near < DEFAULT_GRID.x_lo
+    col = verifier._Column(pp, ep)
+    assert abs(col.difference_at(-0.00012198838262001722, near)) <= INTERIOR_MARGIN
+
+
+def test_sharpness_sees_a_sign_change_below_the_grid():
+    # a perfbench suite tuple (seed 45) whose nudged shifts change sign
+    # only below x_lo
+    pp, ep = ParamPair(0.8727795708181875, 0.12722042918181253), ExponentPair(0.9843224460007411, 1.0)
+    res = check_sharpness(pp, ep, "beta")
+    assert res.passed and res.worst_margin > 0.0
 
 
 def test_f4_root_isolation():
