@@ -154,7 +154,8 @@ def _raw_series(a: float, b: float, c: float, x: float, cfg: SeriesConfig) -> tu
 
     Stops at the first N whose tail bound T = |t_N| _tail_factor(x, .., N)
     is at most rel_tol (|s_N| - T), that is T (1 + rel_tol) <= rel_tol
-    |s_N|, trying the factor at its least, x/(1-x), first; raises
+    |s_N|, trying the factor at its least, x/(1-x), first (and only, where
+    the factor is proven to be that, as on the comparison family); raises
     ConvergenceError when the budget runs out first.  This is the series
     regime's one truncation rule: Hyp2f1Kernel keeps the terms it sums at
     x = switch_point."""
@@ -164,6 +165,8 @@ def _raw_series(a: float, b: float, c: float, x: float, cfg: SeriesConfig) -> tu
     tol = cfg.rel_tol
     tol1 = 1.0 + tol
     geo1 = x / (1.0 - x) * tol1
+    # past this index _tail_factor is x/(1-x) exactly, the pretest's own
+    geo_past = max(-a, -b, -c) if a + b - c - 1.0 <= 0.0 and a * b <= c else math.inf
     n = 0.0  # the term index as a float: exact, and no int-float mixing
     for _ in range(cfg.max_terms):
         n1 = n + 1.0
@@ -175,7 +178,7 @@ def _raw_series(a: float, b: float, c: float, x: float, cfg: SeriesConfig) -> tu
         comp = (hi - s) - y
         s = hi
         if abs(t) * geo1 <= tol * abs(s):
-            if abs(t) * (_tail_factor(x, a, b, c, n) * tol1) <= tol * abs(s):
+            if n > geo_past or abs(t) * (_tail_factor(x, a, b, c, n) * tol1) <= tol * abs(s):
                 return s, int(n)
     raise ConvergenceError(
         f"series for ({a}, {b}; {c}) at x={x} did not reach rel_tol="

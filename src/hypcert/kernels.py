@@ -140,6 +140,11 @@ class Hyp2f1Kernel:
             k = k1
         return _Log(A, B, p[::-1], q[::-1])
 
+    @property
+    def ends(self):
+        """(F(1), F'(0)) at unit excess: the log set's A and t_1 = ab/c."""
+        return self._log.A, self._series[-2]
+
     def _coefs(self, regime):
         """The coefficient set of a regime."""
         return self._series if regime == "series" else self._log

@@ -55,15 +55,15 @@ from .constants import (
     Q_ratio,
 )
 from .errors import ConvergenceError, DomainError
-from .hyp2f1 import DEFAULT_SERIES, SeriesConfig, hyp2f1, hyp2f1_at_one
+from .hyp2f1 import DEFAULT_SERIES, SeriesConfig
 from .kernels import Hyp2f1Kernel, evaluate
 from .special import beta as beta_fn
 
 # Strictness thresholds shared across checks: theorem inequalities are
 # strict, so interior margins must clear INTERIOR_MARGIN; consecutive-
 # difference monotonicity gets MONOTONE_SLACK of room where cancellation
-# dominates; extrapolated endpoint limits must match the closed-form
-# constants to ENDPOINT_TOL.
+# dominates; G's limits at 0+ and 1-, read from the kernels' coefficients,
+# must match the closed-form constants to ENDPOINT_TOL.
 INTERIOR_MARGIN = 1e-12
 MONOTONE_SLACK = 1e-9
 ENDPOINT_TOL = 1e-5
@@ -109,7 +109,9 @@ def make_grid(spec: GridSpec) -> np.ndarray:
     u = np.linspace(-1.0, 1.0, spec.n_points)
     mid = 0.5 * (spec.x_lo + spec.x_hi)
     half = 0.5 * (spec.x_hi - spec.x_lo)
-    return mid + half * np.tanh(_TANH_GAMMA * u) / math.tanh(_TANH_GAMMA)
+    xs = mid + half * np.tanh(_TANH_GAMMA * u) / math.tanh(_TANH_GAMMA)
+    xs[0], xs[-1] = spec.x_lo, spec.x_hi  # the map rounds an ulp off the ends
+    return xs
 
 
 @dataclass(frozen=True)
@@ -269,10 +271,10 @@ class _Column:
     """One (pair, exponent pair) and the work its checks share, each done
     once: the gate (_gate), the abscissas and the hypergeometric values.
 
-    The abscissa sets are the scan (the grid together with the near-1
-    tail, sorted) and fpp_positive's points; see _abscissas.  A value is
-    F_c (shift None) or F_d at a shift over one set.  ``reads`` declares
-    the (shift, set) pairs the checks will read; on first use, one
+    The abscissa sets are the scan (the grid, the near-1 tail and the
+    near-0 head, sorted) and fpp_positive's points; see _abscissas.  A
+    value is F_c (shift None) or F_d at a shift over one set.  ``reads``
+    declares the (shift, set) pairs the checks will read; on first use, one
     ``evaluate`` call gives F_c over the scan and the default fpp points
     and F_d over those points at every declared shift, the F_d rows one
     shared vector.  A value nobody declared is computed when first asked
@@ -300,11 +302,6 @@ class _Column:
     @cached_property
     def gate(self):
         return _gate(self.pp, self.ep)
-
-    @cached_property
-    def fit_f_c(self):
-        """F_c at the G(0+) fit's arguments (see _extrap_low)."""
-        return _fit_f_c(self.pp, self.cfg)
 
     def kernel_d(self, delta):
         """The kernel of F_d at shift delta."""
@@ -361,61 +358,6 @@ class _Column:
         return (self._value(delta, where) - self._value(None, where)).reshape(3, n)
 
 
-# the G(0+) fit's abscissas s = _FIT_S0 * _FIT_MULTS
-_FIT_S0 = 1e-9
-_FIT_MULTS = (1.0, 2.0, 4.0)
-
-
-def _fit_f_c(pp, cfg):
-    """F_c at the G(0+) fit's arguments 1 - s; they do not depend on the
-    shift, so a column computes them once for all of its shifts."""
-    return [hyp2f1(pp.a - 1.0, pp.b, pp.a + pp.b, 1.0 - _FIT_S0 * mult, cfg)
-            for mult in _FIT_MULTS]
-
-
-def _extrap_low(pp, ep, delta, cfg, f_c=None):
-    """Limit of G at 0+; ``f_c`` is _fit_f_c(pp, cfg), computed here when
-    not given.
-
-    Near 0 the quotient behaves like L + A*s + B*s*ln(s) with s = x^c (the
-    numerator's expansion around argument 1 carries a logarithm); fitting
-    that basis and reading off L removes the droop a raw endpoint read
-    would keep.  The fit abscissas pin s itself at 1e-9*(1,2,4) rather than
-    reusing grid points: the terms the basis drops -- s^2*ln(s) from the
-    first factor and x^d*ln(x^d) from the second -- then stay below ~1e-7
-    for every admissible exponent pair, whereas at grid-sized x the x^d
-    terms reach ~1e-3 when d = 1.  The hypergeometric arguments are formed
-    straight from s because x = s**(1/c) can be too small for log1p(x-1);
-    they reach 1 - 2**-53, inside hyp2f1's documented range."""
-    if f_c is None:
-        f_c = _fit_f_c(pp, cfg)
-    p = pp.a + pp.b
-    basis, gs = [], []
-    for mult, fc in zip(_FIT_MULTS, f_c):
-        s = _FIT_S0 * mult
-        u = math.exp(ep.d_exp / ep.c_exp * math.log(s))
-        if 1.0 - u < 1.0:
-            f_d = hyp2f1(pp.a - 1.0 - delta, pp.b + delta, p, 1.0 - u, cfg)
-        else:
-            # u below one ulp: the value at argument 1 is exact to
-            # working precision
-            f_d = hyp2f1_at_one(pp.a - 1.0 - delta, pp.b + delta, p)
-        gs.append((f_d - fc) / (1.0 - s))
-        basis.append([1.0, mult, mult * math.log(s)])
-    coef = np.linalg.solve(np.asarray(basis), np.asarray(gs))
-    return float(coef[0])
-
-
-def _extrap_high(xs, gs, c_exp):
-    """Limit of G at 1- from the three highest grid points: G is analytic
-    in w = 1-x^c at w = 0, so a quadratic in w extrapolates to O(w^3)."""
-    w = _one_minus_pow(c_exp, xs[-3:])
-    scale = w[0]
-    m = np.column_stack([np.ones(3), w / scale, (w / scale) ** 2])
-    coef = np.linalg.solve(m, np.asarray(gs[-3:]))
-    return float(coef[0])
-
-
 def _gate(pp, ep):
     """Why (pp, ep) is out of scope, or (dp, d1) when admissible."""
     dp = derive_params(pp)
@@ -449,9 +391,9 @@ def check_G_monotone(pp: ParamPair, ep: ExponentPair, delta: float,
                      grid: GridSpec = DEFAULT_GRID,
                      cfg: SeriesConfig = DEFAULT_SERIES,
                      column: _Column | None = None) -> CheckResult:
-    """Strict decrease of G across the grid plus endpoint-limit agreement:
-    G(0+) = c2(delta) and G(1-) = c1(delta), both to ENDPOINT_TOL via
-    endpoint extrapolation.
+    """Strict decrease of G across the grid, and G's limits to ENDPOINT_TOL,
+    read exactly from the kernels (ends): G(0+) = F_d(1) - F_c(1) = c2(delta)
+    by Gauss's sum, G(1-) = (d/c) F_d'(0) - F_c'(0) = c1(delta).
 
     This and the checks below read their values from ``column``, the
     _Column of (pp, ep), or from one they build from grid and cfg."""
@@ -463,16 +405,16 @@ def check_G_monotone(pp: ParamPair, ep: ExponentPair, delta: float,
         return _skipped("G_monotone", params, "shift outside monotone range")
 
     col = column if column is not None else _Column(pp, ep, grid, cfg)
-    xs, gs = col.grid_xs, col.G(delta)
-    steps = np.diff(gs)
+    xs, steps = col.grid_xs, np.diff(col.G(delta))
     slack = MONOTONE_SLACK - steps
     i = int(np.argmin(slack))
     margins = [float(slack[i])]
     witnesses = [] if margins[0] > 0.0 else [[float(xs[i]), float(steps[i])]]
 
-    lo_err = abs(_extrap_low(pp, ep, delta, cfg, col.fit_f_c) - c2(pp, delta))
-    hi_err = abs(_extrap_high(xs, gs, ep.c_exp) - c1(pp, ep, delta))
-    for x_end, err in ((0.0, lo_err), (float(xs[-1]), hi_err)):
+    (one_d, t_d), (one_c, t_c) = col.kernel_d(delta).ends, col.kernel_c.ends
+    for x_end, limit, want in ((0.0, one_d - one_c, c2(pp, delta)),
+                               (1.0, ep.d_exp / ep.c_exp * t_d - t_c, c1(pp, ep, delta))):
+        err = abs(limit - want)
         margins.append(ENDPOINT_TOL - err)
         if not margins[-1] > 0.0:
             witnesses.append([x_end, err])
@@ -552,11 +494,11 @@ def find_crossing(pp: ParamPair, ep: ExponentPair, delta: float,
                   column: _Column | None = None, localize: bool = True) -> CheckResult:
     """Both-sign witnesses for F_d - F_c when the shift exceeds the
     threshold: a point with difference > INTERIOR_MARGIN and one with
-    difference < -INTERIOR_MARGIN, found by a clustered scan (plus a
-    near-1 tail scan).  The margin comes from the scan alone; with
-    ``localize``, _localize then finds a "crossing_near" witness between
-    the last strong positive and the first strong negative (sharpness,
-    which reports no such witness, asks for none)."""
+    difference < -INTERIOR_MARGIN, found by one scan of the grid, the near-1
+    tail and the near-0 head (_abscissas).  The margin comes from the scan
+    alone; with ``localize``, _localize then finds a "crossing_near"
+    witness between the last strong positive and the first strong negative
+    (sharpness, which reports no such witness, asks for none)."""
     params = _theorem_params(pp, ep, delta)
     skip, dp, d1 = _admissibility_gate("crossing", params, pp, ep, column)
     if skip is not None:

@@ -284,12 +284,12 @@ def test_sweep_csv_bytes_are_the_rows_at_17_digits(capsys, tmp_path):
     # %-operation; every line must still be the row's values through
     # f"{v:.17g}", here on rows with negative and exponent-form values
     cfg = tmp_path / "grid.cfg"
-    cfg.write_text("n_points = 64\n")
+    cfg.write_text("n_points = 64\nx_lo = 1e-5\n")
     code, out, _ = run_cli(capsys, "sweep", "--a", "0.5", "--b", "0.5",
                            "--c", "2", "--d", "3", "--delta", "-0.05",
                            "--config", str(cfg))
     assert code == 0
-    rows = list(sweep_rows(HALF, EP23, -0.05, GridSpec(n_points=64)))
+    rows = list(sweep_rows(HALF, EP23, -0.05, GridSpec(n_points=64, x_lo=1e-5)))
     assert out == "\n".join([SWEEP_HEADER] + [",".join(f"{v:.17g}" for v in row)
                                                for row in rows]) + "\n"
     computed = [f"{v:.17g}" for row in rows for v in row[5:]]

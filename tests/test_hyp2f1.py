@@ -689,18 +689,12 @@ def test_a_row_that_does_not_converge_raises_as_it_raises_alone():
         assert str(arrayed.value) == str(scalar.value)
 
 
-def test_hyp2f1_at_the_zero_endpoint_fit_arguments(monkeypatch):
-    # the G(0+) fit calls hyp2f1 at 1 - s, s = 1e-9 * (1, 2, 4), and at
-    # 1 - s^(d/c), which reaches the largest double below 1: exactly those
-    # calls, on seeded suite-shaped columns and shifts, against mpmath
+def test_hyp2f1_at_the_zero_endpoint_fit_arguments():
+    # F_c at 1 - s and F_d at 1 - s^(d/c), s = 1e-9 * (1, 2, 4), on seeded
+    # suite-shaped columns and shifts: arguments beyond 1 - 1e-8 that reach
+    # the largest double below 1, against mpmath
     mpmath = pytest.importorskip("mpmath")
     calls = []
-
-    def recorded(a, b, c, x, cfg=None):
-        calls.append((a, b, c, x))
-        return hyp2f1(a, b, c, x, cfg)
-
-    monkeypatch.setattr(verifier, "hyp2f1", recorded)
     rng = random.Random(31)
     columns = 0
     while columns < 24:
@@ -711,8 +705,13 @@ def test_hyp2f1_at_the_zero_endpoint_fit_arguments(monkeypatch):
             continue
         ep = rng.choice((ExponentPair(3.0 * dp.ratio_bound * rng.uniform(0.1, 1.0), 3.0),
                          ExponentPair(dp.ratio_bound, 1.0)))
+        p = pp.a + pp.b
         for delta in verifier._monotone_shifts(pp, delta1(pp, ep)):
-            verifier._extrap_low(pp, ep, delta, DEFAULT_SERIES)
+            for s in (1e-9 * m for m in (1.0, 2.0, 4.0)):
+                calls.append((pp.a - 1.0, pp.b, p, 1.0 - s))
+                u = math.exp(ep.d_exp / ep.c_exp * math.log(s))
+                if 1.0 - u < 1.0:
+                    calls.append((pp.a - 1.0 - delta, pp.b + delta, p, 1.0 - u))
         columns += 1
     assert min(1.0 - x for *_, x in calls) == 2.0 ** -53
     worst = 0.0
@@ -723,3 +722,23 @@ def test_hyp2f1_at_the_zero_endpoint_fit_arguments(monkeypatch):
     # hyp2f1 promises 1e-10 in the log regime; these 333 calls measure
     # at most 2.8e-15
     assert worst <= 1e-12
+
+
+def test_the_family_series_takes_no_tail_factor_call(monkeypatch):
+    # where a+b-c-1 <= 0 and ab <= c, _tail_factor past max(-a, -b, -c) is
+    # x/(1-x), the pretest's own factor: the series loop skips the call
+    # there, which on the comparison family is every term
+    calls = []
+    real = h._tail_factor
+    monkeypatch.setattr(h, "_tail_factor", lambda *args: calls.append(args) or real(*args))
+    sp = DEFAULT_SERIES.switch_point
+    for (a, b, c), xs in _family_points(11):
+        for x in xs:
+            if x <= sp:
+                hyp2f1(a, b, c, x)
+        Hyp2f1Kernel(a, b, c)._series
+    for a, b, c in ((0.5, 0.7, 2.5), (1.5, 1.2, 2.0), (-0.4, 0.3, 1.7)):
+        hyp2f1(a, b, c, 0.6)
+    assert calls == []
+    hyp2f1(1.5, 1.2, 1.1, 0.6)  # a+b-c-1 > 0: the factor is checked
+    assert calls

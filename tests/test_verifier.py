@@ -1,9 +1,10 @@
-"""Certification harness: grids, the difference quotient, endpoint
-extrapolation, the individual checks, and suite assembly/determinism."""
+"""Certification harness: grids, the difference quotient and its endpoint
+limits, the individual checks, and suite assembly/determinism."""
 
 import importlib.util
 import json
 import math
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -26,7 +27,7 @@ from hypcert import (
     run_check,
     run_suite,
 )
-from hypcert import constants, verifier
+from hypcert import constants, kernels, verifier
 from hypcert.cli import main
 from hypcert.verifier import (
     CHECK_IDS,
@@ -34,8 +35,6 @@ from hypcert.verifier import (
     INTERIOR_MARGIN,
     SWEEP_HEADER,
     _abscissas,
-    _extrap_high,
-    _extrap_low,
     _f4_cofactor,
     _one_minus_pow,
     build_tasks,
@@ -81,13 +80,15 @@ def test_grid_spec_validation():
 
 
 def test_make_grid_shape_and_monotonicity():
+    # "x_lo to x_hi inclusive", exactly: a first point an ulp below x_lo
+    # would take the head's arguments
     for spacing in ("clustered", "uniform"):
-        spec = GridSpec(n_points=64, spacing=spacing)
-        xs = make_grid(spec)
-        assert len(xs) == 64
-        assert xs[0] == pytest.approx(spec.x_lo, abs=1e-15)
-        assert xs[-1] == pytest.approx(spec.x_hi, abs=1e-15)
-        assert all(x < y for x, y in zip(xs, xs[1:]))
+        for n in (16, 64, 512, 1000):
+            spec = GridSpec(n_points=n, spacing=spacing)
+            xs = make_grid(spec)
+            assert len(xs) == n
+            assert (xs[0], xs[-1]) == (spec.x_lo, spec.x_hi)
+            assert all(x < y for x, y in zip(xs, xs[1:]))
 
 
 def test_clustered_grid_crowds_the_endpoints():
@@ -124,8 +125,8 @@ def test_G_value_matches_direct_evaluation():
 
 
 def test_raw_endpoint_reads_are_already_close():
-    # even without extrapolation the clustered grid's end reads sit within
-    # 1e-5 of the limit constants for the reference tuple
+    # G itself at the grid's two ends sits within 1e-5 of the limit
+    # constants for the reference tuple
     delta = D1_HALF
     lo = G_value(HALF, EP23, delta, DEFAULT_GRID.x_lo)
     hi = G_value(HALF, EP23, delta, DEFAULT_GRID.x_hi)
@@ -133,24 +134,64 @@ def test_raw_endpoint_reads_are_already_close():
     assert abs(hi - c1(HALF, EP23, delta)) < 1e-5
 
 
-def test_extrapolated_low_endpoint():
-    delta = D1_HALF
-    got = _extrap_low(HALF, EP23, delta, DEFAULT_SERIES)
-    assert abs(got - c2(HALF, delta)) < 1e-8
-    # hardest configuration: d = 1 at the pair's own ratio bound, where a
-    # grid-anchored fit would be polluted by the x^d*ln(x^d) term
-    ep = ExponentPair(5.0 / 6.0, 1.0)
-    d1 = delta1(HALF, ep)
-    got = _extrap_low(HALF, ep, d1, DEFAULT_SERIES)
-    assert abs(got - c2(HALF, d1)) < 1e-6
+def _suite_columns(seed, n):
+    """n seeded admissible columns shaped like the suite's sample, each
+    with its monotone shifts: b = 1-a or b in [1, 3]; (c, d) with d = 3 and
+    c/d up to the ratio bound, or (ratio bound, 1)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        a = rng.uniform(0.05, 0.95)
+        pp = ParamPair(a, rng.choice((1.0 - a, rng.uniform(1.0, 3.0))))
+        dp = constants.derive_params(pp)
+        if constants.condition_case(dp) is constants.Case.INADMISSIBLE:
+            continue
+        ep = rng.choice((ExponentPair(3.0 * dp.ratio_bound * rng.uniform(0.1, 1.0), 3.0),
+                         ExponentPair(dp.ratio_bound, 1.0)))
+        out.append((pp, ep, verifier._monotone_shifts(pp, delta1(pp, ep))))
+    return out
 
 
-def test_extrapolated_high_endpoint():
-    delta = D1_HALF
-    xs = make_grid(DEFAULT_GRID)
-    gs = [G_value(HALF, EP23, delta, float(x)) for x in xs]
-    got = _extrap_high(xs, gs, EP23.c_exp)
-    assert abs(got - c1(HALF, EP23, delta)) < 1e-6
+def test_endpoint_limits_are_gauss_and_the_first_coefficient():
+    # G_monotone reads G(0+) = F_d(1) - F_c(1) and G(1-) = (d/c) t1(F_d) -
+    # t1(F_c) from the kernels: each kernel's A is Gauss's sum, its first
+    # series coefficient is ab/c exactly, and the limits are c2 and c1
+    mpmath = pytest.importorskip("mpmath")
+    worst_a, worst_lo, worst_hi = 0.0, 0.0, 0.0
+    with mpmath.workdps(30):
+        for pp, ep, shifts in _suite_columns(37, 24):
+            col = verifier._Column(pp, ep, SMALL_GRID)
+            for delta in shifts:
+                col.G(delta)
+                kd, kc = col.kernel_d(delta), col.kernel_c
+                for k in (kd, kc):
+                    one, t1 = k.ends
+                    assert t1 == k.a * k.b / k.c
+                    ref = mpmath.hyp2f1(k.a, k.b, k.c, 1)
+                    worst_a = max(worst_a, float(abs((one - ref) / ref)))
+                (one_d, t_d), (one_c, t_c) = kd.ends, kc.ends
+                worst_lo = max(worst_lo, abs(one_d - one_c - c2(pp, delta)))
+                worst_hi = max(worst_hi, abs(ep.d_exp / ep.c_exp * t_d - t_c - c1(pp, ep, delta)))
+    # measured on these 72 shifts: 1.4e-15 relative on A, 1.2e-15 at 0+
+    # and 2.1e-15 at 1-
+    assert worst_a <= 1e-14
+    assert worst_lo <= 1e-13 and worst_hi <= 1e-13
+
+
+def test_G_monotone_makes_no_scalar_call(monkeypatch):
+    # both endpoint limits come from the column's kernels: no scalar
+    # hyp2f1 call and no linear solve, on any G_monotone column
+    assert not hasattr(verifier, "hyp2f1")
+    calls = []
+    monkeypatch.setattr(kernels, "hyp2f1", lambda *args: calls.append(args))
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(args))
+    n = 0
+    for group in verifier._columns(build_tasks(SMALL_CONFIG)):
+        monotone = [(kind, t) for kind, t in group if kind == "G_monotone"]
+        for rec in verifier._run_item((monotone, SMALL_CONFIG)) if monotone else ():
+            assert rec.status == "ok"
+            n += 1
+    assert n >= 8 and calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +259,7 @@ def test_argument_ufuncs_stay_within_an_ulp_of_math():
     x_lo = DEFAULT_GRID.x_lo
     for ep in SCAN_EXPONENTS:
         xs = _abscissas(ep, DEFAULT_GRID, "scan")[0]
-        assert (xs < x_lo).sum() >= 64  # the head, and grid points that round below x_lo
+        assert (xs < x_lo).sum() == 64  # the head: the grid starts at x_lo
         assert _ulps(np.log(xs), [math.log(v) for v in xs.tolist()]).max() <= 1
         for e in (ep.c_exp, ep.d_exp):
             u = np.where(xs < x_lo, np.log(xs), np.log1p(xs - 1.0))
@@ -401,7 +442,7 @@ def test_a_nan_constraint_fails_its_check(monkeypatch):
     # a NaN endpoint error, identity deviation, sub-margin or difference
     # is a failed constraint, with a witness, not a silently passing one
     with monkeypatch.context() as m:
-        m.setattr(verifier, "_extrap_low", lambda *args: math.nan)
+        m.setattr(verifier, "c2", lambda *args: math.nan)
         res = check_G_monotone(HALF, EP23, MID_HALF, SMALL_GRID)
     assert not res.passed and math.isnan(res.worst_margin)
     assert res.witnesses[0][0] == 0.0 and math.isnan(res.witnesses[0][1])
@@ -763,46 +804,6 @@ def test_a_row_that_does_not_converge_fails_only_its_records(monkeypatch, small_
             assert got.status == f"error: ConvergenceError: {alone.value}"
         else:
             assert got == want
-
-
-def test_the_zero_endpoint_fit_takes_F_c_once_per_column(monkeypatch, small_report):
-    # F_c at the G(0+) fit's three arguments does not depend on the shift:
-    # a column computes those values once for all of its G_monotone tasks,
-    # and each fit reads the bits a fit computing its own F_c would
-    calls = []
-    real = verifier.hyp2f1
-
-    def recorded(a, b, c, x, cfg=None):
-        calls.append((a, b, c, x))
-        return real(a, b, c, x, cfg)
-
-    monkeypatch.setattr(verifier, "hyp2f1", recorded)
-    fit_xs = [1.0 - 1e-9 * m for m in (1.0, 2.0, 4.0)]
-    records = {}
-    n_columns = 0
-    for group in verifier._columns(build_tasks(SMALL_CONFIG)):
-        monotone = [t for kind, t in group if kind == "G_monotone"]
-        if not monotone:
-            continue
-        before = len(calls)
-        for rec in verifier._run_item((group, SMALL_CONFIG)):
-            records[rec.check_id, json.dumps(rec.params, sort_keys=True)] = rec
-        t = monotone[0]
-        f_c = (t["a"] - 1.0, t["b"], t["a"] + t["b"])
-        assert [x for *abc, x in calls[before:] if tuple(abc) == f_c and x in fit_xs] == fit_xs
-        pp, ep = ParamPair(t["a"], t["b"]), ExponentPair(t["c"], t["d"])
-        shared = verifier._Column(pp, ep, SMALL_GRID).fit_f_c
-        for m in monotone:
-            assert _extrap_low(pp, ep, m["delta"], DEFAULT_SERIES, shared) == \
-                _extrap_low(pp, ep, m["delta"], DEFAULT_SERIES)
-        n_columns += 1
-    assert n_columns >= 4
-    suite = {(rec.check_id, json.dumps(rec.params, sort_keys=True)): rec
-             for rec in small_report.checks}
-    assert sum(kind == "G_monotone" for kind, _ in records) == \
-        sum(kind == "G_monotone" for kind, _ in suite)
-    for key, rec in records.items():
-        assert suite[key] == rec
 
 
 def test_a_bad_shift_fails_only_the_check_that_reads_it(monkeypatch, small_report):
