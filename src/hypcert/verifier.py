@@ -24,13 +24,14 @@ margin is positive (skipped checks report status and pass vacuously).
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 
@@ -71,9 +72,6 @@ ENDPOINT_TOL = 1e-5
 _TANH_GAMMA = 3.0
 
 _SPACINGS = ("clustered", "uniform")
-
-# json.dumps(params, sort_keys=True) with one encoder for every record
-_SORTED_JSON = json.JSONEncoder(sort_keys=True).encode
 
 
 @dataclass(frozen=True)
@@ -133,17 +131,6 @@ class CheckResult:
     tolerance_used: float
     status: str = "ok"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "params": self.params,
-            "passed": self.passed,
-            "worst_margin": self.worst_margin,
-            "witnesses": self.witnesses,
-            "tolerance_used": self.tolerance_used,
-            "status": self.status,
-        }
-
 
 def _skipped(check_id: str, params: dict, reason: str) -> CheckResult:
     return CheckResult(
@@ -173,30 +160,112 @@ def _result(check_id, params, margin, witnesses, tol) -> CheckResult:
     )
 
 
+# ---------------------------------------------------------------------------
+# The report's JSON: the text json.dumps(body, sort_keys=True, indent=2)
+# gives, written by hand, since under indent json.dumps runs its pure-Python
+# encoder
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _block(open_, items, close, pad) -> str:
+    """Rendered items between brackets, as json.dumps lays them out: one
+    per line, indented two spaces past ``pad``, or on one line, separated
+    by ", ", when pad is None."""
+    if not items:
+        return open_ + close
+    if pad is None:
+        return open_ + ", ".join(items) + close
+    inner = "\n" + pad + "  "
+    return open_ + inner + ("," + inner).join(items) + "\n" + pad + close
+
+
+def _json(v, pad=None) -> str:
+    """json.dumps(v, sort_keys=True, indent=2) of v opened on a line
+    indented by ``pad``, or json.dumps(v, sort_keys=True) when pad is None.
+    Leaves as json.dumps writes them: float.__repr__ (NaN, Infinity and
+    -Infinity for the special values), the ASCII-escaped string, true,
+    false, int.__repr__ and null.  A value json.dumps rejects raises
+    TypeError here too, and so does a dict key that is not a string."""
+    if isinstance(v, float):
+        text = float.__repr__(v)
+        return _NON_FINITE.get(text, text)
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if v is None:
+        return "null"
+    inner = None if pad is None else pad + "  "
+    if isinstance(v, (list, tuple)):
+        return _block("[", [_json(x, inner) for x in v], "]", pad)
+    if isinstance(v, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_json(x, inner)}" for k, x in sorted(v.items())]
+        return _block("{", items, "}", pad)
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+# a record's place in the report: inside "checks", two levels down
+_RECORD_PAD = "    "
+_FIELD_PAD = _RECORD_PAD + "  "
+
+
+def _render(r: CheckResult):
+    """(sort key, text, r): the canonical key (check_id, json.dumps(params,
+    sort_keys=True)) and r's record as the report prints it."""
+    params = [f"{encode_basestring_ascii(k)}: {_json(v, _FIELD_PAD + '  ')}"
+              for k, v in sorted(r.params.items())]
+    flat = _block("{", params, "}", None)
+    if "\n" in flat:  # a leaf never holds a newline, so a param is a container
+        flat = _json(r.params)
+    text = _block("{", [
+        f'"check_id": {_json(r.check_id)}',
+        f'"params": {_block("{", params, "}", _FIELD_PAD)}',
+        f'"passed": {_json(r.passed)}',
+        f'"status": {_json(r.status)}',
+        f'"tolerance_used": {_json(r.tolerance_used)}',
+        f'"witnesses": {_json(r.witnesses, _FIELD_PAD)}',
+        f'"worst_margin": {_json(r.worst_margin)}',
+    ], "}", _RECORD_PAD)
+    return (r.check_id, flat), text, r
+
+
 @dataclass(frozen=True)
 class Report:
-    """Merged, canonically ordered results of a suite or single-check run."""
+    """Merged, canonically ordered results of a suite or single-check run.
+
+    ``records`` holds each check's record text, rendered where the check
+    ran (in the pool worker, on a pooled run); to_json_text only joins
+    them with the rendered ``meta``."""
 
     meta: dict
     checks: tuple
     passed: bool
+    records: tuple = field(repr=False)
 
     def to_json_text(self) -> str:
-        body = {
-            "meta": self.meta,
-            "checks": [c.to_json_dict() for c in self.checks],
-            "passed": self.passed,
-        }
-        return json.dumps(body, sort_keys=True, indent=2) + "\n"
+        # one join puts the records into the text: joining them first and
+        # then the whole would hold a second copy of them all
+        end = f',\n  "meta": {_json(self.meta, "  ")},\n  "passed": {_json(self.passed)}\n}}\n'
+        if not self.records:
+            return '{\n  "checks": []' + end
+        pieces = [",\n" + _RECORD_PAD] * (2 * len(self.records) + 1)
+        pieces[1::2] = self.records
+        pieces[0], pieces[-1] = '{\n  "checks": [\n' + _RECORD_PAD, "\n  ]" + end
+        return "".join(pieces)
 
 
-def _canonical_order(results) -> tuple:
-    return tuple(sorted(results, key=lambda r: (r.check_id, _SORTED_JSON(r.params))))
-
-
-def _build_report(meta: dict, results) -> Report:
-    checks = _canonical_order(results)
-    return Report(meta=meta, checks=checks, passed=all(c.passed for c in checks))
+def _build_report(meta: dict, rendered) -> Report:
+    """The report of _render's triples, sorted by their keys (a tie keeps
+    its input order)."""
+    rendered = sorted(rendered, key=itemgetter(0))
+    checks = tuple(r for _, _, r in rendered)
+    return Report(meta, checks, all(c.passed for c in checks), tuple(t for _, t, _ in rendered))
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +351,15 @@ class _Column:
     own through ``kernel_d``, so a check meets exactly the error it would
     meet alone.  A single point (a localization step) takes the same
     kernels and ufuncs, so it has the bits an array would give it.
+
+    ``kernels`` maps a shift to its F_d kernel, None to F_c's; neither
+    depends on the exponents, so the columns of one pair can share one
+    dict, and each kernel builds its coefficients once for all of them.
     """
 
     def __init__(self, pp: ParamPair, ep: ExponentPair,
                  grid: GridSpec = DEFAULT_GRID, cfg: SeriesConfig = DEFAULT_SERIES,
-                 reads=()):
+                 reads=(), kernels=None):
         self.pp, self.ep, self.grid, self.cfg = pp, ep, grid, cfg
         self._sets = {"scan": _abscissas(ep, grid, "scan")}
         xs, self._w_c, _ = self._sets["scan"]
@@ -294,8 +367,10 @@ class _Column:
         # grid first, then tail: the stable sort keeps a tie in that order
         self._order = np.argsort(xs, kind="stable")
         self.scan_xs = xs[self._order]
-        self.kernel_c = _kernel_c(pp, cfg)
-        self._kernels_d = {}
+        self._kernels = {} if kernels is None else kernels
+        if None not in self._kernels:
+            self._kernels[None] = _kernel_c(pp, cfg)
+        self.kernel_c = self._kernels[None]
         self.reads = list(reads)
         self._values = {}
 
@@ -305,9 +380,9 @@ class _Column:
 
     def kernel_d(self, delta):
         """The kernel of F_d at shift delta."""
-        if delta not in self._kernels_d:
-            self._kernels_d[delta] = _kernel_d(self.pp, delta, self.cfg)
-        return self._kernels_d[delta]
+        if delta not in self._kernels:
+            self._kernels[delta] = _kernel_d(self.pp, delta, self.cfg)
+        return self._kernels[delta]
 
     def _arguments(self, delta, where):
         if where not in self._sets:
@@ -1009,12 +1084,13 @@ def _error_result(check_id, params, exc) -> CheckResult:
     return CheckResult(check_id, params, False, -1.0, [[status, 0.0]], 0.0, status)
 
 
-def _columns(tasks):
-    """Tasks grouped into pool items: those of one (pair, exponents)
-    column together, every other task alone; in first-seen order."""
+def _pair_items(tasks):
+    """Tasks grouped into pool items: those of one pair (a, b) together,
+    its lemma tasks and every column of it, and every other task alone;
+    in first-seen order."""
     groups = {}
     for i, (check_id, params) in enumerate(tasks):
-        key = (params["a"], params["b"], params["c"], params["d"]) if "d" in params else i
+        key = (params["a"], params["b"]) if "a" in params else i
         groups.setdefault(key, []).append((check_id, params))
     return list(groups.values())
 
@@ -1035,24 +1111,34 @@ def _column_reads(tasks, d1):
 
 
 def _run_item(item):
-    """Results of one pool item.  The tasks of a column share one _Column,
-    which gates once, fetches every value they read in one go and is
-    dropped on return; a ConvergenceError or DomainError becomes an error
-    record of the task that raised it."""
+    """Rendered records (see _render) of one pool item, made where its
+    checks run.  The tasks of one column share one _Column, which gates
+    once and fetches every value they read in one go, and the columns of
+    the item share their kernels; all of it is dropped on return.  A
+    ConvergenceError or DomainError becomes an error record of the task
+    that raised it."""
     tasks, config = item
-    _, params = tasks[0]
-    column = None
-    if "d" in params:
-        column = _Column(_pair(params), _exponents(params), config.grid, config.series)
-        # build_tasks makes column tasks for admissible columns only
-        column.reads = _column_reads(tasks, column.gate[1])
-    results = []
+    columns = {}
     for check_id, params in tasks:
-        try:
-            results.append(_CALLS[check_id](params, config, column))
-        except (ConvergenceError, DomainError) as exc:
-            results.append(_error_result(check_id, params, exc))
-    return results
+        key = (params["c"], params["d"]) if "d" in params else None
+        columns.setdefault(key, []).append((check_id, params))
+    kernels = {}
+    records = []
+    for key, group in columns.items():
+        column = None
+        if key is not None:
+            params = group[0][1]
+            column = _Column(_pair(params), _exponents(params), config.grid, config.series,
+                             kernels=kernels)
+            # build_tasks makes column tasks for admissible columns only
+            column.reads = _column_reads(group, column.gate[1])
+        for check_id, params in group:
+            try:
+                result = _CALLS[check_id](params, config, column)
+            except (ConvergenceError, DomainError) as exc:
+                result = _error_result(check_id, params, exc)
+            records.append(_render(result))
+    return records
 
 
 def _suite_meta(config: VerifyConfig) -> dict:
@@ -1083,7 +1169,8 @@ def _suite_meta(config: VerifyConfig) -> dict:
 
 
 def _run_tasks(tasks, config):
-    items = [(group, config) for group in _columns(tasks)]
+    """The rendered records of tasks, in pool item order."""
+    items = [(group, config) for group in _pair_items(tasks)]
     workers = config.workers
     if workers is None:
         workers = os.cpu_count() or 1
@@ -1093,17 +1180,16 @@ def _run_tasks(tasks, config):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(items) // (4 * workers))
             batches = list(pool.map(_run_item, items, chunksize=chunk))
-    return [result for batch in batches for result in batch]
+    return [record for batch in batches for record in batch]
 
 
 def run_suite(config: VerifyConfig = DEFAULT_CONFIG) -> Report:
     """Run every check over the configured sample.  The report is
-    byte-identical across worker counts (modulo the timestamp): results
+    byte-identical across worker counts (modulo the timestamp): records
     are merged in canonical (check_id, params) order, and the work is
-    scheduled per column (the tasks of one pair and exponent pair), whose
-    values do not depend on which worker computes them."""
-    results = _run_tasks(build_tasks(config), config)
-    return _build_report(_suite_meta(config), results)
+    scheduled per pair (every task of one parameter pair), whose values
+    do not depend on which worker computes them."""
+    return _build_report(_suite_meta(config), _run_tasks(build_tasks(config), config))
 
 
 def run_check(check_id: str, config: VerifyConfig = DEFAULT_CONFIG) -> Report:
@@ -1113,10 +1199,9 @@ def run_check(check_id: str, config: VerifyConfig = DEFAULT_CONFIG) -> Report:
             f"unknown check id {check_id!r}; known: {', '.join(CHECK_IDS)}"
         )
     tasks = [t for t in build_tasks(config) if t[0] == check_id]
-    results = _run_tasks(tasks, config)
     meta = _suite_meta(config)
     meta["check_filter"] = check_id
-    return _build_report(meta, results)
+    return _build_report(meta, _run_tasks(tasks, config))
 
 
 def sweep_rows(pp: ParamPair, ep: ExponentPair, delta: float,

@@ -1,6 +1,7 @@
 """Certification harness: grids, the difference quotient and its endpoint
 limits, the individual checks, and suite assembly/determinism."""
 
+import dataclasses
 import importlib.util
 import json
 import math
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from hypcert import (
+    CheckResult,
     ConvergenceError,
     DomainError,
     ExponentPair,
@@ -186,9 +188,9 @@ def test_G_monotone_makes_no_scalar_call(monkeypatch):
     monkeypatch.setattr(kernels, "hyp2f1", lambda *args: calls.append(args))
     monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(args))
     n = 0
-    for group in verifier._columns(build_tasks(SMALL_CONFIG)):
-        monotone = [(kind, t) for kind, t in group if kind == "G_monotone"]
-        for rec in verifier._run_item((monotone, SMALL_CONFIG)) if monotone else ():
+    for item in verifier._pair_items(build_tasks(SMALL_CONFIG)):
+        monotone = [(kind, t) for kind, t in item if kind == "G_monotone"]
+        for _, _, rec in verifier._run_item((monotone, SMALL_CONFIG)) if monotone else ():
             assert rec.status == "ok"
             n += 1
     assert n >= 8 and calls == []
@@ -500,12 +502,13 @@ def test_fpp_positive_check():
 
 def test_check_result_json_shape():
     res = check_sandwich(HALF, EP23, MID_HALF)
-    d = res.to_json_dict()
+    _, text, _ = verifier._render(res)
+    d = json.loads(text)
     assert set(d) == {
         "check_id", "params", "passed", "worst_margin",
         "witnesses", "tolerance_used", "status",
     }
-    json.dumps(d)  # must be serializable as-is
+    assert CheckResult(**d) == res
 
 
 # ---------------------------------------------------------------------------
@@ -547,12 +550,101 @@ def _strip_timestamp(text):
 
 
 def test_report_identical_across_worker_counts(small_report):
-    import dataclasses
-
     parallel = run_suite(dataclasses.replace(SMALL_CONFIG, workers=2))
     assert _strip_timestamp(parallel.to_json_text()) == _strip_timestamp(
         small_report.to_json_text()
     )
+
+
+def _dumps(report):
+    """The report as json.dumps writes it, from the records' fields."""
+    body = {
+        "meta": report.meta,
+        "checks": [{f.name: getattr(c, f.name) for f in dataclasses.fields(c)}
+                   for c in report.checks],
+        "passed": report.passed,
+    }
+    return json.dumps(body, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("run", ["default suite", "run_check"])
+def test_report_text_is_json_dumps_byte_for_byte(run):
+    if run == "run_check":
+        report = run_check("sharpness", SMALL_CONFIG)
+        assert report.meta["check_filter"] == "sharpness"
+    else:
+        report = run_suite(VerifyConfig(workers=1))
+    assert report.to_json_text() == _dumps(report)
+
+
+def _synthetic_records():
+    f64 = np.float64
+    ok = dict(passed=True, worst_margin=0.5, witnesses=[[0.25, 1e-3]], tolerance_used=1e-12)
+    return [
+        CheckResult("sandwich", {"a": 0.5, "b": 1.5, "c": 2.0, "d": 3.0, "delta": -0.25},
+                    False, math.nan, [[0.5, math.nan]], 1e-12),
+        CheckResult("sandwich", {"a": 0.5, "b": 1.5, "c": 2.0, "d": 3.0, "delta": -0.125},
+                    True, math.inf, [[-math.inf, math.inf]], 0.0),
+        CheckResult("crossing", {"a": 0.5, "b": 1.5, "c": 2.0, "d": 3.0, "delta": -0.0},
+                    False, -0.0, [[5e-324, -2.2250738585072014e-308]], 1e-12),
+        CheckResult("G_monotone", {"a": f64(0.1), "b": f64(0.9), "c": 0.3, "d": 3.0,
+                                   "delta": f64(-0.5)},
+                    True, f64(2.44e-9), [[f64(1e-4), f64(-1e-300)]], f64(1e-9)),
+        CheckResult("f4_roots", {"n_scan": 10_000}, True, 9.99e-13, [[0.3, 1e-17]], 1e-12),
+        CheckResult("sharpness", {"a": 0.5, "b": 0.5, "c": 2.0, "d": 3.0,
+                                  "threshold_form": "alpha"}, **ok),
+        CheckResult("lemma_g1", {}, True, 1.0, [], 0.0),
+        CheckResult("lemma_Q", {"N": 200, "tags": ["x", 1, [2.5, {}]], "nested": {"k": []}},
+                    **ok),
+        CheckResult("crossing", {"a": 0.3, "b": 1.0, "c": 0.9, "d": 3.0, "delta": -0.1},
+                    False, -1.0, [['say "hi"', 0.0], ["back\\slash", 1.0],
+                                  ["line\nbreak\ttab", 2.0],
+                                  ["non-ASCII: δ₁ ≤ ∞ 😀", 3.0]], 1e-12),
+        verifier._skipped("beta_convex", {"a": 0.9, "b": 0.5}, "requires a <= b"),
+        verifier._error_result("lemma_g", {"a": 0.2, "b": 0.8},
+                               ConvergenceError('no "fit" at x=1\u00e9\n')),
+    ]
+
+
+def test_synthetic_records_render_as_json_dumps_does():
+    records = _synthetic_records()
+    meta = {"timestamp": "2026-01-01T00:00:00+00:00", "empty": {}, "none": None,
+            "list": [1, -0.0, math.nan, "é"], "sample": {"b_specs": ["1-a", 1.0]}}
+    report = verifier._build_report(meta, [verifier._render(r) for r in records])
+    assert report.to_json_text() == _dumps(report)
+    assert not report.passed and len(report.checks) == len(records)
+    empty = verifier._build_report({}, [])
+    assert empty.passed and empty.to_json_text() == _dumps(empty)
+
+
+@pytest.mark.parametrize("bad", [np.int64(3), object(), np.bool_(True)])
+def test_values_json_dumps_rejects_are_rejected(bad):
+    for res in (CheckResult("lemma_g", {"a": bad}, True, 1.0, [], 0.0),
+                CheckResult("lemma_g", {}, True, 1.0, [[bad, 0.0]], 0.0),
+                CheckResult("lemma_g", {}, True, bad, [], 0.0)):
+        with pytest.raises(TypeError):
+            json.dumps(dataclasses.asdict(res), sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            verifier._render(res)
+    report = verifier._build_report({"x": bad}, [])
+    with pytest.raises(TypeError):
+        report.to_json_text()
+    with pytest.raises(TypeError):
+        verifier._render(CheckResult("lemma_g", {(1, 2): 0.5}, True, 1.0, [], 0.0))
+
+
+def test_sort_key_is_check_id_and_sorted_params_json(small_report):
+    records = [*small_report.checks, *_synthetic_records()]
+    for rec in records:
+        key, _, same = verifier._render(rec)
+        assert same is rec
+        assert key == (rec.check_id, json.dumps(rec.params, sort_keys=True))
+    # records with one key keep their input order
+    first = CheckResult("lemma_g", {"a": 0.5, "b": 0.5}, True, 1.0, [], 0.0)
+    second = CheckResult("lemma_g", {"b": 0.5, "a": 0.5}, False, -1.0, [], 0.0)
+    for pair in ((first, second), (second, first)):
+        report = verifier._build_report({}, [verifier._render(r) for r in (records[0], *pair)])
+        assert report.checks[-2:] == pair
 
 
 def _direct_check(check_id, t, config):
@@ -674,7 +766,8 @@ def test_undeclared_shift_is_computed_when_read():
 
 def test_a_column_fetches_its_values_in_one_call(monkeypatch, small_report):
     # the shifts a column declares for its tasks cover every value they
-    # read: one evaluate call per column, no value computed on its own
+    # read: one evaluate call per column of a pair item, no value computed
+    # on its own
     calls = []
     real = verifier.evaluate
 
@@ -688,15 +781,39 @@ def test_a_column_fetches_its_values_in_one_call(monkeypatch, small_report):
     monkeypatch.setattr(verifier, "evaluate", counted)
     monkeypatch.setattr(verifier.Hyp2f1Kernel, "array", unexpected)
     records = {}
-    columns = [g for g in verifier._columns(build_tasks(SMALL_CONFIG)) if "d" in g[0][1]]
-    for group in columns:
+    n_columns = 0
+    for item in verifier._pair_items(build_tasks(SMALL_CONFIG)):
+        columns = {(t["c"], t["d"]) for _, t in item if "d" in t}
         before = len(calls)
-        for rec in verifier._run_item((group, SMALL_CONFIG)):
-            records[rec.check_id, json.dumps(rec.params, sort_keys=True)] = rec
-        assert len(calls) == before + 1
+        for key, _, rec in verifier._run_item((item, SMALL_CONFIG)):
+            records[key] = rec
+        assert len(calls) == before + len(columns)
+        n_columns += len(columns)
+    assert n_columns >= 8
     for rec in small_report.checks:
         if "d" in rec.params:
             assert records[rec.check_id, json.dumps(rec.params, sort_keys=True)] == rec
+
+
+def test_a_pair_builds_each_kernel_once_per_run(monkeypatch, small_report):
+    # F_c and F_d at a shift do not depend on the exponents: the columns of
+    # a pair item share them, so no kernel is built twice in a run, and a
+    # second run builds them all again
+    built = []
+    real_c, real_d = verifier._kernel_c, verifier._kernel_d
+    monkeypatch.setattr(verifier, "_kernel_c", lambda pp, cfg: built.append((pp, None))
+                        or real_c(pp, cfg))
+    monkeypatch.setattr(verifier, "_kernel_d", lambda pp, delta, cfg: built.append((pp, delta))
+                        or real_d(pp, delta, cfg))
+    assert run_suite(SMALL_CONFIG).checks == small_report.checks
+    first = list(built)
+    assert len(first) == len(set(first))
+    columns = {(t["a"], t["b"], t["c"], t["d"]) for _, t in build_tasks(SMALL_CONFIG) if "d" in t}
+    pairs = {key[:2] for key in columns}
+    assert sum(delta is None for _, delta in first) == len(pairs) < len(columns)
+    built.clear()
+    run_suite(SMALL_CONFIG)
+    assert built == first
 
 
 def _seed7_config(monkeypatch):
@@ -731,7 +848,7 @@ def test_a_column_gates_once_and_derives_its_parameters_once(monkeypatch):
     monkeypatch.setattr(verifier, "derive_params", derive)
     monkeypatch.setattr(constants, "derive_params", derive)
     tasks = build_tasks(config)
-    columns = [g for g in verifier._columns(tasks) if "d" in g[0][1]]
+    columns = {(t["a"], t["b"], t["c"], t["d"]) for _, t in tasks if "d" in t}
     derived.clear()
     report = run_suite(config)
     assert len(report.checks) == len(tasks)
