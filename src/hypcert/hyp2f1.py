@@ -18,14 +18,10 @@ all later terms is within rel_tol of a floor on |F|, zero-balanced cases
 (e = 0) at x = 0.999 included.
 
 This module is the scalar evaluator and imports only ``math``, so
-``hypcert.hyp2f1`` and ``hypcert.hyp2f1_at_one`` load without NumPy.  The
-array evaluator, ``Hyp2f1Kernel`` and ``evaluate``, lives in
-``hypcert.kernels`` and shares the pieces kept here: the series contract
-(``SeriesConfig``), the parameter check, the regime tests, the Horner step
-(``_horner``) and the two scalar loops, ``_raw_series`` and
-``_log_connection_unit_excess``.  Each loop is its regime's only
-truncation rule: a kernel keeps as many terms as the loop sums at
-``switch_point``.
+``hypcert.hyp2f1`` loads without NumPy.  The array evaluator,
+``hypcert.kernels``, takes the series contract, the parameter check, the
+Horner step, _log_start and _log_tail's bound from here, and cuts its
+coefficients in closed form; the loops below serve scalar calls only.
 """
 
 from __future__ import annotations
@@ -156,9 +152,7 @@ def _raw_series(a: float, b: float, c: float, x: float, cfg: SeriesConfig) -> tu
     is at most rel_tol (|s_N| - T), that is T (1 + rel_tol) <= rel_tol
     |s_N|, trying the factor at its least, x/(1-x), first (and only, where
     the factor is proven to be that, as on the comparison family); raises
-    ConvergenceError when the budget runs out first.  This is the series
-    regime's one truncation rule: Hyp2f1Kernel keeps the terms it sums at
-    x = switch_point."""
+    ConvergenceError when the budget runs out first."""
     s = 1.0
     comp = 0.0
     t = 1.0
@@ -229,9 +223,7 @@ def _log_connection_unit_excess(
     w' <= w, so its bound T holds at every such w'.  The loop stops at the
     first K with T <= rel_tol min(|A|, |partial| - T), trying the least T
     first; |partial| - T bounds |F| below, and where F is monotone on
-    [0, 1) the smaller of it and A = F(1) does so for every x' >= x.  This
-    is the regime's one truncation rule: Hyp2f1Kernel keeps the terms it
-    sums at x = switch_point.
+    [0, 1) the smaller of it and A = F(1) does so for every x' >= x.
     """
     A, B, dk = start
     w = 1.0 - x
@@ -343,8 +335,8 @@ def _terminating(a: float, b: float) -> bool:
 def _horner(coefs, x):
     """The polynomial with coefficients ``coefs`` (highest power first) at
     x, one IEEE multiply and one add per step.  Either x is a float and the
-    coefficients floats, or x is a (rows, points) array and each
-    coefficient a (rows, 1) column.
+    coefficients floats, or x is an array and each coefficient an array of
+    the same rank with one entry per row, (..., rows, 1).
 
     A row padded with leading zero coefficients keeps its bits: for
     x >= 0, 0*x + 0 = +0, and the first real coefficient c then gives

@@ -1,167 +1,199 @@
-"""Gauss hypergeometric function over arrays: fixed-parameter kernels.
+"""Gauss hypergeometric function over arrays: comparison-family kernels.
 
-``Hyp2f1Kernel`` fixes (a, b, c) and evaluates many points: the series
-and the unit-excess expansion become polynomials with precomputed
-coefficients, run by Horner's rule.  ``evaluate(kernels, xs)`` runs one
-Horner loop per regime over a (kernels x points) matrix, the coefficients
-padded with leading zeros to the longest list, which leaves every bit as
-it was: for x >= 0, 0*x + 0 = +0, and the first real coefficient c then
-gives +0*x + c = c exactly, where the unpadded loop starts.  A kernel's
-one-point and array paths both take the logarithm with ``np.log``, which
-gives a point the same bits alone or in any array.
-
-This module holds all of the evaluator's NumPy.  Points outside the two
-Horner regimes, the series contract and each regime's truncation come
-from the scalar evaluator, ``hypcert.hyp2f1``: a kernel runs the regime's
-scalar loop once, at ``switch_point``, and keeps as many terms as it sums.
-The loop's tail bound there holds for every point of the regime, so no
-point is checked again.
+``Hyp2f1Kernel`` fixes parameters of the comparison family; the power
+series and the unit-excess expansion become polynomials, cut per abscissa
+band in closed form and run by Horner's rule, one loop per band for all
+kernels of an ``evaluate`` call.  All of the evaluator's NumPy is here;
+``hypcert.hyp2f1`` lends the series contract, _log_start and _log_tail.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
-from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError
-from .hyp2f1 import (_EXCESS_SNAP, DEFAULT_SERIES, SeriesConfig, _check_params, _horner,
-                     _log_connection_unit_excess, _log_start, _raw_series, hyp2f1)
+from .errors import ConvergenceError, DomainError
+from .hyp2f1 import _EXCESS_SNAP, DEFAULT_SERIES, SeriesConfig, _check_params, _horner, _log_start
 
-
-# The unit-excess expansion F = A + B*w*(ln w * P(w) + Q(w)): coefficients
-# coef_k of P and coef_k*d_k of Q, highest first.
+# Band edges: a series point z is in band #(edges < z), a log point in band
+# #(edges < w), w = 1-z; a band keeps the terms its top edge needs, the last
+# band's edge being switch_point (1 - switch_point for w)
+_EDGES = {"series": (0.15, 0.45), "log": (0.01,)}
+# terms a build tries first; a row with no cut there tries 4x as many alone
+_DEPTH = {"series": 128, "log": 32}
+# F = A + B*w*(ln w * P(w) + Q(w)): coefficients coef_k of P and coef_k*d_k
+# of Q, highest first (over arrays P's and Q's in one, q None)
 _Log = namedtuple("_Log", "A B p q")
+# kernels built together, a row each: t_n as (1, rows, terms), coef_k and
+# coef_k*d_k as (2, rows, terms), lowest first, A, B, and each band's count
+# of terms (later bands repeat the last)
+_Block = namedtuple("_Block", "t pq A B n_series n_log")
 
 
 def _log_at(s, x):
     """The unit-excess expansion's value at x."""
     w = 1.0 - x
-    return s.A + s.B * w * (np.log(w) * _horner(s.p, w) + _horner(s.q, w))
+    if s.q is None:
+        p, q = _horner(s.p, np.broadcast_to(w, (2, *w.shape)))
+    else:
+        p, q = _horner(s.p, w), _horner(s.q, w)
+    return s.A + s.B * w * (np.log(w) * p + q)
 
 
-_AT = {"series": _horner, "log": _log_at}
+def _log_tails(a, b, w, k, dk):
+    """_log_tail (hypcert.hyp2f1) over arrays: a and b as (rows, 1)
+    columns, term indices k, d_k as (rows, terms), w as (edges, 1, 1).  On
+    the family a+1 and b+1 are positive and a+1 < 1, which leaves out two
+    of its branches."""
+    a1, b1 = a + 1.0, b + 1.0
+    s = a1 + b1 - 2.0 - 1.0
+    rho = w * (1.0 + (np.maximum(s, 0.0) * k + np.maximum(a1 * b1 - 2.0, 0.0))
+               / ((2.0 + k) * (k + 1.0)))
+    ratio = np.where(~((s > 0.0) & (k * k < 2.0)) & (rho < 1.0), rho / (1.0 - rho), np.inf)
+    u, v, m = a1 + k, np.minimum(b1, 2.0) + k, k + 1.0
+    drift = np.abs(a) * (1.0 + u) / (u * u) + np.abs(1.0 - b) * (1.0 + v) / (v * v)
+    lw = np.log(w)
+    log_part = np.where(-m * lw >= 1.0, -lw, np.exp(-1.0 - m * lw) / m)
+    return (log_part + np.abs(dk) + drift) * ratio
 
 
-def _pad(lists):
-    """Coefficient lists right-aligned behind leading zeros, (depth, rows, 1)."""
-    depth = max(map(len, lists))
-    out = np.zeros((depth, len(lists), 1))
-    for i, v in enumerate(lists):
-        out[depth - len(v):, i, 0] = v
-    return out
+def _terms(r, depth, edges, tol, regime):
+    """A regime's coefficient arrays over depth terms for rows r = (a, b, c,
+    A, B, d_0), cumulative products and sums in the recurrences' order (so
+    with their bits), and (edges, rows, terms) where the tail past a term
+    over the band of each edge e is at most tol A: |t_n| e^(n+1)/(1-e),
+    n >= 1, for the series (the later terms are negative, each at most e
+    times the one before, and F >= A), |B coef_k| e^(k+1) times _log_tail's
+    factor for the log."""
+    n, one, e = np.arange(depth, dtype=float), np.ones((len(r), 1)), np.array(edges)[:, None, None]
+    if regime == "series":
+        ratios = (r[:, :1] + n) * (r[:, 1:2] + n) / ((r[:, 2:3] + n) * (n + 1.0))
+        t = np.cumprod(np.hstack([one, ratios[:, :-1]]), axis=1)
+        size = np.abs(t)
+        size[:, 0] = np.inf
+        return t[None], size * (e ** (n + 1.0) / (1.0 - e)) <= tol * r[:, 3:4]
+    a1, b1, k1, k2 = r[:, :1] + 1.0, r[:, 1:2] + 1.0, n + 1.0, n + 2.0
+    coef = np.cumprod(np.hstack([one, ((a1 + n) * (b1 + n) / (k1 * k2))[:, :-1]]), axis=1)
+    steps = 1.0 / (a1 + n) + 1.0 / (b1 + n) - 1.0 / k1 - 1.0 / k2
+    dk = np.cumsum(np.hstack([r[:, 5:6], steps[:, :-1]]), axis=1)
+    bound = np.abs(r[:, 4:5] * coef) * e ** (n + 1.0) * _log_tails(r[:, :1], r[:, 1:2], e, n, dk)
+    return np.stack([coef, coef * dk]), bound <= tol * r[:, 3:4]
 
 
-def _stack(sets):
-    """Several kernels' coefficient sets as one over (rows, points) arrays:
-    lists padded (_pad), A and B as (rows, 1) columns; one set as it is."""
-    if len(sets) == 1:
-        return sets[0]
-    if isinstance(sets[0], list):
-        return _pad(sets)
-    return _Log(*(_pad(v) if isinstance(v[0], list) else np.array(v)[:, None]
-                  for v in zip(*sets)))
+def _cat(parts):
+    """Arrays joined along their rows (axis -2), each padded with zeros to
+    the widest."""
+    width = max(p.shape[-1] for p in parts)
+    return np.concatenate([np.pad(p, [(0, 0)] * (p.ndim - 1) + [(0, width - p.shape[-1])])
+                           for p in parts], axis=-2)
+
+
+def _truncate(rows, cfg, regime):
+    """A regime's coefficient arrays of rows (a, b, c, A, B, d_0), each
+    band's count of terms per row, up to the first index where its bound,
+    or a higher band's, holds (its points lie in that band too), and
+    {row: ConvergenceError} for the rows with no cut within max_terms."""
+    top = cfg.switch_point if regime == "series" else 1.0 - cfg.switch_point
+    edges = [e for e in _EDGES[regime] if e < top] + [top]
+
+    def cut(r, depth):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            arrays, ok = _terms(r, depth, edges, cfg.rel_tol, regime)
+        ok = np.logical_or.accumulate(ok[::-1])[::-1]
+        counts = np.where(ok.any(axis=2), ok.argmax(axis=2) + 1, 0).T
+        return arrays, counts[:, [min(j, len(edges) - 1) for j in range(len(_EDGES[regime]) + 1)]]
+
+    arrays, counts = cut(rows, min(_DEPTH[regime], cfg.max_terms))
+    errors = {}
+    for i in np.flatnonzero(counts[:, -1] == 0).tolist():
+        depth = min(_DEPTH[regime], cfg.max_terms)
+        while counts[i, -1] == 0 and depth < cfg.max_terms:
+            depth = min(4 * depth, cfg.max_terms)
+            deeper, counts[i:i + 1] = cut(rows[i:i + 1], depth)
+        if counts[i, -1]:
+            arrays = _cat([arrays[:, :i], deeper[..., :counts[i, -1]], arrays[:, i + 1:]])
+        else:
+            errors[i] = ConvergenceError(
+                f"{regime} coefficients for {tuple(rows[i, :3].tolist())} did not reach rel_tol="
+                f"{cfg.rel_tol} up to x={cfg.switch_point} within {cfg.max_terms} terms")
+    return arrays, counts, errors
+
+
+def _build(kernels):
+    """Build the kernels that have no coefficients, in one array pass per
+    config (a _Block), then raise the first error a kernel has."""
+    groups = {}
+    for k in kernels:
+        if k._sets is None:
+            groups.setdefault(k.cfg, {})[id(k)] = k
+    for cfg, group in groups.items():
+        group = list(group.values())
+        rows = np.array([(k.a, k.b, k.c, *_log_start(k.a, k.b)) for k in group])
+        t, n_series, bad = _truncate(rows, cfg, "series")
+        pq, n_log, bad_log = _truncate(rows, cfg, "log")
+        block = _Block(t, pq, rows[:, 3], rows[:, 4], n_series, n_log)
+        for i, k in enumerate(group):
+            k._sets = bad.get(i) or bad_log.get(i) or (block, i)
+    for k in kernels:
+        if isinstance(k._sets, Exception):
+            raise k._sets
+
+
+def _coefs(m, rows, counts):
+    """Rows of a block array m cut to counts, highest first behind zeros,
+    as (terms, 1 or 2, rows, 1) for _horner."""
+    depth = int(counts.max())
+    c = np.where(np.arange(depth) < counts[:, None], m[:, rows, :depth], 0.0)
+    return np.ascontiguousarray(c[..., ::-1].transpose(2, 0, 1))[..., None]
 
 
 class Hyp2f1Kernel:
-    """F(a, b; c; .) for fixed parameters, at one point or over an array.
-
-    Points go to regimes exactly as in hyp2f1.  In the two regimes the
-    comparison family lives in, the power series (x <= switch_point) and
-    the unit-excess logarithmic expansion (x beyond it), F is a polynomial
-    in x or in w = 1-x whose coefficients do not depend on the point.
-    They are built once, on first use, and evaluated by Horner's rule.
-    The truncation is the regime's scalar loop's (_raw_series,
-    _log_connection_unit_excess), run once at x = switch_point, which
-    also raises the loop's ConvergenceError; the coefficients then come
-    from the loop's recurrence with the point left out, so a value depends
-    only on (a, b, c, x, cfg).
-
-    The loop's bound then holds at every point of the regime where F is
-    monotone on [0, 1), every series term after the first of one sign; so
-    Horner runs only on these parameters.  On the comparison family,
-    -1 < a < 0 < b and c = a+b+1, F falls from 1 to A = F(1) > 0: the
-    series' floor at switch_point holds below it, and the log floor is A.
-    With a, b, c > 0, F rises from 1: the series' bound over its partial
-    sum grows with x, and the log floor at switch_point holds above it.
-    Other parameters, and non-unit excess beyond switch_point, go to
-    hyp2f1 point by point.
-
-    ``kernel(x)`` runs _horner on a Python float; ``kernel.array(xs)`` is
-    ``evaluate([kernel], [xs])[0]``, which runs the same code on a
-    (rows, points) array.  The steps are separate IEEE multiplies and adds
-    (NumPy fuses neither), padding a row with leading zero coefficients
-    does not change its bits (see _horner), and both paths take
-    ``np.log``, so a point has the same bits alone or inside any array,
-    stacked with any other kernels.
-    """
+    """F(a, b; c; .) for -1 < a < 0 < b and c = a+b+1 (a and b in either
+    order; DomainError otherwise), at one point or over an array, built on
+    first use with the other kernels of an ``evaluate`` call.  ``kernel(x)``
+    runs _horner on Python floats and ``kernel.array(xs)`` the same IEEE
+    steps over an array (NumPy fuses no multiply and add), in the same band,
+    both with ``np.log``, and padding keeps a row's bits: a point has the
+    same bits alone or inside any array, stacked with any other kernels."""
 
     def __init__(self, a: float, b: float, c: float, cfg: SeriesConfig | None = None):
         _check_params(a, b, c)
         if b < a:
             a, b = b, a
+        if not (-1.0 < a < 0.0 < b and abs(c - a - b - 1.0) <= _EXCESS_SNAP):
+            raise DomainError(f"kernels need -1 < a < 0 < b and c = a+b+1, got "
+                              f"({a!r}, {b!r}; {c!r})")
         self.a, self.b, self.c = a, b, c
         self.cfg = DEFAULT_SERIES if cfg is None else cfg
-        unit = abs(c - a - b - 1.0) <= _EXCESS_SNAP
-        self._horner = (a > 0.0 and c > 0.0) or (-1.0 < a < 0.0 < b and unit)
-        self._unit_excess = self._horner and unit
-
-    @cached_property
-    def _series(self):
-        """Coefficients t_N..t_0 of the power series, highest first: N is
-        the last term _raw_series sums at x = switch_point, and each t_n
-        comes from its recurrence with x left out."""
-        a, b, c, cfg = self.a, self.b, self.c, self.cfg
-        top = _raw_series(a, b, c, cfg.switch_point, cfg)[1]
-        coefs, t, n = [1.0], 1.0, 0.0
-        for _ in range(top):
-            t *= (a + n) * (b + n) / ((c + n) * (n + 1.0))
-            coefs.append(t)
-            n += 1.0
-        return coefs[::-1]
-
-    @cached_property
-    def _log(self):
-        """The unit-excess coefficient set (a _Log): coef_k and d_k for k up
-        to the last term _log_connection_unit_excess sums at
-        x = switch_point, from its recurrences with w left out."""
-        a, b, cfg = self.a, self.b, self.cfg
-        start = A, B, dk = _log_start(a, b)
-        top = _log_connection_unit_excess(a, b, cfg.switch_point, cfg, start)[1]
-        a1, b1 = a + 1.0, b + 1.0
-        p, q, coef, k = [1.0], [dk], 1.0, 0.0
-        for _ in range(top):
-            k1, k2 = k + 1.0, k + 2.0
-            dk += 1.0 / (a1 + k) + 1.0 / (b1 + k) - 1.0 / k1 - 1.0 / k2
-            coef *= (a1 + k) * (b1 + k) / (k1 * k2)
-            p.append(coef)
-            q.append(coef * dk)
-            k = k1
-        return _Log(A, B, p[::-1], q[::-1])
+        self._sets = None
+        self._floats = {}
 
     @property
     def ends(self):
-        """(F(1), F'(0)) at unit excess: the log set's A and t_1 = ab/c."""
-        return self._log.A, self._series[-2]
+        """(F(1), F'(0)): A and t_1 = ab/c."""
+        return self._band_set("log", 0).A, self._band_set("series", 0)[-2]
 
-    def _coefs(self, regime):
-        """The coefficient set of a regime."""
-        return self._series if regime == "series" else self._log
-
-    def _regime(self, x) -> str | None:
-        """The Horner regime that covers x: "series", "log" or None."""
-        if x <= self.cfg.switch_point:
-            return "series" if self._horner else None
-        return "log" if self._unit_excess else None
+    def _band_set(self, regime, band):
+        """A band's coefficient set over Python floats, highest first."""
+        if (regime, band) not in self._floats:
+            _build([self])
+            block, i = self._sets
+            if regime == "series":
+                s = block.t[0, i, block.n_series[i, band] - 1::-1].tolist()
+            else:
+                n = block.n_log[i, band]
+                s = _Log(float(block.A[i]), float(block.B[i]), *block.pq[:, i, n - 1::-1].tolist())
+            self._floats[regime, band] = s
+        return self._floats[regime, band]
 
     def __call__(self, x: float) -> float:
         if not (0.0 <= x < 1.0):
             raise DomainError(f"argument must satisfy 0 <= x < 1, got {x!r}")
-        regime = self._regime(x)
-        if regime is None:
-            return hyp2f1(self.a, self.b, self.c, x, self.cfg)
-        return float(_AT[regime](self._coefs(regime), x))
+        if x <= self.cfg.switch_point:
+            return float(_horner(self._band_set("series", bisect_left(_EDGES["series"], x)), x))
+        return float(_log_at(self._band_set("log", bisect_left(_EDGES["log"], 1.0 - x)), x))
 
     def array(self, xs) -> np.ndarray:
         """Values at every entry of the 1-D array ``xs``."""
@@ -170,36 +202,41 @@ class Hyp2f1Kernel:
 
 def evaluate(kernels, xs) -> np.ndarray:
     """F at a (kernels x points) array ``xs``, row i at the points of
-    kernels[i], each value as ``kernels[i](x)`` gives it.  Each kernel's
-    coefficient sets are its cached ones, built on first use.  Each Horner
-    regime runs one loop over the rows with points in it, their regime
-    points moved to the front and padded with copies of the last one (see
-    _horner for the coefficients' padding).  Other points go to hyp2f1 one
-    by one, after the stacked loops."""
+    kernels[i], each value as ``kernels[i](x)`` gives it.  Kernels without
+    coefficients get them in one build (_build); each regime and band then
+    runs one Horner loop over the rows with points in it, their points
+    moved to the front and padded with zeros, whose values are dropped."""
     xs = np.asarray(xs, dtype=float)
     bad = ~((xs >= 0.0) & (xs < 1.0))
     if bad.any():
         raise DomainError(f"argument must satisfy 0 <= x < 1, got {float(xs[bad][0])!r}")
-    flags = np.array([[k.cfg.switch_point, k._horner, k._unit_excess] for k in kernels])
-    low = xs <= flags[:, :1]
-    masks = {"series": low & (flags[:, 1:2] == 1.0), "log": ~low & (flags[:, 2:] == 1.0)}
+    _build(kernels)
+    n_series = len(_EDGES["series"]) + 1
+    low = xs <= np.array([k.cfg.switch_point for k in kernels])[:, None]
+    band = sum((xs > e for e in _EDGES["series"]), np.zeros(xs.shape, np.uint8))
+    log_band = sum((1.0 - xs > e for e in _EDGES["log"]), np.full_like(band, n_series))
+    group = np.where(low, band, log_band)
+    blocks = list({id(k._sets[0]): k._sets[0] for k in kernels}.values())
+    first = dict(zip(map(id, blocks), np.cumsum([0] + [len(b.A) for b in blocks]).tolist()))
+    block = blocks[0] if len(blocks) == 1 else _Block(
+        *(_cat(f) if f[0].ndim > 1 else np.concatenate(f) for f in zip(*blocks)))
+    at = np.array([first[id(k._sets[0])] + k._sets[1] for k in kernels])
     out = np.empty_like(xs)
-    for regime, mask in masks.items():
-        counts = mask.sum(axis=1)
-        rows = np.flatnonzero(counts)
-        if not rows.size:
-            continue
+    for g in np.flatnonzero(np.bincount(group.ravel())).tolist():
+        mask = group == g
+        counts = np.count_nonzero(mask, axis=1)
+        sel = np.flatnonzero(counts)
+        counts, r = counts[sel], at[sel]
         # boolean indexing runs row by row: each row's points land in order
-        counts = counts[rows]
         real = np.arange(counts.max()) < counts[:, None]
-        pts = np.empty(real.shape)
+        pts = np.zeros(real.shape)
         pts[real] = xs[mask]
-        pts = np.where(real, pts, pts[np.arange(len(rows)), counts - 1][:, None])
-        sets = _stack([kernels[i]._coefs(regime) for i in rows.tolist()])
-        out[mask] = _AT[regime](sets, pts)[real]
-    for i, j in np.argwhere(~(masks["series"] | masks["log"])).tolist():
-        k = kernels[i]
-        out[i, j] = hyp2f1(k.a, k.b, k.c, float(xs[i, j]), k.cfg)
+        if g < n_series:
+            res = _horner(_coefs(block.t, r, block.n_series[r, g])[:, 0], pts)
+        else:
+            pq = _coefs(block.pq, r, block.n_log[r, g - n_series])
+            res = _log_at(_Log(block.A[r, None], block.B[r, None], pq, None), pts)
+        out[mask] = res[real]
     return out
 
 

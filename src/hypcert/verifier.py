@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
@@ -133,15 +133,7 @@ class CheckResult:
 
 
 def _skipped(check_id: str, params: dict, reason: str) -> CheckResult:
-    return CheckResult(
-        check_id=check_id,
-        params=params,
-        passed=True,
-        worst_margin=0.0,
-        witnesses=[],
-        tolerance_used=0.0,
-        status=f"skipped: {reason}",
-    )
+    return CheckResult(check_id, params, True, 0.0, [], 0.0, f"skipped: {reason}")
 
 
 def _worst(*margins):
@@ -150,14 +142,7 @@ def _worst(*margins):
 
 
 def _result(check_id, params, margin, witnesses, tol) -> CheckResult:
-    return CheckResult(
-        check_id=check_id,
-        params=params,
-        passed=bool(margin > 0.0),
-        worst_margin=float(margin),
-        witnesses=witnesses,
-        tolerance_used=float(tol),
-    )
+    return CheckResult(check_id, params, bool(margin > 0.0), float(margin), witnesses, float(tol))
 
 
 # ---------------------------------------------------------------------------
@@ -343,14 +328,12 @@ class _Column:
     The abscissa sets are the scan (the grid, the near-1 tail and the
     near-0 head, sorted) and fpp_positive's points; see _abscissas.  A
     value is F_c (shift None) or F_d at a shift over one set.  ``reads``
-    declares the (shift, set) pairs the checks will read; on first use, one
-    ``evaluate`` call gives F_c over the scan and the default fpp points
-    and F_d over those points at every declared shift, the F_d rows one
-    shared vector.  A value nobody declared is computed when first asked
-    for, and if the stacked call raises, every value is computed on its
-    own through ``kernel_d``, so a check meets exactly the error it would
-    meet alone.  A single point (a localization step) takes the same
-    kernels and ufuncs, so it has the bits an array would give it.
+    declares the (shift, set) pairs the checks will read, which _fetch
+    gets in one call with the other columns of a pool item, or on first
+    use alone.  A value nobody declared, or every value once the call
+    raises, is computed when first asked for, so a check meets exactly the
+    error it would meet alone.  A single point (a localization step) takes
+    the same kernels and ufuncs, so it has the bits an array would give it.
 
     ``kernels`` maps a shift to its F_d kernel, None to F_c's; neither
     depends on the exponents, so the columns of one pair can share one
@@ -395,18 +378,7 @@ class _Column:
     def _value(self, delta, where):
         """F_c (delta None) or F_d at delta over the abscissa set where."""
         if self.reads:
-            keys = list(dict.fromkeys([None] + [d for d, _ in self.reads]))
-            self.reads = ()
-            c, d = (np.concatenate([self._arguments(k, w) for w in ("scan", _FPP)])
-                    for k in keys[:2])
-            try:
-                rows = evaluate([self._kernel(k) for k in keys],
-                                np.vstack([c] + [d] * (len(keys) - 1)))
-            except (ConvergenceError, DomainError):
-                rows = ()  # each value is computed below, on its own, when read
-            n = len(self._w_c)
-            self._values.update({(k, w): v for k, row in zip(keys, rows)
-                                 for w, v in (("scan", row[:n]), (_FPP, row[n:]))})
+            _fetch([self])
         if (delta, where) not in self._values:
             self._values[delta, where] = self._kernel(delta).array(self._arguments(delta, where))
         return self._values[delta, where]
@@ -453,13 +425,7 @@ def _admissibility_gate(check_id, params, pp, ep, column=None):
 
 
 def _theorem_params(pp, ep, delta):
-    return {
-        "a": pp.a,
-        "b": pp.b,
-        "c": ep.c_exp,
-        "d": ep.d_exp,
-        "delta": delta,
-    }
+    return {"a": pp.a, "b": pp.b, "c": ep.c_exp, "d": ep.d_exp, "delta": delta}
 
 
 def check_G_monotone(pp: ParamPair, ep: ExponentPair, delta: float,
@@ -629,12 +595,8 @@ def _sharpness_candidate(pp, ep, threshold_form, d1):
 def _sharpness_shifts(cand):
     """The shifts above cand at which sharpness needs a crossing: cand + 1e-3
     and cand + 1e-2, each replaced by cand/2 where it would reach 0."""
-    shifts = []
-    for eps in (1e-3, 1e-2):
-        nudged = cand + eps if cand + eps < 0.0 else 0.5 * cand
-        if nudged not in shifts:
-            shifts.append(nudged)
-    return shifts
+    return list(dict.fromkeys(cand + eps if cand + eps < 0.0 else 0.5 * cand
+                              for eps in (1e-3, 1e-2)))
 
 
 def check_sharpness(pp: ParamPair, ep: ExponentPair, threshold_form: str = "beta",
@@ -968,50 +930,29 @@ DEFAULT_CONFIG = VerifyConfig()
 
 
 def _resolve_pairs(config):
-    pairs = []
-    for a in config.a_values:
-        for spec in config.b_specs:
-            b = 1.0 - a if spec == "1-a" else float(spec)
-            pp = ParamPair(float(a), b)
-            if pp not in pairs:
-                pairs.append(pp)
-    return pairs
+    return list(dict.fromkeys(ParamPair(float(a), 1.0 - a if spec == "1-a" else float(spec))
+                              for a in config.a_values for spec in config.b_specs))
 
 
 def _resolve_exponents(config, dp):
-    """Admissible (ratio, ExponentPair) list for one pair, in config order."""
-    eps = []
-    seen = set()
+    """Admissible ExponentPair list for one pair, in config order, one per
+    ratio."""
+    eps = {}
     for spec in config.ratio_specs:
-        if spec == "bound":
-            r, ep = dp.ratio_bound, ExponentPair(dp.ratio_bound, 1.0)
-        else:
-            r = float(spec)
-            ep = ExponentPair(r * config.d_exp, config.d_exp)
-            r = ep.ratio
-        if r in seen or not (0.0 < r <= dp.ratio_bound):
-            continue
-        seen.add(r)
-        eps.append(ep)
-    return eps
+        ep = (ExponentPair(dp.ratio_bound, 1.0) if spec == "bound"
+              else ExponentPair(float(spec) * config.d_exp, config.d_exp))
+        if 0.0 < ep.ratio <= dp.ratio_bound:
+            eps.setdefault(ep.ratio, ep)
+    return list(eps.values())
 
 
 def _monotone_shifts(pp, d1):
-    left = pp.a - 1.0 + 1e-3
-    shifts = [left, 0.5 * (pp.a - 1.0 + d1), d1]
-    out = []
-    for s in shifts:
-        if pp.a - 1.0 < s <= d1 and s not in out:
-            out.append(s)
-    return out
+    shifts = (pp.a - 1.0 + 1e-3, 0.5 * (pp.a - 1.0 + d1), d1)
+    return list(dict.fromkeys(s for s in shifts if pp.a - 1.0 < s <= d1))
 
 
 def _crossing_shifts(d1):
-    shifts = []
-    for cand in (0.5 * d1, d1 + 1e-2 if d1 + 1e-2 < 0.0 else 0.5 * d1):
-        if cand not in shifts:
-            shifts.append(cand)
-    return shifts
+    return list(dict.fromkeys((0.5 * d1, d1 + 1e-2 if d1 + 1e-2 < 0.0 else 0.5 * d1)))
 
 
 def build_tasks(config: VerifyConfig):
@@ -1034,9 +975,7 @@ def build_tasks(config: VerifyConfig):
                 tasks.append(("G_monotone", dict(t)))
                 tasks.append(("sandwich", dict(t)))
                 tasks.append(("fpp_positive", dict(t)))
-                tq = dict(t)
-                tq["N"] = 200
-                tasks.append(("lemma_Q", tq))
+                tasks.append(("lemma_Q", {**t, "N": 200}))
             for delta in _crossing_shifts(d1):
                 tasks.append(("crossing", _theorem_params(pp, ep, delta)))
             tasks.append(("crossing_control", _theorem_params(pp, ep, d1 - 1e-6)))
@@ -1110,28 +1049,55 @@ def _column_reads(tasks, d1):
     return reads
 
 
+def _fetch(columns):
+    """One evaluate call for the values the columns declared: F_c and F_d at
+    each declared shift over the scan and the default fpp points, the F_d
+    rows of a column one shared vector.  If it raises, each column of
+    several fetches its own when first read (_Column._value), and a column
+    alone computes each value on its own as it is read."""
+    columns, keys, kernels, args = [col for col in columns if col.reads], [], [], []
+    try:
+        for col in columns:
+            keys.append(list(dict.fromkeys([None] + [d for d, _ in col.reads])))
+            kernels += [col._kernel(k) for k in keys[-1]]
+            c, d = (np.concatenate([col._arguments(k, w) for w in ("scan", _FPP)])
+                    for k in keys[-1][:2])
+            args += [c] + [d] * (len(keys[-1]) - 1)
+        rows = evaluate(kernels, np.vstack(args)) if args else ()
+    except (ConvergenceError, DomainError):
+        if len(columns) == 1:
+            columns[0].reads = ()
+        return
+    for col, ks in zip(columns, keys):
+        n = len(col._w_c)
+        col.reads, got, rows = (), rows[:len(ks)], rows[len(ks):]
+        col._values.update({(k, w): v for k, row in zip(ks, got)
+                            for w, v in (("scan", row[:n]), (_FPP, row[n:]))})
+
+
 def _run_item(item):
     """Rendered records (see _render) of one pool item, made where its
     checks run.  The tasks of one column share one _Column, which gates
-    once and fetches every value they read in one go, and the columns of
-    the item share their kernels; all of it is dropped on return.  A
-    ConvergenceError or DomainError becomes an error record of the task
-    that raised it."""
+    once; the columns of the item share their kernels and fetch every
+    value their tasks read in one evaluate call (_fetch); all of it is
+    dropped on return.  A ConvergenceError or DomainError becomes an error
+    record of the task that raised it."""
     tasks, config = item
     columns = {}
     for check_id, params in tasks:
         key = (params["c"], params["d"]) if "d" in params else None
         columns.setdefault(key, []).append((check_id, params))
     kernels = {}
+    made = {key: _Column(_pair(group[0][1]), _exponents(group[0][1]), config.grid,
+                         config.series, kernels=kernels)
+            for key, group in columns.items() if key is not None}
+    for key, column in made.items():
+        # build_tasks makes column tasks for admissible columns only
+        column.reads = _column_reads(columns[key], column.gate[1])
+    _fetch(made.values())
     records = []
     for key, group in columns.items():
-        column = None
-        if key is not None:
-            params = group[0][1]
-            column = _Column(_pair(params), _exponents(params), config.grid, config.series,
-                             kernels=kernels)
-            # build_tasks makes column tasks for admissible columns only
-            column.reads = _column_reads(group, column.gate[1])
+        column = made.get(key)
         for check_id, params in group:
             try:
                 result = _CALLS[check_id](params, config, column)
@@ -1152,12 +1118,7 @@ def _suite_meta(config: VerifyConfig) -> dict:
             "d_exp": config.d_exp,
             "threshold_form": config.threshold_form,
         },
-        "grid": {
-            "n_points": config.grid.n_points,
-            "x_lo": config.grid.x_lo,
-            "x_hi": config.grid.x_hi,
-            "spacing": config.grid.spacing,
-        },
+        "grid": asdict(config.grid),
         "tolerances": {
             "series_rel_tol": config.series.rel_tol,
             "interior_margin": INTERIOR_MARGIN,
@@ -1171,10 +1132,9 @@ def _suite_meta(config: VerifyConfig) -> dict:
 def _run_tasks(tasks, config):
     """The rendered records of tasks, in pool item order."""
     items = [(group, config) for group in _pair_items(tasks)]
-    workers = config.workers
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers == 1 or len(items) < 2:
+    # a fork-started pool forks every worker up front: no more than items
+    workers = min(config.workers or os.cpu_count() or 1, len(items))
+    if workers <= 1:
         batches = map(_run_item, items)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

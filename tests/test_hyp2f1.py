@@ -6,6 +6,7 @@ closed forms F(a,b;b;x) = (1-x)^(-a), and finite differences.
 
 import importlib
 import math
+from bisect import bisect_left
 import random
 from fractions import Fraction
 
@@ -45,7 +46,7 @@ CONN_CFG = SeriesConfig(switch_point=0.5)
 
 # the module itself: the package-level name hyp2f1 is the function
 h = importlib.import_module("hypcert.hyp2f1")
-# the array evaluator: the _Log set and the scalar loops it imports
+# the array evaluator: its bands, coefficient build and _Log set
 hk = importlib.import_module("hypcert.kernels")
 
 
@@ -257,7 +258,7 @@ def test_evaluation_is_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# the fixed-parameter kernel (Horner over x-free coefficients)
+# the family kernel (Horner over x-free coefficients, cut per abscissa band)
 
 
 def _family_points(seed, n_params=40):
@@ -279,6 +280,22 @@ def _family_points(seed, n_params=40):
               + [1.0 - 1e-8])
         out.append(((a - 1.0 - delta, b + delta, a + b), xs))
     return out
+
+
+# configs that move the truncation and the switch point past or short of
+# the band edges
+_CFGS = (DEFAULT_SERIES, SeriesConfig(rel_tol=1e-10, switch_point=0.5),
+         SeriesConfig(rel_tol=1e-15, switch_point=0.9))
+
+
+def _band_sets(kernel, regime):
+    """A kernel's coefficient set of each band of a regime (Python floats)
+    and the bands' top edges: in z for the series, in w = 1-z for the log
+    expansion, the last one switch_point or 1 - switch_point."""
+    sp = kernel.cfg.switch_point
+    top = sp if regime == "series" else 1.0 - sp
+    edges = [e for e in hk._EDGES[regime] if e < top] + [top]
+    return [kernel._band_set(regime, j) for j in range(len(edges))], edges
 
 
 def test_kernel_matches_scalar_on_family_points():
@@ -311,15 +328,11 @@ def test_kernel_against_mpmath():
 
 def test_kernel_value_does_not_depend_on_company():
     # one value, three ways: alone, through the per-point Python loop, and
-    # inside a larger shuffled array; bit-identical in every regime
-    # (terminating, non-integer excess and integer excess -1 included, the
-    # last only up to 0.99, where its contract ends)
+    # inside a larger shuffled array; bit-identical in both regimes
     rng = random.Random(13)
-    cases = [(params, 1.0 - 1e-8) for params, _ in _family_points(14, n_params=8)]
-    cases += [((-2.0, 1.3, 2.4), 0.999), ((0.5, 0.7, 1.7), 0.999), ((1.5, 1.0, 1.5), 0.99)]
-    for (a, b, c), top in cases:
+    for (a, b, c), _ in _family_points(14, n_params=8):
         kernel = Hyp2f1Kernel(a, b, c)
-        xs = [0.0] + [top * rng.random() for _ in range(60)] + [0.8, top]
+        xs = [0.0] + [(1.0 - 1e-8) * rng.random() for _ in range(60)] + [0.8, 1.0 - 1e-8]
         many = list(xs)
         rng.shuffle(many)
         in_array = dict(zip(many, kernel.array(np.array(many)).tolist()))
@@ -340,7 +353,6 @@ def test_kernel_log_regime_one_point_matches_array_where_the_logs_part():
     assert len(xs) >= 20
     for (a, b, c), _ in _family_points(15, n_params=4):
         kernel = Hyp2f1Kernel(a, b, c)
-        assert kernel._unit_excess
         assert [kernel(x) for x in xs.tolist()] == kernel.array(xs).tolist()
 
 
@@ -350,7 +362,7 @@ def test_kernel_refuses_what_the_scalar_refuses():
     with pytest.raises(DomainError) as kernel_err:
         Hyp2f1Kernel(0.5, 0.5, -2.0 + 1e-12)
     assert str(kernel_err.value) == str(scalar_err.value)
-    kernel = Hyp2f1Kernel(0.5, 0.5, 1.0)
+    kernel = Hyp2f1Kernel(-0.5, 0.5, 1.0)
     for bad in (1.0, -0.1, float("nan")):
         with pytest.raises(DomainError):
             kernel.array(np.array([0.3, bad]))
@@ -358,216 +370,207 @@ def test_kernel_refuses_what_the_scalar_refuses():
             kernel(bad)
 
 
-def _ratio_sup(a, b, c, n):
-    """1 + (max(s, 0) n + max(ab - c, 0))/((c+n)(n+1)), s = a+b-c-1: a bound
-    on (a+m)(b+m)/((c+m)(m+1)) for every m >= n, or None where it is not
-    proven (n <= max(-a, -b, -c), or s > 0 and n^2 < c)."""
-    s = a + b - c - 1.0
-    if n <= -a or n <= -b or n <= -c or (s > 0.0 and n * n < c):
-        return None
-    return 1.0 + (max(s, 0.0) * n + max(a * b - c, 0.0)) / ((c + n) * (n + 1.0))
+def test_kernels_refuse_parameters_off_the_family():
+    # kernels serve -1 < a < 0 < b with c = a+b+1 only, a and b in either
+    # order and c within the excess snap; everything else is scalar hyp2f1's
+    for a, b, c in ((0.5, 0.5, 1.0), (-2.0, 1.3, 2.4), (0.5, 0.7, 2.2), (0.0, 0.7, 1.7),
+                    (-1.0, 0.5, 0.5), (-0.5, 0.5, 1.2), (-0.3, -0.2, 0.5), (-0.5, 0.0, 0.5)):
+        with pytest.raises(DomainError, match=r"c = a\+b\+1"):
+            Hyp2f1Kernel(a, b, c)
+    kernel = Hyp2f1Kernel(0.5, -0.5, 1.0 + 1e-12)
+    assert (kernel.a, kernel.b) == (-0.5, 0.5)
 
 
-def _geometric(rho):
-    """rho/(1-rho), the sum of rho^i over i >= 1, or inf."""
-    return rho / (1.0 - rho) if rho is not None and rho < 1.0 else math.inf
-
-
-def _two_loop_series(a, b, c, cfg):
-    """Series coefficients (highest first) built in two loops: the Kahan
-    sum at switch_point, stopped at the first N whose tail bound
-    T = |t_N| rho/(1-rho) is at most rel_tol (|s_N| - T), tested as
-    T (1 + rel_tol) <= rel_tol |s_N|, then the coefficients."""
-    x = cfg.switch_point
-    s, comp, t = 1.0, 0.0, 1.0
-    for n in range(cfg.max_terms):
-        t *= (a + n) * (b + n) * x / ((c + n) * (n + 1.0))
-        y = t - comp
-        hi = s + y
-        comp = (hi - s) - y
-        s = hi
-        sup = _ratio_sup(a, b, c, n + 1.0)
-        geometric = _geometric(None if sup is None else x * sup)
-        if abs(t) * (geometric * (1.0 + cfg.rel_tol)) <= cfg.rel_tol * abs(s):
-            break
-    n_top = n + 1
+def _two_loop_series(a, b, c, cfg, edges):
+    """Series coefficient sets of each band (highest first), built in two
+    loops: the cut of each band edge e, the first N >= 1 with
+    |t_N| e^(N+1)/(1-e) <= rel_tol A (or a higher edge's cut, if lower),
+    then the coefficients from the recurrence."""
+    tol_a = cfg.rel_tol * gamma(a + b + 1.0) / (gamma(a + 1.0) * gamma(b + 1.0))
+    firsts, t, n = [None] * len(edges), 1.0, 0.0
+    while firsts[-1] is None:
+        t *= (a + n) * (b + n) / ((c + n) * (n + 1.0))
+        n += 1.0
+        for j, e in enumerate(edges):
+            if firsts[j] is None and abs(t) * (e ** (n + 1.0) / (1.0 - e)) <= tol_a:
+                firsts[j] = int(n)
     coefs = [1.0]
-    for n in range(n_top):
+    for n in range(firsts[-1]):
         coefs.append(coefs[-1] * ((a + n) * (b + n) / ((c + n) * (n + 1.0))))
-    return coefs[::-1]
+    cuts = [min(v for v in firsts[j:] if v is not None) for j in range(len(edges))]
+    return [coefs[:top + 1][::-1] for top in cuts]
 
 
-def _two_loop_log(a, b, cfg):
-    """The unit-excess coefficient set built in two loops: the expansion at
-    switch_point, stopped at the first k whose tail bound over every
-    w' <= w is at most rel_tol min(|A|, |partial| - bound), then gammas,
-    digammas and coefficients computed afresh."""
-    w = 1.0 - cfg.switch_point
+def _two_loop_log(a, b, cfg, edges):
+    """The unit-excess coefficient sets of each band, built in two loops:
+    the cut of each band edge e, the first k whose tail bound over w <= e,
+    |B coef_k| e^(k+1) times _log_tail's factor, is at most rel_tol A (or
+    a higher edge's cut, if lower), then gammas, digammas and coefficients
+    computed afresh."""
     A = gamma(a + b + 1.0) / (gamma(a + 1.0) * gamma(b + 1.0))
     B = a * b * A
-    lw, bw = math.log(w), B * w
     dk = h._digamma(a + 1.0) + h._digamma(b + 1.0) - h._PSI_1 - h._PSI_2
-    coef, s, comp = 1.0, 0.0, 0.0
-    for k_top in range(cfg.max_terms):
-        term = coef * (lw + dk)
-        y = term - comp
-        hi = s + y
-        comp = (hi - s) - y
-        s = hi
-        sup = _ratio_sup(a + 1.0, b + 1.0, 2.0, k_top)
-        if sup is not None:
-            # sup |d_j| over j > k: |d_k| plus the sum of |d_(i+1) - d_i|
-            u, v = min(a + 1.0, 1.0) + k_top, min(b + 1.0, 2.0) + k_top
-            drift = abs(a) * (1.0 + u) / (u * u) + abs(1.0 - b) * (1.0 + v) / (v * v)
-            # sup of w'^(k+1) |ln w'| over w' <= w, over w^(k+1)
-            m = k_top + 1.0
-            log_part = -lw if -m * lw >= 1.0 else math.exp(-1.0 - m * lw) / m
-            tail = abs(bw * coef) * ((log_part + abs(dk) + drift) * _geometric(w * sup))
-            if tail <= cfg.rel_tol * min(abs(A), abs(A + bw * s) - tail):
-                break
-        dk += 1.0 / (a + 1.0 + k_top) + 1.0 / (b + 1.0 + k_top) \
-            - 1.0 / (k_top + 1.0) - 1.0 / (k_top + 2.0)
-        coef *= (a + 1.0 + k_top) * (b + 1.0 + k_top) * w / ((k_top + 1.0) * (k_top + 2.0))
+    firsts, coef, k = [None] * len(edges), 1.0, 0.0
+    while firsts[-1] is None:
+        for j, e in enumerate(edges):
+            size = abs(B * coef) * e ** (k + 1.0) * h._log_tail(a, b, e, math.log(e), k, dk)
+            if firsts[j] is None and size <= cfg.rel_tol * A:
+                firsts[j] = int(k)
+        dk += 1.0 / (a + 1.0 + k) + 1.0 / (b + 1.0 + k) - 1.0 / (k + 1.0) - 1.0 / (k + 2.0)
+        coef *= (a + 1.0 + k) * (b + 1.0 + k) / ((k + 1.0) * (k + 2.0))
+        k += 1.0
     A = gamma(a + b + 1.0) / (gamma(a + 1.0) * gamma(b + 1.0))
     dk = h._digamma(a + 1.0) + h._digamma(b + 1.0) - h._PSI_1 - h._PSI_2
     coef, terms = 1.0, []
-    for k in range(k_top + 1):
+    for k in range(firsts[-1] + 1):
         terms.append((coef, dk))
         dk += 1.0 / (a + 1.0 + k) + 1.0 / (b + 1.0 + k) - 1.0 / (k + 1.0) - 1.0 / (k + 2.0)
         coef *= (a + 1.0 + k) * (b + 1.0 + k) / ((k + 1.0) * (k + 2.0))
-    p = [ck for ck, _ in reversed(terms)]
-    q = [ck * d for ck, d in reversed(terms)]
-    return hk._Log(A, a * b * A, p, q)
+    cuts = [min(v for v in firsts[j:] if v is not None) for j in range(len(edges))]
+    return [hk._Log(A, a * b * A, [ck for ck, _ in reversed(terms[:top + 1])],
+                    [ck * d for ck, d in reversed(terms[:top + 1])]) for top in cuts]
 
 
 def test_kernel_coefficients_match_a_two_loop_build():
-    # one pass builds each coefficient set; every number must have the
-    # bits of the two-loop build, on family and general parameters and on
-    # configs that move the truncation.  Sets are built for every
-    # non-terminating kernel, Horner-run or not: the general parameters
-    # reach the tail bound's branches that the family never takes
+    # one array pass builds the kernels' coefficient sets; every number,
+    # and every band's cut, must be the two-loop build's, on family
+    # parameters under configs that move the truncation and the bands
     def bits(values):
         """Exact text of every number in a (nested) coefficient set."""
         if isinstance(values, (list, tuple)):
             return [bits(v) for v in values]
         return float(values).hex()
 
-    rng = random.Random(20261018)
-    family = [abc for abc, _ in _family_points(5, n_params=30)]
-    general = [(rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5), rng.uniform(0.2, 4.0))
-               for _ in range(30)]
-    unit = [(a, b, a + b + 1.0) for a, b in
-            ((rng.uniform(-0.9, 2.5), rng.uniform(-0.9, 2.5)) for _ in range(30))]
-    cfgs = (DEFAULT_SERIES, SeriesConfig(rel_tol=1e-10, switch_point=0.5),
-            SeriesConfig(rel_tol=1e-15, switch_point=0.9))
-    n_series = n_log = 0
-    for a, b, c in family + general + unit:
-        for cfg in cfgs:
-            kernel = Hyp2f1Kernel(a, b, c, cfg)
-            ka, kb = kernel.a, kernel.b
-            if h._terminating(ka, kb):
-                continue
-            assert bits(kernel._series) == bits(_two_loop_series(ka, kb, c, cfg))
-            n_series += 1
-            if abs(c - ka - kb - 1.0) <= 1e-9:
-                assert bits(kernel._log) == bits(_two_loop_log(ka, kb, cfg))
-                n_log += 1
-    assert n_series >= 200 and n_log >= 150
+    kernels = [Hyp2f1Kernel(a, b, c, cfg) for (a, b, c), _ in _family_points(5, n_params=30)
+               for cfg in _CFGS]
+    evaluate(kernels, np.full((len(kernels), 1), 0.5))
+    n_bands = 0
+    for kernel in kernels:
+        ka, kb, c, cfg = kernel.a, kernel.b, kernel.c, kernel.cfg
+        series, edges = _band_sets(kernel, "series")
+        assert bits(series) == bits(_two_loop_series(ka, kb, c, cfg, edges))
+        log, edges = _band_sets(kernel, "log")
+        assert bits(log) == bits(_two_loop_log(ka, kb, cfg, edges))
+        n_bands += len(series) + len(log)
+    assert len(kernels) == 90 and n_bands >= 90 * 5
 
 
 def test_each_coefficient_set_meets_rel_tol_in_exact_arithmetic():
-    # exact rationals: the remainder past a set's last term (summed 40
+    # exact rationals: the remainder past a band's last term (summed 40
     # terms further, plus a geometric bound on the rest) is at most rel_tol
-    # times an exact floor on |F| over the regime, at its worst points: the
-    # series at switch_point (and a quarter of it), the log expansion at
-    # w = 1 - switch_point and a quarter of it (and where w^(k+1)|ln w|
-    # peaks, were that inside).  Family kernels and kernels with a, b, c > 0,
-    # under the configs of the two-loop test
-    rng = random.Random(18)
-    positive = [(rng.uniform(0.05, 2.5), rng.uniform(0.05, 2.5), rng.uniform(0.2, 4.0))
-                for _ in range(2)]
-    positive += [(a, b, a + b + 1.0) for a, b in
-                 ((rng.uniform(0.05, 2.5), rng.uniform(0.05, 2.5)) for _ in range(2))]
+    # times an exact floor on |F| over the band, at its worst points: the
+    # series at the band's edge (and a quarter of it), the log expansion at
+    # its edge in w and a quarter of it (and where w^(k+1)|ln w| peaks, were
+    # that inside).  Family kernels, under the configs of the two-loop test
     family = [abc for abc, _ in _family_points(18, n_params=3)]
-    cfgs = (DEFAULT_SERIES, SeriesConfig(rel_tol=1e-10, switch_point=0.5),
-            SeriesConfig(rel_tol=1e-15, switch_point=0.9))
-    n_log = 0
-    for a, b, c in family + positive:
-        for cfg in cfgs:
+    n_series = n_log = 0
+    for a, b, c in family:
+        for cfg in _CFGS:
             kernel = Hyp2f1Kernel(a, b, c, cfg)
-            assert kernel._horner
             a, b = Fraction(kernel.a), Fraction(kernel.b)
-            tol, sp = Fraction(cfg.rel_tol), Fraction(cfg.switch_point)
-            n = len(kernel._series) - 1
-            floors = {}
-            for x in (sp, sp / 4):
-                total, tail, rest = series_exact(a, b, c, x, n)
-                floors[x] = total - rest
-                assert abs(tail) + rest <= tol * floors[x], (a, b, c, cfg, x)
-            if not kernel._unit_excess:
-                continue
+            tol = Fraction(cfg.rel_tol)
+            series, edges = _band_sets(kernel, "series")
+            for coefs, edge in zip(series, edges):
+                n = len(coefs) - 1
+                for x in (Fraction(edge), Fraction(edge) / 4):
+                    total, tail, rest = series_exact(a, b, c, x, n)
+                    assert abs(tail) + rest <= tol * (total - rest), (a, b, c, cfg, x)
+                    n_series += 1
             # F = A + B w sum_k u_k (ln w + d_k): u_k the terms of
             # F(a+1, b+1; 2; w), B = ab A, d_k = d_0 + e_k with e_k rational
-            lg = kernel._log
-            top_k = len(lg.p) - 1
-            d0 = lg.q[-1]
-            e = [Fraction(0)]
-            for i in range(top_k + 41):
-                e.append(e[-1] + 1 / (a + 1 + i) + 1 / (b + 1 + i) - Fraction(1, i + 1)
-                         - Fraction(1, i + 2))
-            w_max = 1.0 - cfg.switch_point
-            peak = math.exp(-1.0 / (top_k + 1))
-            for w in (w_max, w_max / 4) + ((peak,) if peak < w_max else ()):
-                lw = math.log(w)
-                pad = Fraction(1e-14) * (abs(lw) + abs(d0) + 1)
-                p_tail, rest = series_exact(a + 1, b + 1, 2, w, top_k)[1:]
-                e_tail = series_exact(a + 1, b + 1, 2, w, top_k, weights=e.__getitem__)[1]
-                # |d_k| past the last e: |d_0| + |e_top| + the sum over i >= top
-                # of |a|/((a+1+i)(i+1)) + |1-b|/((b+1+i)(i+2)) <= .../i^2
-                sup_d = abs(d0) + abs(e[-1]) + (abs(a) + abs(1 - b)) / (len(e) - 2)
-                bound = (abs((Fraction(lw) + Fraction(d0)) * p_tail + e_tail)
-                         + pad * p_tail + rest * (abs(Fraction(lw)) + sup_d + pad))
-                # the floor: A on the family, where F falls to it; where F
-                # rises, F(switch_point).  |R| = |ab| A w |tail sum|
-                if kernel.a < 0:
+            log, edges = _band_sets(kernel, "log")
+            for lg, w_max in zip(log, edges):
+                top_k = len(lg.p) - 1
+                d0 = lg.q[-1]
+                e = [Fraction(0)]
+                for i in range(top_k + 41):
+                    e.append(e[-1] + 1 / (a + 1 + i) + 1 / (b + 1 + i) - Fraction(1, i + 1)
+                             - Fraction(1, i + 2))
+                peak = math.exp(-1.0 / (top_k + 1))
+                for w in (w_max, w_max / 4) + ((peak,) if peak < w_max else ()):
+                    lw = math.log(w)
+                    pad = Fraction(1e-14) * (abs(lw) + abs(d0) + 1)
+                    p_tail, rest = series_exact(a + 1, b + 1, 2, w, top_k)[1:]
+                    e_tail = series_exact(a + 1, b + 1, 2, w, top_k, weights=e.__getitem__)[1]
+                    # |d_k| past the last e: |d_0| + |e_top| + the sum over
+                    # i >= top of |a|/((a+1+i)(i+1)) + |1-b|/((b+1+i)(i+2)) <= .../i^2
+                    sup_d = abs(d0) + abs(e[-1]) + (abs(a) + abs(1 - b)) / (len(e) - 2)
+                    bound = (abs((Fraction(lw) + Fraction(d0)) * p_tail + e_tail)
+                             + pad * p_tail + rest * (abs(Fraction(lw)) + sup_d + pad))
+                    # the floor is A, where F falls to: |R| = |ab| A w |tail sum|
                     assert abs(a * b) * Fraction(w) * bound <= tol, (a, b, cfg, w)
-                else:
-                    big_a = Fraction(gamma(kernel.a + kernel.b + 1.0)
-                                     / (gamma(kernel.a + 1.0) * gamma(kernel.b + 1.0)))
-                    assert (abs(a * b) * big_a * (1 + Fraction(1e-13)) * Fraction(w) * bound
-                            <= tol * floors[sp]), (a, b, cfg, w)
-                n_log += 1
-    assert n_log >= 3 * 5 * 2
+                    n_log += 1
+    assert n_series >= 9 * 3 * 2 and n_log >= 9 * 2 * 2
+
+
+def test_band_edges_keep_their_bits_alone_and_stacked():
+    # at each band edge, its neighbours and switch_point, the one-point
+    # path, the kernel's array and a stacked call of several kernels reading
+    # one shared vector give the same bits; the neighbours straddle the edge
+    sp = DEFAULT_SERIES.switch_point
+    xs = [0.0]
+    for e in hk._EDGES["series"] + (sp,):
+        xs += [math.nextafter(e, 0.0), e, math.nextafter(e, 1.0)]
+    for e in hk._EDGES["log"]:
+        xs += [math.nextafter(1.0 - e, 0.0), 1.0 - e, math.nextafter(1.0 - e, 1.0)]
+
+    def band(x):
+        return (x <= sp, bisect_left(hk._EDGES["series"], x) if x <= sp
+                else bisect_left(hk._EDGES["log"], 1.0 - x))
+
+    for i in range(0, len(xs) - 1, 3):
+        below, edge, above = xs[i + 1:i + 4]
+        assert band(below) == band(edge) != band(above)
+    kernels = [Hyp2f1Kernel(a, b, c) for (a, b, c), _ in _family_points(23, n_params=6)]
+    pts = np.array(xs)
+    stacked = evaluate(kernels, np.stack([pts] * len(kernels)))
+    for kernel, row in zip(kernels, stacked.tolist()):
+        alone = [kernel(x) for x in xs]
+        assert kernel.array(pts).tolist() == alone == row
+
+
+def test_log_tails_is_the_scalar_log_tail():
+    # the build's array bound is _log_tail, entry by entry, to a few ulps:
+    # the same operations, np.exp for math.exp
+    kernels = [Hyp2f1Kernel(a, b, c) for (a, b, c), _ in _family_points(24, n_params=12)]
+    k = np.arange(40, dtype=float)
+    for kernel in kernels:
+        a, b = kernel.a, kernel.b
+        d0 = h._log_start(a, b)[2]
+        dk = [d0]
+        for i in range(39):
+            dk.append(dk[-1] + (1.0 / (a + 1.0 + i) + 1.0 / (b + 1.0 + i) - 1.0 / (i + 1.0)
+                                - 1.0 / (i + 2.0)))
+        ws = (1e-6, 1e-3, 0.02, 0.2, 0.6)
+        got = hk._log_tails(np.array([[a]]), np.array([[b]]), np.array(ws)[:, None, None], k,
+                            np.array([dk]))
+        for w, row in zip(ws, got):
+            want = [h._log_tail(a, b, w, math.log(w), float(i), d) for i, d in enumerate(dk)]
+            assert row[0].tolist() == pytest.approx(want, rel=1e-15), (a, b, w)
 
 
 # ---------------------------------------------------------------------------
-# the stacked evaluator: many kernels' points in one Horner loop per regime
+# the stacked evaluator: many kernels' points in one Horner loop per band
 
 
 def _mixed_kernels(seed):
-    """Kernels in every regime, with series and log coefficient lists of
-    different lengths, each with points over its own contract."""
+    """Family kernels under the three configs, with series and log
+    coefficient sets of different lengths, each with points in both
+    regimes."""
     rng = random.Random(seed)
-    out = []
-    for (a, b, c), xs in _family_points(seed, n_params=10):
-        out.append((Hyp2f1Kernel(a, b, c), xs))
-    for (a, b, c), top in (((-2.0, 1.3, 2.4), 0.999), ((0.5, 0.7, 1.7), 0.999),
-                           ((1.5, 1.0, 1.5), 0.99)):
-        xs = [top * rng.random() for _ in range(15)] + [0.8, top]
-        out.append((Hyp2f1Kernel(a, b, c), xs))
-    return out
+    return [(Hyp2f1Kernel(a, b, c, rng.choice(_CFGS)), xs)
+            for (a, b, c), xs in _family_points(seed, n_params=13)]
 
 
 def test_evaluate_matches_kernel_point_by_point():
-    # the stacked rows move each row's regime points to the front, pad
-    # coefficients with leading zeros and points with copies; none of it
+    # the stacked rows move each band's points to the front, pad
+    # coefficients with leading zeros and points with zeros; none of it
     # may move a bit of any value, in any row order, whether rows hold
     # their own points, repeat a kernel or share one vector
     rng = random.Random(21)
     kernels = _mixed_kernels(22)
-    horner = [k for k, _ in kernels if k._horner]
-    assert len({len(k._series) for k in horner}) > 3
-    assert len({len(k._log.p) for k in horner if k._unit_excess}) > 1
+    assert len({len(_band_sets(k, "series")[0][-1]) for k, _ in kernels}) > 3
+    assert len({len(_band_sets(k, "log")[0][-1].p) for k, _ in kernels}) > 1
     width = max(len(xs) for _, xs in kernels)
     rows = []
     for kernel, xs in kernels:
@@ -577,9 +580,9 @@ def test_evaluate_matches_kernel_point_by_point():
             row = xs + [rng.choice(xs) for _ in range(width - len(xs))]
             rng.shuffle(row)
             rows.append((kernel, row))
-    # every regime: series, unit-excess log, non-integer connection,
-    # integer-excess series beyond the switch point, terminating
-    shared = [0.0, 0.3, 0.8, 0.81, 0.95, 0.99] + [0.99 * rng.random() for _ in range(width - 6)]
+    # every band of both regimes, read by every kernel
+    shared = [0.0, 0.05, 0.3, 0.5, 0.8, 0.81, 0.95, 0.99, 0.9995]
+    shared += [0.99 * rng.random() for _ in range(width - len(shared))]
     rows += [(kernel, shared) for kernel, _ in kernels]
     for _ in range(3):
         rng.shuffle(rows)
@@ -595,17 +598,17 @@ def test_evaluate_checks_real_points_never_padding():
     # reaches 0.8: its one series point is padded out to the width of the
     # other row and its log-regime points go elsewhere, and every value
     # keeps the bits it has alone
-    cut = Hyp2f1Kernel(-0.5, 0.5, 1.0)
-    coefs = cut._series
-    cut.__dict__["_series"] = coefs[len(coefs) // 2:]
-    full = Hyp2f1Kernel(-0.3, 0.7, 1.0)
+    cut = Hyp2f1Kernel(-0.5, 0.5, 1.0, SeriesConfig(rel_tol=1e-6))
+    full = Hyp2f1Kernel(-0.3, 0.7, 1.4)
+    assert 2 * len(_band_sets(cut, "series")[0][-1]) < len(_band_sets(full, "series")[0][-1])
+    sets = cut._sets
     wide = np.linspace(0.0, 0.8, 40)
     mostly_log = np.array([0.01] + [0.9] * 39)
     got_cut, got_full = evaluate([cut, full], np.stack([mostly_log, wide]))
     assert got_cut.tolist() == [cut(x) for x in mostly_log.tolist()]
     assert got_full.tolist() == [full(x) for x in wide.tolist()]
     # a set already present is used as it is: evaluate did not rebuild it
-    assert len(cut._series) == len(coefs) - len(coefs) // 2
+    assert cut._sets is sets
     # in the other row order too, with the cut kernel's truncated 0.8
     reaching = np.array([0.01, 0.8] + [0.9] * 38)
     got_full, got_cut = evaluate([full, cut], np.stack([wide, reaching]))
@@ -614,63 +617,59 @@ def test_evaluate_checks_real_points_never_padding():
 
 
 def _batch_kernels(seed):
-    """Kernels of every Horner shape under three configs, in one list:
-    family, general and unit-excess parameters, terminating ones left out."""
+    """Family kernels under the three configs, in one shuffled list."""
     rng = random.Random(seed)
-    family = [abc for abc, _ in _family_points(seed, n_params=20)]
-    general = [(rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5), rng.uniform(0.2, 4.0))
-               for _ in range(20)]
-    unit = [(a, b, a + b + 1.0) for a, b in
-            ((rng.uniform(-0.9, 2.5), rng.uniform(-0.9, 2.5)) for _ in range(20))]
-    cfgs = (DEFAULT_SERIES, SeriesConfig(rel_tol=1e-10, switch_point=0.5),
-            SeriesConfig(rel_tol=1e-15, switch_point=0.9))
-    kernels = [Hyp2f1Kernel(a, b, c, rng.choice(cfgs)) for a, b, c in family + general + unit]
-    kernels = [k for k in kernels if k._horner]
+    kernels = [Hyp2f1Kernel(a, b, c, rng.choice(_CFGS))
+               for (a, b, c), _ in _family_points(seed, n_params=40)]
     rng.shuffle(kernels)
     return kernels
 
 
 def test_a_log_set_with_b_zero_keeps_one_term():
-    # B = a*b*A = 0: the expansion is A, and its set keeps the one term
-    zero = Hyp2f1Kernel(0.0, 0.7, 1.7)
-    assert zero._log.p == [1.0] and len(zero._log.q) == 1
+    # B = a*b*A = 0: the expansion is A, and the scalar loop keeps the one
+    # term; kernels refuse a = 0, where F = 1
+    start = h._log_start(0.0, 0.7)
+    assert start[1] == 0.0
+    assert h._log_connection_unit_excess(0.0, 0.7, 0.9, DEFAULT_SERIES, start) == (start[0], 0)
+    with pytest.raises(DomainError):
+        Hyp2f1Kernel(0.0, 0.7, 1.7)
 
 
 def test_evaluate_builds_each_regime_once(monkeypatch):
-    # each distinct kernel runs its regime's scalar loop once, at
-    # switch_point, when a call first has points for it in that regime; a
-    # kernel on several rows is built once, and a second call runs none
+    # a call builds every kernel it lacks, the first time it sees it, in
+    # one array pass per config and regime; a kernel on several rows is
+    # built once, a second call builds none, and no scalar loop runs
+    assert not hasattr(hk, "_raw_series") and not hasattr(hk, "_log_connection_unit_excess")
     kernels = _batch_kernels(34)[:12]
     xs = np.array([[0.1, 0.5, 0.85, 0.97]] * len(kernels))
-    calls = []
+    passes, starts = [], []
+    real_truncate, real_start = hk._truncate, hk._log_start
 
-    def counted(regime, loop):
-        def run(a, b, *rest):
-            calls.append((regime, a, b, rest[1] if regime == "series" else rest[0]))
-            return loop(a, b, *rest)
-        return run
+    def truncate(rows, cfg, regime):
+        passes.append((regime, cfg, len(rows)))
+        return real_truncate(rows, cfg, regime)
 
-    monkeypatch.setattr(hk, "_raw_series", counted("series", hk._raw_series))
-    monkeypatch.setattr(hk, "_log_connection_unit_excess",
-                        counted("log", hk._log_connection_unit_excess))
+    monkeypatch.setattr(hk, "_truncate", truncate)
+    monkeypatch.setattr(hk, "_log_start", lambda a, b: starts.append((a, b)) or real_start(a, b))
     first = evaluate(kernels + kernels[:3], np.vstack([xs, xs[:3]]))
-    assert calls == ([("series", k.a, k.b, k.cfg.switch_point) for k in kernels]
-                     + [("log", k.a, k.b, k.cfg.switch_point) for k in kernels
-                        if k._unit_excess])
-    assert sum(k._unit_excess for k in kernels) >= 3
-    calls.clear()
+    cfgs = {k.cfg for k in kernels}
+    assert len(cfgs) == 3
+    assert sorted(starts) == sorted((k.a, k.b) for k in kernels)
+    assert sorted(p[0] for p in passes) == ["log"] * 3 + ["series"] * 3
+    assert sum(n for regime, _, n in passes if regime == "series") == len(kernels)
+    passes.clear()
+    starts.clear()
     assert evaluate(kernels, xs).tolist() == first[:12].tolist()
-    assert calls == []
+    assert passes == starts == []
 
 
 def test_a_row_that_does_not_converge_raises_as_it_raises_alone():
-    # a budget the series cannot meet: the kernel raises its regime's
-    # scalar loop's error at switch_point, alone and inside evaluate,
-    # whichever rows come before it
-    good = [k for k in _batch_kernels(35) if k._unit_excess][:6]
+    # a budget the regime's scalar loop cannot meet at switch_point: the
+    # kernel raises one error, alone and inside evaluate, whichever rows
+    # come before it; the rows built with it still get their coefficients
+    a, b = -0.4, 0.6
     # the series at x = 0.8 and the expansion at w = 0.99 keep terms far
     # above 1e-300 of the sum for 1000 terms
-    a, b = -0.4, 0.6
     for regime, sp in (("series", 0.8), ("log", 0.01)):
         cfg = SeriesConfig(rel_tol=1e-300, max_terms=1000, switch_point=sp)
         with pytest.raises(ConvergenceError) as scalar:
@@ -679,14 +678,16 @@ def test_a_row_that_does_not_converge_raises_as_it_raises_alone():
             else:
                 h._log_connection_unit_excess(a, b, sp, cfg, h._log_start(a, b))
         assert "1000 terms" in str(scalar.value)
-        bad = Hyp2f1Kernel(a, b, a + b + 1.0, cfg)
         with pytest.raises(ConvergenceError) as alone:
-            bad._coefs(regime)
-        assert str(alone.value) == str(scalar.value)
+            Hyp2f1Kernel(a, b, a + b + 1.0, cfg)(0.005 if regime == "series" else 0.995)
+        assert str(alone.value).startswith(f"{regime} coefficients for ({a}, {b}, ")
+        assert str(alone.value).endswith(f"up to x={sp} within 1000 terms")
+        good = _batch_kernels(35)[:6]
         with pytest.raises(ConvergenceError) as arrayed:
-            evaluate(good[:2] + [bad] + good[2:],
+            evaluate(good[:2] + [Hyp2f1Kernel(a, b, a + b + 1.0, cfg)] + good[2:],
                      np.full((len(good) + 1, 3), 0.005 if regime == "series" else 0.995))
-        assert str(arrayed.value) == str(scalar.value)
+        assert str(arrayed.value) == str(alone.value)
+        assert all(isinstance(k._sets, tuple) for k in good)
 
 
 def test_hyp2f1_at_the_zero_endpoint_fit_arguments():
@@ -736,7 +737,7 @@ def test_the_family_series_takes_no_tail_factor_call(monkeypatch):
         for x in xs:
             if x <= sp:
                 hyp2f1(a, b, c, x)
-        Hyp2f1Kernel(a, b, c)._series
+        Hyp2f1Kernel(a, b, c).ends
     for a, b, c in ((0.5, 0.7, 2.5), (1.5, 1.2, 2.0), (-0.4, 0.3, 1.7)):
         hyp2f1(a, b, c, 0.6)
     assert calls == []

@@ -183,9 +183,11 @@ def test_endpoint_limits_are_gauss_and_the_first_coefficient():
 def test_G_monotone_makes_no_scalar_call(monkeypatch):
     # both endpoint limits come from the column's kernels: no scalar
     # hyp2f1 call and no linear solve, on any G_monotone column
-    assert not hasattr(verifier, "hyp2f1")
+    assert not hasattr(verifier, "hyp2f1") and not hasattr(kernels, "hyp2f1")
     calls = []
-    monkeypatch.setattr(kernels, "hyp2f1", lambda *args: calls.append(args))
+    scalar = sys.modules["hypcert.hyp2f1"]
+    for name in ("hyp2f1", "_raw_series", "_log_connection_unit_excess"):
+        monkeypatch.setattr(scalar, name, lambda *args: calls.append(args))
     monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(args))
     n = 0
     for item in verifier._pair_items(build_tasks(SMALL_CONFIG)):
@@ -766,8 +768,8 @@ def test_undeclared_shift_is_computed_when_read():
 
 def test_a_column_fetches_its_values_in_one_call(monkeypatch, small_report):
     # the shifts a column declares for its tasks cover every value they
-    # read: one evaluate call per column of a pair item, no value computed
-    # on its own
+    # read: one evaluate call per pair item, for all of its columns, no
+    # value computed on its own
     calls = []
     real = verifier.evaluate
 
@@ -787,7 +789,7 @@ def test_a_column_fetches_its_values_in_one_call(monkeypatch, small_report):
         before = len(calls)
         for key, _, rec in verifier._run_item((item, SMALL_CONFIG)):
             records[key] = rec
-        assert len(calls) == before + len(columns)
+        assert len(calls) == before + (len(columns) > 0)
         n_columns += len(columns)
     assert n_columns >= 8
     for rec in small_report.checks:
@@ -814,6 +816,63 @@ def test_a_pair_builds_each_kernel_once_per_run(monkeypatch, small_report):
     built.clear()
     run_suite(SMALL_CONFIG)
     assert built == first
+
+
+def test_a_pair_item_fetches_the_bits_each_column_fetches_alone():
+    # one evaluate call for every column of a pair item gives each value
+    # the bits the column's own call gives it, kernels shared or not
+    n = 0
+    for item in verifier._pair_items(build_tasks(SMALL_CONFIG)):
+        columns, alone, kernels_ = {}, {}, {}
+        for _, t in item:
+            if "d" not in t or (t["c"], t["d"]) in columns:
+                continue
+            group = [(kind, u) for kind, u in item if (u.get("c"), u.get("d")) == (t["c"], t["d"])]
+            pp, ep = ParamPair(t["a"], t["b"]), ExponentPair(t["c"], t["d"])
+            columns[t["c"], t["d"]] = verifier._Column(pp, ep, SMALL_GRID, kernels=kernels_)
+            alone[t["c"], t["d"]] = verifier._Column(pp, ep, SMALL_GRID)
+            for col in (columns[t["c"], t["d"]], alone[t["c"], t["d"]]):
+                col.reads = verifier._column_reads(group, col.gate[1])
+        verifier._fetch(list(columns.values()))
+        for key, col in columns.items():
+            assert not col.reads and col._values
+            for (delta, where), values in col._values.items():
+                assert alone[key]._value(delta, where).tobytes() == values.tobytes()
+                n += 1
+    assert n >= 40
+
+
+def test_the_pool_starts_no_more_workers_than_items(monkeypatch):
+    # a fork-started pool forks every worker up front: --workers 500 on a
+    # sample of fewer items starts one worker per item (a stand-in pool
+    # records the count and runs the items here, starting no process)
+    started = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(verifier, "ProcessPoolExecutor", Pool)
+    tasks = build_tasks(SMALL_CONFIG)
+    n_items = len(verifier._pair_items(tasks))
+    serial = verifier._run_tasks(tasks, SMALL_CONFIG)
+    assert started == [] and 2 < n_items < 500
+    for workers, want in ((500, n_items), (n_items, n_items), (2, 2)):
+        config = dataclasses.replace(SMALL_CONFIG, workers=workers)
+        assert verifier._run_tasks(tasks, config) == serial
+        assert started[-1] == want
+    assert verifier._run_tasks(tasks[:1], dataclasses.replace(SMALL_CONFIG, workers=500)) \
+        == serial[:1]
+    assert len(started) == 3
 
 
 def _seed7_config(monkeypatch):
