@@ -24,6 +24,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from functools import cache
 
 from .constants import (
     CHECK_IDS,
@@ -210,18 +211,22 @@ def cmd_sweep(ns) -> int:
     series = _series_from(ns, settings)
     pp = ParamPair(ns.a, ns.b)
     ep = ExponentPair(ns.c, ns.d)
-    # Every row echoes the same tuple: format it once, then each row's six
-    # computed values with one %-operation ("%.17g" % v is _fmt(v)).
+    values = sweep_rows(pp, ep, ns.delta, grid, series)
+    # Every line echoes the same tuple: format it once, then the whole body
+    # with one %-operation over the values in row order ("%.17g" % v is
+    # _fmt(v))
     echo = ",".join(map(_fmt, (pp.a, pp.b, ep.c_exp, ep.d_exp, ns.delta)))
-    line = echo + ",%.17g" * 6
-    lines = [SWEEP_HEADER]
-    lines.extend(line % row[5:] for row in sweep_rows(pp, ep, ns.delta, grid, series))
+    line = echo + ",%.17g" * values.shape[1] + "\n"
+    body = line * len(values) % tuple(values.ravel().tolist())
     out = ns.out if ns.out is not None else settings.get("out")
-    _write_text(out, "\n".join(lines) + "\n")
+    _write_text(out, SWEEP_HEADER + "\n" + body)
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the process's first call: parse_args keeps no
+    state between calls, so later main() calls only parse."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="key = value settings file")
     common.add_argument("--workers", type=int, default=None,

@@ -291,7 +291,8 @@ def f4(a: float) -> float:
     """Case-boundary polynomial for b = 1-a:
     f4(a) = 4a(2-a)(1-a)^2 (a^2 - 2a + 2)^2 - 1.
 
-    CaseB admissibility for the pair (a, 1-a) is exactly f4(a) >= 0."""
+    CaseB admissibility for the pair (a, 1-a) is exactly f4(a) >= 0.
+    Plain arithmetic, so a NumPy array gives each entry f4's bits."""
     one_a = 1.0 - a
     q = a * a - 2.0 * a + 2.0
     return 4.0 * a * (2.0 - a) * one_a * one_a * q * q - 1.0

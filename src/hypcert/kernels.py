@@ -21,8 +21,10 @@ from .hyp2f1 import _EXCESS_SNAP, DEFAULT_SERIES, SeriesConfig, _check_params, _
 # #(edges < w), w = 1-z; a band keeps the terms its top edge needs, the last
 # band's edge being switch_point (1 - switch_point for w)
 _EDGES = {"series": (0.15, 0.45), "log": (0.01,)}
-# terms a build tries first; a row with no cut there tries 4x as many alone
+# terms a build tries first; a row with no cut there searches on alone, in
+# stretches of at most _STRIDE terms, and is built to its cut once it finds one
 _DEPTH = {"series": 128, "log": 32}
+_STRIDE = 16384
 # F = A + B*w*(ln w * P(w) + Q(w)): coefficients coef_k of P and coef_k*d_k
 # of Q, highest first (over arrays P's and Q's in one, q None)
 _Log = namedtuple("_Log", "A B p q")
@@ -59,27 +61,33 @@ def _log_tails(a, b, w, k, dk):
     return (log_part + np.abs(dk) + drift) * ratio
 
 
-def _terms(r, depth, edges, tol, regime):
-    """A regime's coefficient arrays over depth terms for rows r = (a, b, c,
-    A, B, d_0), cumulative products and sums in the recurrences' order (so
-    with their bits), and (edges, rows, terms) where the tail past a term
-    over the band of each edge e is at most tol A: |t_n| e^(n+1)/(1-e),
-    n >= 1, for the series (the later terms are negative, each at most e
-    times the one before, and F >= A), |B coef_k| e^(k+1) times _log_tail's
-    factor for the log."""
-    n, one, e = np.arange(depth, dtype=float), np.ones((len(r), 1)), np.array(edges)[:, None, None]
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _terms(r, start, stop, edges, tol, regime, first=None):
+    """A regime's coefficient arrays over the terms start..stop-1 for rows
+    r = (a, b, c, A, B, d_0), cumulative products and sums in the
+    recurrences' order (so with their bits), and (edges, rows, terms) where
+    the tail past a term over the band of each edge e is at most tol A:
+    |t_n| e^(n+1)/(1-e), n >= 1, for the series (the later terms are
+    negative, each at most e times the one before, and F >= A), |B coef_k|
+    e^(k+1) times _log_tail's factor for the log.  ``first`` holds the
+    running values at start, t or coef_k and d_k as (1 or 2, rows, 1), None
+    at start 0; the third array returned holds them at stop-1."""
+    n = np.arange(start, stop, dtype=float)
+    one, e = np.ones((len(r), 1)), np.array(edges)[:, None, None]
     if regime == "series":
+        first = one[None] if first is None else first
         ratios = (r[:, :1] + n) * (r[:, 1:2] + n) / ((r[:, 2:3] + n) * (n + 1.0))
-        t = np.cumprod(np.hstack([one, ratios[:, :-1]]), axis=1)
-        size = np.abs(t)
-        size[:, 0] = np.inf
-        return t[None], size * (e ** (n + 1.0) / (1.0 - e)) <= tol * r[:, 3:4]
+        t = np.cumprod(np.hstack([first[0], ratios[:, :-1]]), axis=1)
+        size = np.where(n == 0.0, np.inf, np.abs(t))
+        return t[None], size * (e ** (n + 1.0) / (1.0 - e)) <= tol * r[:, 3:4], t[None, :, -1:]
+    first = np.stack([one, r[:, 5:6]]) if first is None else first
     a1, b1, k1, k2 = r[:, :1] + 1.0, r[:, 1:2] + 1.0, n + 1.0, n + 2.0
-    coef = np.cumprod(np.hstack([one, ((a1 + n) * (b1 + n) / (k1 * k2))[:, :-1]]), axis=1)
+    coef = np.cumprod(np.hstack([first[0], ((a1 + n) * (b1 + n) / (k1 * k2))[:, :-1]]), axis=1)
     steps = 1.0 / (a1 + n) + 1.0 / (b1 + n) - 1.0 / k1 - 1.0 / k2
-    dk = np.cumsum(np.hstack([r[:, 5:6], steps[:, :-1]]), axis=1)
+    dk = np.cumsum(np.hstack([first[1], steps[:, :-1]]), axis=1)
     bound = np.abs(r[:, 4:5] * coef) * e ** (n + 1.0) * _log_tails(r[:, :1], r[:, 1:2], e, n, dk)
-    return np.stack([coef, coef * dk]), bound <= tol * r[:, 3:4]
+    return (np.stack([coef, coef * dk]), bound <= tol * r[:, 3:4],
+            np.stack([coef[:, -1:], dk[:, -1:]]))
 
 
 def _cat(parts):
@@ -99,21 +107,33 @@ def _truncate(rows, cfg, regime):
     edges = [e for e in _EDGES[regime] if e < top] + [top]
 
     def cut(r, depth):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            arrays, ok = _terms(r, depth, edges, cfg.rel_tol, regime)
+        arrays, ok, _ = _terms(r, 0, depth, edges, cfg.rel_tol, regime)
         ok = np.logical_or.accumulate(ok[::-1])[::-1]
         counts = np.where(ok.any(axis=2), ok.argmax(axis=2) + 1, 0).T
         return arrays, counts[:, [min(j, len(edges) - 1) for j in range(len(_EDGES[regime]) + 1)]]
 
+    def top_cut(r):
+        """The top band's count of terms for the one row r, searched in
+        stretches 4x as wide as the one before, up to _STRIDE terms, each
+        starting from the last running values of the one before; 0 if none
+        within max_terms."""
+        start, width, first = 0, 4 * _DEPTH[regime], None
+        while True:
+            stop = min(start + width, cfg.max_terms)
+            _, ok, last = _terms(r, start, stop, edges[-1:], cfg.rel_tol, regime, first)
+            if ok.any():
+                return start + int(ok.argmax()) + 1
+            if stop == cfg.max_terms:
+                return 0
+            start, width, first = stop - 1, min(4 * width, _STRIDE), last
+
     arrays, counts = cut(rows, min(_DEPTH[regime], cfg.max_terms))
     errors = {}
     for i in np.flatnonzero(counts[:, -1] == 0).tolist():
-        depth = min(_DEPTH[regime], cfg.max_terms)
-        while counts[i, -1] == 0 and depth < cfg.max_terms:
-            depth = min(4 * depth, cfg.max_terms)
+        depth = top_cut(rows[i:i + 1])
+        if depth:
             deeper, counts[i:i + 1] = cut(rows[i:i + 1], depth)
-        if counts[i, -1]:
-            arrays = _cat([arrays[:, :i], deeper[..., :counts[i, -1]], arrays[:, i + 1:]])
+            arrays = _cat([arrays[:, :i], deeper, arrays[:, i + 1:]])
         else:
             errors[i] = ConvergenceError(
                 f"{regime} coefficients for {tuple(rows[i, :3].tolist())} did not reach rel_tol="

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
@@ -651,9 +650,9 @@ def isolate_roots_f4(n_scan: int = 10_000):
     sign scan and bisection.  Raises if the scan does not see exactly two
     sign changes."""
     xs = np.linspace(1e-4, 1.0 - 1e-4, n_scan)
-    vals = np.array([f4(float(x)) for x in xs])
-    signs = np.sign(vals)
-    flips = [i for i in range(len(xs) - 1) if signs[i] * signs[i + 1] < 0]
+    # f4 is plain arithmetic: over the array, each entry gets f4(x)'s bits
+    signs = np.sign(f4(xs))
+    flips = np.flatnonzero(signs[:-1] * signs[1:] < 0).tolist()
     if len(flips) != 2:
         raise DomainError(f"expected exactly two sign changes of f4, saw {len(flips)}")
     roots = []
@@ -1137,6 +1136,9 @@ def _run_tasks(tasks, config):
     if workers <= 1:
         batches = map(_run_item, items)
     else:
+        # loaded here: a serial run never needs the pool module
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(items) // (4 * workers))
             batches = list(pool.map(_run_item, items, chunksize=chunk))
@@ -1167,14 +1169,13 @@ def run_check(check_id: str, config: VerifyConfig = DEFAULT_CONFIG) -> Report:
 def sweep_rows(pp: ParamPair, ep: ExponentPair, delta: float,
                grid: GridSpec = DEFAULT_GRID,
                cfg: SeriesConfig = DEFAULT_SERIES):
-    """Per-abscissa data for plotting/re-checking: yields tuples matching
-    the CSV header a,b,c,d,delta,x,G,F_c,F_d,lower_env,upper_env."""
+    """Per-abscissa data for plotting/re-checking: a C-ordered (points, 6)
+    array of the computed CSV columns x,G,F_c,F_d,lower_env,upper_env, one
+    row per grid point; each CSV line echoes a,b,c,d,delta before them."""
     xs = make_grid(grid)
     f_c, f_d, w_c = _pair_values(pp, ep, delta, xs, cfg)
-    columns = (xs, (f_d - f_c) / w_c, f_c, f_d,
-               f_c + c1(pp, ep, delta) * w_c, f_c + c2(pp, delta) * w_c)
-    for row in zip(*(v.tolist() for v in columns)):
-        yield (pp.a, pp.b, ep.c_exp, ep.d_exp, delta, *row)
+    return np.column_stack([xs, (f_d - f_c) / w_c, f_c, f_d,
+                            f_c + c1(pp, ep, delta) * w_c, f_c + c2(pp, delta) * w_c])
 
 
 SWEEP_HEADER = "a,b,c,d,delta,x,G,F_c,F_d,lower_env,upper_env"

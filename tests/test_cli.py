@@ -280,19 +280,23 @@ def test_sweep_csv_round_trip(capsys, tmp_path):
 
 
 def test_sweep_csv_bytes_are_the_rows_at_17_digits(capsys, tmp_path):
-    # the echo is formatted once and each row's six values by one
-    # %-operation; every line must still be the row's values through
-    # f"{v:.17g}", here on rows with negative and exponent-form values
+    # the echo is formatted once and the whole body by one %-operation;
+    # every line must still be the echoed tuple and its row of values
+    # through f"{v:.17g}", here on rows with negative and exponent-form
+    # values
     cfg = tmp_path / "grid.cfg"
     cfg.write_text("n_points = 64\nx_lo = 1e-5\n")
     code, out, _ = run_cli(capsys, "sweep", "--a", "0.5", "--b", "0.5",
                            "--c", "2", "--d", "3", "--delta", "-0.05",
                            "--config", str(cfg))
     assert code == 0
-    rows = list(sweep_rows(HALF, EP23, -0.05, GridSpec(n_points=64, x_lo=1e-5)))
-    assert out == "\n".join([SWEEP_HEADER] + [",".join(f"{v:.17g}" for v in row)
-                                               for row in rows]) + "\n"
-    computed = [f"{v:.17g}" for row in rows for v in row[5:]]
+    values = sweep_rows(HALF, EP23, -0.05, GridSpec(n_points=64, x_lo=1e-5))
+    echo = ",".join(f"{v:.17g}" for v in (0.5, 0.5, 2.0, 3.0, -0.05))
+    lines = [SWEEP_HEADER]
+    for row in values.tolist():
+        lines.append(echo + "".join(f",{v:.17g}" for v in row))
+    assert out == "\n".join(lines) + "\n"
+    computed = [f"{v:.17g}" for v in values.ravel().tolist()]
     assert any(t.startswith("-") for t in computed)
     assert any("e-" in t for t in computed)
 
@@ -333,16 +337,50 @@ def test_sweep_out_that_cannot_be_written_is_a_usage_error(capsys, tmp_path):
 # module entry point
 
 
-def test_module_invocation_smoke():
-    # the child imports the same package as this process, also when it
-    # came from pytest's pythonpath setting rather than the environment
+def _fresh_process(argv, cwd):
+    """(exit code, stdout, stderr) of ``python -m hypcert argv`` in a new
+    interpreter that imports the same package as this process, also when
+    it came from pytest's pythonpath setting rather than the environment."""
     src = str(Path(hypcert.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "hypcert", "eval", "--a", "0.5", "--b", "0.5",
-         "--c", "1", "--x", "0.5"],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert proc.returncode == 0
-    assert float(proc.stdout.strip()) == pytest.approx(1.180340599016096, rel=1e-13)
+    proc = subprocess.run([sys.executable, "-m", "hypcert", *argv], capture_output=True,
+                          text=True, timeout=120, cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": path, "COLUMNS": "80"})
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _without_timestamp(text):
+    return "\n".join(line for line in text.split("\n") if '"timestamp"' not in line)
+
+
+def test_one_process_prints_what_fresh_processes_print(capsys, monkeypatch, tmp_path):
+    # main() parses with one parser per process: after a usage error,
+    # --help and a run, each call prints what it prints in a process of
+    # its own (help is wrapped to COLUMNS on both sides)
+    from hypcert import cli
+
+    assert cli._build_parser() is cli._build_parser()
+    monkeypatch.setenv("COLUMNS", "80")
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("n_points = 16\n")
+    calls = [["sweep", "--a", "0.5", "--b", "0.5", "--c", "2", "--d", "3"],
+             ["--help"],
+             ["sweep", "--help"],
+             ["sweep", "--a", "0.5", "--b", "0.5", "--c", "2", "--d", "3",
+              "--delta", "-0.05", "--config", "grid.cfg"],
+             ["verify", "--check", "f4_roots"],
+             ["verify", "--check", "f4_roots", "--suite"]]
+    monkeypatch.chdir(tmp_path)
+    got = [run_cli(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in got] == [2, 0, 0, 0, 0, 2]
+    for argv, (code, out, err) in zip(calls, got):
+        fresh = _fresh_process(argv, tmp_path)
+        assert (code, _without_timestamp(out), err) \
+            == (fresh[0], _without_timestamp(fresh[1]), fresh[2]), argv
+
+
+def test_module_invocation_smoke(tmp_path):
+    code, out, _ = _fresh_process(["eval", "--a", "0.5", "--b", "0.5", "--c", "1", "--x", "0.5"],
+                                  tmp_path)
+    assert code == 0
+    assert float(out.strip()) == pytest.approx(1.180340599016096, rel=1e-13)

@@ -8,6 +8,7 @@ import importlib
 import math
 from bisect import bisect_left
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -688,6 +689,25 @@ def test_a_row_that_does_not_converge_raises_as_it_raises_alone():
                      np.full((len(good) + 1, 3), 0.005 if regime == "series" else 0.995))
         assert str(arrayed.value) == str(alone.value)
         assert all(isinstance(k._sets, tuple) for k in good)
+
+
+def test_a_row_that_never_cuts_searches_in_bounded_memory():
+    # switch points this close to the ends leave both regimes without a
+    # cut within the default 2,000,000 terms; the search for one holds a
+    # fixed stretch of terms at a time, whatever max_terms is, and raises
+    # the regime's error
+    for regime, sp in (("series", 0.999999), ("log", 1e-6)):
+        kernel = Hyp2f1Kernel(-0.5, 0.5, 1.0, SeriesConfig(switch_point=sp))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConvergenceError) as exc:
+                evaluate([kernel], np.array([[0.5]]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, (regime, peak)
+        assert str(exc.value) == (f"{regime} coefficients for (-0.5, 0.5, 1.0) did not reach "
+                                  f"rel_tol=1e-13 up to x={sp} within 2000000 terms")
 
 
 def test_hyp2f1_at_the_zero_endpoint_fit_arguments():

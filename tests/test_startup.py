@@ -56,9 +56,18 @@ def _loaded_after(steps):
 
 def test_scalar_path_loads_no_numpy_verifier_or_kernels():
     assert _loaded_after(_STEPS) == {name: [] for name, _ in _STEPS}
-    # the control: a verifier name loads the verifier, and everything with it
-    assert _loaded_after([("import", "import hypcert"), ("run_suite", "hypcert.run_suite")]) \
-        == {"import": [], "run_suite": list(HEAVY)}
+    # the control: a verifier name loads the verifier with NumPy and the
+    # kernels; the pool module loads with the first pooled run, not before
+    small = ("small = hypcert.VerifyConfig(grid=hypcert.GridSpec(n_points=16), "
+             "a_values=(0.3, 0.5), b_specs=(1.0,), ratio_specs=(0.6,), workers={})")
+    array_path = ["numpy", "hypcert.verifier", "hypcert.kernels"]
+    assert _loaded_after([
+        ("import", "import hypcert"),
+        ("run_suite", "hypcert.run_suite"),
+        ("serial run", small.format(1) + "; hypcert.run_check('beta_convex', small)"),
+        ("pooled run", small.format(2) + "; hypcert.run_check('beta_convex', small)"),
+    ]) == {"import": [], "run_suite": array_path, "serial run": array_path,
+           "pooled run": list(HEAVY)}
 
 
 def test_verifier_names_are_the_verifier_objects():

@@ -1,6 +1,7 @@
 """Certification harness: grids, the difference quotient and its endpoint
 limits, the individual checks, and suite assembly/determinism."""
 
+import concurrent.futures
 import dataclasses
 import importlib.util
 import json
@@ -402,6 +403,14 @@ def test_f4_root_isolation():
     assert res.passed and res.worst_margin > 0.0
     assert res.witnesses[0][0] == pytest.approx(a0, abs=1e-15)
     assert abs(res.witnesses[0][1]) <= 1e-12  # residual at the root
+
+
+def test_f4_scan_over_an_array_has_the_scalar_bits():
+    # isolate_roots_f4 evaluates f4 over its whole scan at once; every entry
+    # must be f4 of that abscissa as a Python float, bit for bit
+    xs = np.linspace(1e-4, 1.0 - 1e-4, 10_000)
+    scalar = np.array([constants.f4(x) for x in xs.tolist()])
+    assert constants.f4(xs).view(np.int64).tolist() == scalar.view(np.int64).tolist()
 
 
 def test_f4_gate_uses_the_cofactor_of_f4():
@@ -844,8 +853,9 @@ def test_a_pair_item_fetches_the_bits_each_column_fetches_alone():
 
 def test_the_pool_starts_no_more_workers_than_items(monkeypatch):
     # a fork-started pool forks every worker up front: --workers 500 on a
-    # sample of fewer items starts one worker per item (a stand-in pool
-    # records the count and runs the items here, starting no process)
+    # sample of fewer items starts one worker per item (a stand-in pool,
+    # which the pooled branch imports, records the count and runs the
+    # items here, starting no process)
     started = []
 
     class Pool:
@@ -861,7 +871,7 @@ def test_the_pool_starts_no_more_workers_than_items(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return list(map(fn, items))
 
-    monkeypatch.setattr(verifier, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     tasks = build_tasks(SMALL_CONFIG)
     n_items = len(verifier._pair_items(tasks))
     serial = verifier._run_tasks(tasks, SMALL_CONFIG)
@@ -1039,14 +1049,14 @@ def test_verify_config_validation():
 
 def test_sweep_rows_match_header_and_quotient():
     grid = GridSpec(n_points=32)
-    rows = list(sweep_rows(HALF, EP23, D1_HALF, grid))
-    assert len(rows) == 32
-    n_cols = len(SWEEP_HEADER.split(","))
-    xs = [row[5] for row in rows]
-    assert all(len(row) == n_cols for row in rows)
-    assert all(x < y for x, y in zip(xs, xs[1:]))
-    for row in rows[::7]:
-        a, b, c, d, delta, x, g, f_c, f_d, lo_env, hi_env = row
-        assert (a, b, c, d) == (0.5, 0.5, 2.0, 3.0)
-        assert g == G_value(HALF, EP23, delta, x)  # same code path, bit-equal
+    values = sweep_rows(HALF, EP23, D1_HALF, grid)
+    # one C-ordered row per grid point: the header's columns after the
+    # echoed a,b,c,d,delta
+    assert values.shape == (32, len(SWEEP_HEADER.split(",")) - 5)
+    assert values.dtype == np.float64 and values.flags.c_contiguous
+    xs = values[:, 0]
+    assert xs.tobytes() == make_grid(grid).tobytes()
+    assert np.all(xs[:-1] < xs[1:])
+    for x, g, f_c, f_d, lo_env, hi_env in values[::7].tolist():
+        assert g == G_value(HALF, EP23, D1_HALF, x)  # same code path, bit-equal
         assert lo_env < f_d < hi_env  # the sandwich, in function units
