@@ -144,9 +144,8 @@ def _tail_factor(x: float, a: float, b: float, c: float, n: float) -> float:
     return rho / (1.0 - rho) if rho < 1.0 else math.inf
 
 
-def _raw_series(a: float, b: float, c: float, x: float, cfg: SeriesConfig) -> tuple[float, int]:
-    """Power series with Kahan compensation: the sum, and the index of the
-    last term summed.
+def _raw_series(a: float, b: float, c: float, x: float, cfg: SeriesConfig) -> float:
+    """Power series with Kahan compensation.
 
     Stops at the first N whose tail bound T = |t_N| _tail_factor(x, .., N)
     is at most rel_tol (|s_N| - T), that is T (1 + rel_tol) <= rel_tol
@@ -173,7 +172,7 @@ def _raw_series(a: float, b: float, c: float, x: float, cfg: SeriesConfig) -> tu
         s = hi
         if abs(t) * geo1 <= tol * abs(s):
             if n > geo_past or abs(t) * (_tail_factor(x, a, b, c, n) * tol1) <= tol * abs(s):
-                return s, int(n)
+                return s
     raise ConvergenceError(
         f"series for ({a}, {b}; {c}) at x={x} did not reach rel_tol="
         f"{cfg.rel_tol} within {cfg.max_terms} terms"
@@ -202,9 +201,8 @@ def _log_tail(a: float, b: float, w: float, lw: float, k: float, dk: float) -> f
 
 def _log_connection_unit_excess(
     a: float, b: float, x: float, cfg: SeriesConfig, start: tuple[float, float, float]
-) -> tuple[float, int]:
-    """F(a, b; a+b+1; x) near x = 1 via the logarithmic expansion in w = 1-x,
-    and the index k of the last term summed.
+) -> float:
+    """F(a, b; a+b+1; x) near x = 1 via the logarithmic expansion in w = 1-x.
 
     F = A + B*w * sum_k coef_k * w^k * (ln w + d_k), with
         A = Gamma(a+b+1) / (Gamma(a+1) Gamma(b+1)),   B = a*b*A,
@@ -228,7 +226,7 @@ def _log_connection_unit_excess(
     A, B, dk = start
     w = 1.0 - x
     if B == 0.0 or w == 0.0:
-        return A, 0
+        return A
     lw = math.log(w)
     coef = 1.0
     s = 0.0
@@ -248,7 +246,7 @@ def _log_connection_unit_excess(
         if abs(bw * coef) * ((abs(lw) + abs(dk)) * geo) <= tol_a:
             tail = abs(bw * coef) * _log_tail(a, b, w, lw, k, dk)
             if tail <= tol * min(abs(A), abs(A + bw * s) - tail):
-                return A + bw * s, int(k)
+                return A + bw * s
         k1, k2 = k + 1.0, k + 2.0
         dk += 1.0 / (a1 + k) + 1.0 / (b1 + k) - 1.0 / k1 - 1.0 / k2
         coef *= (a1 + k) * (b1 + k) * w / (k1 * k2)
@@ -273,7 +271,7 @@ def _connection_noninteger(
         # both sub-series would sit on a coefficient pole; retreat to the
         # plain series where its contract still applies
         if x <= 0.99:
-            return _raw_series(a, b, c, x, cfg)[0]
+            return _raw_series(a, b, c, x, cfg)
         raise ConvergenceError(
             f"excess {e!r} too close to an integer for the connection formula"
         )
@@ -281,14 +279,14 @@ def _connection_noninteger(
         gamma(c)
         * gamma(e)
         / (gamma(c - a) * gamma(c - b))
-        * _raw_series(a, b, 1.0 - e, w, cfg)[0]
+        * _raw_series(a, b, 1.0 - e, w, cfg)
     )
     second = (
         gamma(c)
         * gamma(-e)
         / (gamma(a) * gamma(b))
         * math.pow(w, e)
-        * _raw_series(c - a, c - b, 1.0 + e, w, cfg)[0]
+        * _raw_series(c - a, c - b, 1.0 + e, w, cfg)
     )
     return first + second
 
@@ -316,14 +314,14 @@ def hyp2f1(a: float, b: float, c: float, x: float, cfg: SeriesConfig | None = No
     if b < a:
         a, b = b, a
     if _terminating(a, b) or x <= cfg.switch_point:
-        return _raw_series(a, b, c, x, cfg)[0]
+        return _raw_series(a, b, c, x, cfg)
     e = c - a - b
     m = round(e)
     if abs(e - m) <= _EXCESS_SNAP:
         if m == 1:
-            return _log_connection_unit_excess(a, b, x, cfg, _log_start(a, b))[0]
+            return _log_connection_unit_excess(a, b, x, cfg, _log_start(a, b))
         # integer excess != 1: budgeted plain series only
-        return _raw_series(a, b, c, x, cfg)[0]
+        return _raw_series(a, b, c, x, cfg)
     return _connection_noninteger(a, b, c, x, cfg)
 
 

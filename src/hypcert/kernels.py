@@ -192,8 +192,10 @@ class Hyp2f1Kernel:
 
     @property
     def ends(self):
-        """(F(1), F'(0)): A and t_1 = ab/c."""
-        return self._band_set("log", 0).A, self._band_set("series", 0)[-2]
+        """(F(1), F'(0)): A and t_1 = ab/c, read from the kernel's block."""
+        _build([self])
+        block, i = self._sets
+        return float(block.A[i]), float(block.t[0, i, 1])
 
     def _band_set(self, regime, band):
         """A band's coefficient set over Python floats, highest first."""

@@ -295,44 +295,37 @@ def G_value(pp: ParamPair, ep: ExponentPair, delta: float, x: float,
     return float((f_d[0] - f_c[0]) / w_c[0])
 
 
-# fpp_positive's default abscissa count, difference step and abscissa set
-_FPP_N = 48
+# fpp_positive's points x and difference step
+_FPP_XS = np.linspace(0.01, 0.95, 48)
 _FPP_STEP = 1e-4
-_FPP = ("fpp", _FPP_N, _FPP_STEP)
 
 
-def _fpp_points(n):
-    return np.linspace(0.01, 0.95, n)
-
-
-def _abscissas(ep, grid, where):
-    """(x, arguments of F_c, arguments of F_d) over one abscissa set of a
-    column with exponents ep: "scan", the grid, the near-1 tail and the
-    near-0 head (unsorted), with 1-x^c and 1-x^d; or ("fpp", n, step),
-    fpp_positive's points x-step, x, x+step, with x and
-    t(x) = 1-(1-x)^(d/c)."""
-    if where == "scan":
-        xs = np.concatenate([make_grid(grid), _tail_abscissas(ep), _head_abscissas(ep, grid.x_lo)])
-        return xs, _one_minus_pow(ep.c_exp, xs, grid.x_lo), _one_minus_pow(ep.d_exp, xs, grid.x_lo)
-    _, n, step = where
-    x = _fpp_points(n)
-    xs = np.concatenate([x - step, x, x + step])
-    return xs, xs, -np.expm1(ep.d_exp / ep.c_exp * np.log1p(-xs))
+def _abscissas(ep, grid):
+    """(x, arguments of F_c, arguments of F_d) over the abscissas of a
+    column with exponents ep: the scan, the grid, the near-1 tail and the
+    near-0 head (unsorted), with 1-x^c and 1-x^d; then fpp_positive's
+    points x-step, x, x+step, with x and t(x) = 1-(1-x)^(d/c)."""
+    scan = np.concatenate([make_grid(grid), _tail_abscissas(ep), _head_abscissas(ep, grid.x_lo)])
+    fpp = np.concatenate([_FPP_XS - _FPP_STEP, _FPP_XS, _FPP_XS + _FPP_STEP])
+    return (np.concatenate([scan, fpp]),
+            np.concatenate([_one_minus_pow(ep.c_exp, scan, grid.x_lo), fpp]),
+            np.concatenate([_one_minus_pow(ep.d_exp, scan, grid.x_lo),
+                            -np.expm1(ep.d_exp / ep.c_exp * np.log1p(-fpp))]))
 
 
 class _Column:
     """One (pair, exponent pair) and the work its checks share, each done
     once: the gate (_gate), the abscissas and the hypergeometric values.
 
-    The abscissa sets are the scan (the grid, the near-1 tail and the
-    near-0 head, sorted) and fpp_positive's points; see _abscissas.  A
-    value is F_c (shift None) or F_d at a shift over one set.  ``reads``
-    declares the (shift, set) pairs the checks will read, which _fetch
-    gets in one call with the other columns of a pool item, or on first
-    use alone.  A value nobody declared, or every value once the call
-    raises, is computed when first asked for, so a check meets exactly the
-    error it would meet alone.  A single point (a localization step) takes
-    the same kernels and ufuncs, so it has the bits an array would give it.
+    The abscissas are one array, the scan (the grid, the near-1 tail and
+    the near-0 head, read sorted) and then fpp_positive's points; see
+    _abscissas.  A value is F_c (shift None) or F_d at a shift over all of
+    them.  _fetch gets the values the checks will read in one call with
+    the other columns of a pool item; a value it did not get, or every
+    value once the call raises, is computed when first read, so a check
+    meets exactly the error it would meet alone.  A single point (a
+    localization step) takes the same kernels and ufuncs, so it has the
+    bits an array would give it.
 
     ``kernels`` maps a shift to its F_d kernel, None to F_c's; neither
     depends on the exponents, so the columns of one pair can share one
@@ -341,19 +334,18 @@ class _Column:
 
     def __init__(self, pp: ParamPair, ep: ExponentPair,
                  grid: GridSpec = DEFAULT_GRID, cfg: SeriesConfig = DEFAULT_SERIES,
-                 reads=(), kernels=None):
+                 kernels=None):
         self.pp, self.ep, self.grid, self.cfg = pp, ep, grid, cfg
-        self._sets = {"scan": _abscissas(ep, grid, "scan")}
-        xs, self._w_c, _ = self._sets["scan"]
+        xs, self._args_c, self._args_d = _abscissas(ep, grid)
+        self._n_scan = n = len(xs) - 3 * len(_FPP_XS)
         self.grid_xs = xs[:grid.n_points]
         # grid first, then tail: the stable sort keeps a tie in that order
-        self._order = np.argsort(xs, kind="stable")
+        self._order = np.argsort(xs[:n], kind="stable")
         self.scan_xs = xs[self._order]
         self._kernels = {} if kernels is None else kernels
         if None not in self._kernels:
             self._kernels[None] = _kernel_c(pp, cfg)
         self.kernel_c = self._kernels[None]
-        self.reads = list(reads)
         self._values = {}
 
     @cached_property
@@ -366,61 +358,56 @@ class _Column:
             self._kernels[delta] = _kernel_d(self.pp, delta, self.cfg)
         return self._kernels[delta]
 
-    def _arguments(self, delta, where):
-        if where not in self._sets:
-            self._sets[where] = _abscissas(self.ep, self.grid, where)
-        return self._sets[where][1 if delta is None else 2]
-
     def _kernel(self, delta):
         return self.kernel_c if delta is None else self.kernel_d(delta)
 
-    def _value(self, delta, where):
-        """F_c (delta None) or F_d at delta over the abscissa set where."""
-        if self.reads:
-            _fetch([self])
-        if (delta, where) not in self._values:
-            self._values[delta, where] = self._kernel(delta).array(self._arguments(delta, where))
-        return self._values[delta, where]
+    def _value(self, delta):
+        """F_c (delta None) or F_d at delta over the column's abscissas."""
+        if delta not in self._values:
+            self._values[delta] = self._kernel(delta).array(
+                self._args_c if delta is None else self._args_d)
+        return self._values[delta]
 
     def G(self, delta):
         """G at the grid abscissas."""
         n = len(self.grid_xs)
-        return (self._value(delta, "scan")[:n] - self._value(None, "scan")[:n]) / self._w_c[:n]
+        return (self._value(delta)[:n] - self._value(None)[:n]) / self._args_c[:n]
 
     def differences(self, delta):
         """F_d - F_c at the scan abscissas."""
-        return (self._value(delta, "scan") - self._value(None, "scan"))[self._order]
+        n = self._n_scan
+        return (self._value(delta)[:n] - self._value(None)[:n])[self._order]
 
     def difference_at(self, delta, x: float) -> float:
         """F_d - F_c at one abscissa."""
         return (self.kernel_d(delta)(float(_one_minus_pow(self.ep.d_exp, x, self.grid.x_lo)))
                 - self.kernel_c(float(_one_minus_pow(self.ep.c_exp, x, self.grid.x_lo))))
 
-    def fpp_differences(self, delta, n, step):
+    def fpp_differences(self, delta):
         """f(x) = F(a-1-delta, b+delta; p; t(x)) - F(a-1, b; p; x) at x-step,
-        x and x+step for the n fpp points x, as a (3, n) array; with
-        t(x) = 1-(1-x)^(d/c)."""
-        where = ("fpp", n, step)
-        return (self._value(delta, where) - self._value(None, where)).reshape(3, n)
+        x and x+step for the fpp points x (_FPP_XS), as a (3, points)
+        array; with t(x) = 1-(1-x)^(d/c)."""
+        n = self._n_scan
+        return (self._value(delta)[n:] - self._value(None)[n:]).reshape(3, -1)
 
 
 def _gate(pp, ep):
-    """Why (pp, ep) is out of scope, or (dp, d1) when admissible."""
+    """Why (pp, ep) is out of scope, or the threshold d1 when admissible."""
     dp = derive_params(pp)
     if condition_case(dp) is Case.INADMISSIBLE:
         return "inadmissible parameter pair"
     if not (0.0 < ep.ratio <= dp.ratio_bound):
         return "exponent ratio above admissible bound"
-    return dp, delta1(pp, ep)
+    return delta1(pp, ep)
 
 
 def _admissibility_gate(check_id, params, pp, ep, column=None):
-    """Common precondition gate, ``column``'s when given one: (None, dp, d1)
-    when admissible, else (skip-result, None, None)."""
+    """Common precondition gate, ``column``'s when given one: (None, d1)
+    when admissible, else (skip-result, None)."""
     gate = column.gate if column is not None else _gate(pp, ep)
     if isinstance(gate, str):
-        return _skipped(check_id, params, gate), None, None
-    return (None, *gate)
+        return _skipped(check_id, params, gate), None
+    return None, gate
 
 
 def _theorem_params(pp, ep, delta):
@@ -438,7 +425,7 @@ def check_G_monotone(pp: ParamPair, ep: ExponentPair, delta: float,
     This and the checks below read their values from ``column``, the
     _Column of (pp, ep), or from one they build from grid and cfg."""
     params = _theorem_params(pp, ep, delta)
-    skip, dp, d1 = _admissibility_gate("G_monotone", params, pp, ep, column)
+    skip, d1 = _admissibility_gate("G_monotone", params, pp, ep, column)
     if skip is not None:
         return skip
     if not (pp.a - 1.0 < delta <= d1):
@@ -472,7 +459,7 @@ def check_sandwich(pp: ParamPair, ep: ExponentPair, delta: float,
     at the threshold shift, while the identical strict inequality keeps
     a ~1e-8 quotient margin there."""
     params = _theorem_params(pp, ep, delta)
-    skip, dp, d1 = _admissibility_gate("sandwich", params, pp, ep, column)
+    skip, d1 = _admissibility_gate("sandwich", params, pp, ep, column)
     if skip is not None:
         return skip
     if not (pp.a - 1.0 < delta <= d1):
@@ -528,32 +515,40 @@ def _localize(f, lo, f_lo, hi, f_hi):
     return 0.5 * (lo + hi)
 
 
+def _sign_scan(col, delta):
+    """(margin, witnesses, differences) of one scan of F_d - F_c over col's
+    scan abscissas (the grid, the near-1 tail and the near-0 head, sorted):
+    the margin by which its largest value exceeds INTERIOR_MARGIN and its
+    smallest falls below -INTERIOR_MARGIN, the lesser of the two, and the
+    points of both as witnesses."""
+    xs, ds = col.scan_xs, col.differences(delta)
+    i_pos, i_neg = int(np.argmax(ds)), int(np.argmin(ds))
+    best_pos, best_neg = float(ds[i_pos]), float(ds[i_neg])
+    margin = _worst(best_pos, -best_neg) - INTERIOR_MARGIN
+    return margin, [[float(xs[i_pos]), best_pos], [float(xs[i_neg]), best_neg]], ds
+
+
 def find_crossing(pp: ParamPair, ep: ExponentPair, delta: float,
                   grid: GridSpec = DEFAULT_GRID,
                   cfg: SeriesConfig = DEFAULT_SERIES,
-                  column: _Column | None = None, localize: bool = True) -> CheckResult:
+                  column: _Column | None = None) -> CheckResult:
     """Both-sign witnesses for F_d - F_c when the shift exceeds the
     threshold: a point with difference > INTERIOR_MARGIN and one with
-    difference < -INTERIOR_MARGIN, found by one scan of the grid, the near-1
-    tail and the near-0 head (_abscissas).  The margin comes from the scan
-    alone; with ``localize``, _localize then finds a "crossing_near"
-    witness between the last strong positive and the first strong negative
-    (sharpness, which reports no such witness, asks for none)."""
+    difference < -INTERIOR_MARGIN, found by one scan (_sign_scan).  The
+    margin comes from the scan alone; _localize then finds a
+    "crossing_near" witness between the last strong positive and the first
+    strong negative."""
     params = _theorem_params(pp, ep, delta)
-    skip, dp, d1 = _admissibility_gate("crossing", params, pp, ep, column)
+    skip, d1 = _admissibility_gate("crossing", params, pp, ep, column)
     if skip is not None:
         return skip
     if not (d1 < delta < 0.0):
         return _skipped("crossing", params, "shift not above the threshold")
 
     col = column if column is not None else _Column(pp, ep, grid, cfg)
-    xs, ds = col.scan_xs, col.differences(delta)
-    i_pos, i_neg = int(np.argmax(ds)), int(np.argmin(ds))
-    best_pos, best_neg = float(ds[i_pos]), float(ds[i_neg])
-    margin = _worst(best_pos, -best_neg) - INTERIOR_MARGIN
-    witnesses = [[float(xs[i_pos]), best_pos], [float(xs[i_neg]), best_neg]]
-
-    if margin > 0.0 and localize:
+    margin, witnesses, ds = _sign_scan(col, delta)
+    if margin > 0.0:
+        xs = col.scan_xs
         j = int(np.argmax(ds < -INTERIOR_MARGIN))
         strong = np.flatnonzero(ds[:j] > INTERIOR_MARGIN)
         if strong.size:
@@ -571,7 +566,7 @@ def check_crossing_control(pp: ParamPair, ep: ExponentPair, delta: float,
     """Absence control: just below the threshold no scanned point may show
     F_d - F_c < -INTERIOR_MARGIN (up to grid resolution)."""
     params = _theorem_params(pp, ep, delta)
-    skip, dp, d1 = _admissibility_gate("crossing_control", params, pp, ep, column)
+    skip, d1 = _admissibility_gate("crossing_control", params, pp, ep, column)
     if skip is not None:
         return skip
     if not (pp.a - 1.0 < delta <= d1):
@@ -607,15 +602,15 @@ def check_sharpness(pp: ParamPair, ep: ExponentPair, threshold_form: str = "beta
     difference quotient, whose margin stays scale-uniform where the raw
     gap collapses like w^2), while nudging the shift up by 1e-3 and 1e-2
     (clipped below 0; fallback: halfway to 0) produces a sign change.  The
-    sign change is read off find_crossing's scan alone: a failure reports
-    the scan's two witnesses, so no crossing is localized.  Run with
-    threshold_form="alpha" this check uses the rejected variant constant
-    and is expected to fail."""
+    sign change is read off find_crossing's scan (_sign_scan) alone: a
+    failure reports the scan's two witnesses, and no crossing is localized.
+    Run with threshold_form="alpha" this check uses the rejected variant
+    constant and is expected to fail."""
     if threshold_form not in ("beta", "alpha"):
         raise DomainError(f"threshold_form must be beta|alpha, got {threshold_form!r}")
     params = {"a": pp.a, "b": pp.b, "c": ep.c_exp, "d": ep.d_exp,
               "threshold_form": threshold_form}
-    skip, dp, d1 = _admissibility_gate("sharpness", params, pp, ep, column)
+    skip, d1 = _admissibility_gate("sharpness", params, pp, ep, column)
     if skip is not None:
         return skip
     cand = _sharpness_candidate(pp, ep, threshold_form, d1)
@@ -627,16 +622,16 @@ def check_sharpness(pp: ParamPair, ep: ExponentPair, threshold_form: str = "beta
     witnesses = [] if margins[0] > 0.0 else [[float(col.grid_xs[i_min]), float(quots[i_min])]]
 
     for nudged in _sharpness_shifts(cand):
-        sub = find_crossing(pp, ep, nudged, grid, cfg, column=col, localize=False)
-        if sub.status != "ok":
+        if not (d1 < nudged < 0.0):
             # nudged shift fell outside (threshold, 0): counts as a failure
             # of the characterization at this form
             witnesses.append([f"no crossing range at shift {nudged!r}", 0.0])
             margins.append(-1.0)
             continue
-        if not sub.passed:
-            witnesses.extend(sub.witnesses[:2])
-        margins.append(sub.worst_margin)
+        margin, scan_witnesses, _ = _sign_scan(col, nudged)
+        if not margin > 0.0:
+            witnesses.extend(scan_witnesses)
+        margins.append(margin)
 
     return _result("sharpness", params, _worst(*margins), witnesses, INTERIOR_MARGIN)
 
@@ -705,9 +700,9 @@ def check_f4_roots(n_scan: int = 10_000) -> CheckResult:
     return _result("f4_roots", params, margin, witnesses, INTERIOR_MARGIN)
 
 
-def check_lemma_g(pp: ParamPair, n: int = 256) -> CheckResult:
+def check_lemma_g(pp: ParamPair) -> CheckResult:
     """Nonnegativity of g on the closed wedge 0 <= x <= (beta+p)/k,
-    -beta*x <= y <= 0 (n x n grid), the interior stationary value
+    -beta*x <= y <= 0 (256 x 256 grid), the interior stationary value
     alpha*beta/((p+1)^2 - 4*alpha*beta) when the stationary point falls
     inside the wedge, and the identity between the right boundary slice
     and g1."""
@@ -716,6 +711,7 @@ def check_lemma_g(pp: ParamPair, n: int = 256) -> CheckResult:
     if condition_case(dp) is Case.INADMISSIBLE:
         return _skipped("lemma_g", params, "inadmissible parameter pair")
 
+    n = 256
     xmax = (dp.beta + dp.p) / dp.k
     xs = np.linspace(0.0, xmax, n)
     ys = (-dp.beta * xs)[:, None] * np.linspace(0.0, 1.0, n)
@@ -743,10 +739,11 @@ def check_lemma_g(pp: ParamPair, n: int = 256) -> CheckResult:
     return _result("lemma_g", params, margin, witnesses, INTERIOR_MARGIN)
 
 
-def check_lemma_g1(pp: ParamPair, n: int = 512) -> CheckResult:
-    """Per-case behavior of the boundary quadratic on [-h/(alpha k), 0]:
-    strictly increasing with the computed endpoint values (to 1e-10) when
-    alpha >= sqrt(3)*beta, nonnegative in the remaining admissible case."""
+def check_lemma_g1(pp: ParamPair) -> CheckResult:
+    """Per-case behavior of the boundary quadratic at 512 points of
+    [-h/(alpha k), 0]: strictly increasing with the computed endpoint values
+    (to 1e-10) when alpha >= sqrt(3)*beta, nonnegative in the remaining
+    admissible case."""
     params = {"a": pp.a, "b": pp.b}
     dp = derive_params(pp)
     case = condition_case(dp)
@@ -754,7 +751,7 @@ def check_lemma_g1(pp: ParamPair, n: int = 512) -> CheckResult:
         return _skipped("lemma_g1", params, "inadmissible parameter pair")
 
     lo = -dp.h / (dp.alpha * dp.k)
-    ys = np.linspace(lo, 0.0, n)
+    ys = np.linspace(lo, 0.0, 512)
     vals = g1(ys, dp).tolist()
     witnesses = []
 
@@ -806,7 +803,7 @@ def check_lemma_Q(pp: ParamPair, ep: ExponentPair, delta: float,
     direct.  A ``column`` of (pp, ep) lends its gate."""
     params = _theorem_params(pp, ep, delta)
     params["N"] = N
-    skip, dp, d1 = _admissibility_gate("lemma_Q", params, pp, ep, column)
+    skip, d1 = _admissibility_gate("lemma_Q", params, pp, ep, column)
     if skip is not None:
         return skip
     if not (pp.a - 1.0 < delta <= d1):
@@ -850,13 +847,14 @@ def check_lemma_Q(pp: ParamPair, ep: ExponentPair, delta: float,
     return _result("lemma_Q", params, _worst(*margins), witnesses, 1e-10)
 
 
-def check_beta_convex(pp: ParamPair, n: int = 200) -> CheckResult:
+def check_beta_convex(pp: ParamPair) -> CheckResult:
     """x -> B(a-x, b+x) on (0,a) for a <= b: strictly increasing and
-    strictly convex (first and second differences positive)."""
+    strictly convex (first and second differences positive, at 200
+    points)."""
     params = {"a": pp.a, "b": pp.b}
     if pp.a > pp.b:
         return _skipped("beta_convex", params, "requires a <= b")
-    a, b = pp.a, pp.b
+    a, b, n = pp.a, pp.b, 200
     xs = np.linspace(a / n, a - a / n, n)
     vals = [beta_fn(a - float(x), b + float(x)) for x in xs]
     d1s = [vals[i + 1] - vals[i] for i in range(n - 1)]
@@ -870,28 +868,26 @@ def check_beta_convex(pp: ParamPair, n: int = 200) -> CheckResult:
 
 
 def check_fpp_positive(pp: ParamPair, ep: ExponentPair, delta: float,
-                       n: int = _FPP_N, step: float = _FPP_STEP,
                        cfg: SeriesConfig = DEFAULT_SERIES,
                        column: _Column | None = None) -> CheckResult:
     """Convexity of the difference along the c-argument: with
     t(x) = 1-(1-x)^(d/c), second centered differences of
-    f(x) = F(a-1-delta, b+delta; p; t(x)) - F(a-1, b; p; x) must exceed
-    -1e-6 on an interior grid."""
+    f(x) = F(a-1-delta, b+delta; p; t(x)) - F(a-1, b; p; x), step _FPP_STEP,
+    must exceed -1e-6 at the points _FPP_XS."""
     params = _theorem_params(pp, ep, delta)
-    skip, dp, d1 = _admissibility_gate("fpp_positive", params, pp, ep, column)
+    skip, d1 = _admissibility_gate("fpp_positive", params, pp, ep, column)
     if skip is not None:
         return skip
     if not (pp.a - 1.0 < delta <= d1):
         return _skipped("fpp_positive", params, "shift outside monotone range")
 
     col = column if column is not None else _Column(pp, ep, cfg=cfg)
-    xs = _fpp_points(n)
-    lo, mid, hi = col.fpp_differences(delta, n, step)
-    second = (lo - 2.0 * mid + hi) / step**2
+    lo, mid, hi = col.fpp_differences(delta)
+    second = (lo - 2.0 * mid + hi) / _FPP_STEP**2
     margins = second + 1e-6
     i = int(np.argmin(margins))
     margin = float(margins[i])
-    witnesses = [[float(xs[i]), float(second[i])]] if margin <= 0.0 else []
+    witnesses = [] if margin > 0.0 else [[float(_FPP_XS[i]), float(second[i])]]
     return _result("fpp_positive", params, margin, witnesses, 1e-6)
 
 
@@ -1033,45 +1029,38 @@ def _pair_items(tasks):
     return list(groups.values())
 
 
-def _column_reads(tasks, d1):
-    """The (shift, abscissa set) values the checks among tasks read from
-    their column, whose threshold is d1."""
-    reads = []
+def _column_shifts(tasks, d1):
+    """The shifts whose F_d the checks among tasks read from their column,
+    whose threshold is d1."""
+    shifts = []
     for check_id, t in tasks:
         if check_id == "sharpness":
             cand = _sharpness_candidate(_pair(t), _exponents(t), t["threshold_form"], d1)
-            reads += [(s, "scan") for s in (cand, *_sharpness_shifts(cand))]
-        elif check_id == "fpp_positive":
-            reads.append((t["delta"], _FPP))
+            shifts += [cand, *_sharpness_shifts(cand)]
         elif check_id != "lemma_Q":
-            reads.append((t["delta"], "scan"))
-    return reads
+            shifts.append(t["delta"])
+    return shifts
 
 
-def _fetch(columns):
-    """One evaluate call for the values the columns declared: F_c and F_d at
-    each declared shift over the scan and the default fpp points, the F_d
-    rows of a column one shared vector.  If it raises, each column of
-    several fetches its own when first read (_Column._value), and a column
-    alone computes each value on its own as it is read."""
-    columns, keys, kernels, args = [col for col in columns if col.reads], [], [], []
+def _fetch(work):
+    """One evaluate call for F_c and F_d at each shift of the (column,
+    shifts) pairs of work with any shift, over each column's abscissas;
+    the F_d rows of a column read one shared vector.  If it raises, every
+    value is computed when first read (_Column._value)."""
+    keys, kernels, args = [], [], []
     try:
-        for col in columns:
-            keys.append(list(dict.fromkeys([None] + [d for d, _ in col.reads])))
-            kernels += [col._kernel(k) for k in keys[-1]]
-            c, d = (np.concatenate([col._arguments(k, w) for w in ("scan", _FPP)])
-                    for k in keys[-1][:2])
-            args += [c] + [d] * (len(keys[-1]) - 1)
+        for col, shifts in work:
+            if shifts:
+                ks = [None, *dict.fromkeys(shifts)]
+                keys.append((col, ks))
+                kernels += [col._kernel(k) for k in ks]
+                args += [col._args_c] + [col._args_d] * (len(ks) - 1)
         rows = evaluate(kernels, np.vstack(args)) if args else ()
     except (ConvergenceError, DomainError):
-        if len(columns) == 1:
-            columns[0].reads = ()
         return
-    for col, ks in zip(columns, keys):
-        n = len(col._w_c)
-        col.reads, got, rows = (), rows[:len(ks)], rows[len(ks):]
-        col._values.update({(k, w): v for k, row in zip(ks, got)
-                            for w, v in (("scan", row[:n]), (_FPP, row[n:]))})
+    for col, ks in keys:
+        got, rows = rows[:len(ks)], rows[len(ks):]
+        col._values.update(zip(ks, got))
 
 
 def _run_item(item):
@@ -1090,10 +1079,8 @@ def _run_item(item):
     made = {key: _Column(_pair(group[0][1]), _exponents(group[0][1]), config.grid,
                          config.series, kernels=kernels)
             for key, group in columns.items() if key is not None}
-    for key, column in made.items():
-        # build_tasks makes column tasks for admissible columns only
-        column.reads = _column_reads(columns[key], column.gate[1])
-    _fetch(made.values())
+    # build_tasks makes column tasks for admissible columns only
+    _fetch([(column, _column_shifts(columns[key], column.gate)) for key, column in made.items()])
     records = []
     for key, group in columns.items():
         column = made.get(key)

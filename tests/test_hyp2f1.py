@@ -627,11 +627,11 @@ def _batch_kernels(seed):
 
 
 def test_a_log_set_with_b_zero_keeps_one_term():
-    # B = a*b*A = 0: the expansion is A, and the scalar loop keeps the one
-    # term; kernels refuse a = 0, where F = 1
+    # B = a*b*A = 0: the expansion is A, and the scalar loop returns it
+    # alone; kernels refuse a = 0, where F = 1
     start = h._log_start(0.0, 0.7)
     assert start[1] == 0.0
-    assert h._log_connection_unit_excess(0.0, 0.7, 0.9, DEFAULT_SERIES, start) == (start[0], 0)
+    assert h._log_connection_unit_excess(0.0, 0.7, 0.9, DEFAULT_SERIES, start) == start[0]
     with pytest.raises(DomainError):
         Hyp2f1Kernel(0.0, 0.7, 1.7)
 

@@ -238,12 +238,17 @@ SCAN_EXPONENTS = [ExponentPair(2.0, 3.0), ExponentPair(0.9, 3.0), ExponentPair(0
                   ExponentPair(0.9, 1.0)]
 
 
+def _scan_abscissas(ep):
+    """The scan part of a column's abscissas: all but the fpp points."""
+    return _abscissas(ep, DEFAULT_GRID)[0][:-3 * len(verifier._FPP_XS)]
+
+
 def test_argument_ufuncs_give_a_point_the_same_bits_in_any_array():
     # 1-x^e and the log regime's ln w, as the one-point path and the array
     # path take them: one point alone, a contiguous array, a strided view
     x_lo = DEFAULT_GRID.x_lo
     for ep in SCAN_EXPONENTS:
-        xs = _abscissas(ep, DEFAULT_GRID, "scan")[0]
+        xs = _scan_abscissas(ep)
         strided = np.repeat(xs, 3)[1::3]
         assert not strided.flags.c_contiguous
         for e in (ep.c_exp, ep.d_exp):
@@ -263,7 +268,7 @@ def test_argument_ufuncs_stay_within_an_ulp_of_math():
     # the composite add up to <= 2 ulps
     x_lo = DEFAULT_GRID.x_lo
     for ep in SCAN_EXPONENTS:
-        xs = _abscissas(ep, DEFAULT_GRID, "scan")[0]
+        xs = _scan_abscissas(ep)
         assert (xs < x_lo).sum() == 64  # the head: the grid starts at x_lo
         assert _ulps(np.log(xs), [math.log(v) for v in xs.tolist()]).max() <= 1
         for e in (ep.c_exp, ep.d_exp):
@@ -475,17 +480,29 @@ def test_a_nan_constraint_fails_its_check(monkeypatch):
     # failing identities in label order
     assert [w[0] for w in res.witnesses] == ["identity at n=3", "identity at n=7"]
 
-    real_crossing = verifier.find_crossing
+    real_scan = verifier._sign_scan
 
-    def nan_crossing(*args, **kwargs):
-        sub = real_crossing(*args, **kwargs)
-        return verifier.CheckResult(sub.check_id, sub.params, False, math.nan, sub.witnesses,
-                                    sub.tolerance_used)
+    def nan_scan(col, delta):
+        _, witnesses, ds = real_scan(col, delta)
+        return math.nan, witnesses, ds
 
     with monkeypatch.context() as m:
-        m.setattr(verifier, "find_crossing", nan_crossing)
+        m.setattr(verifier, "_sign_scan", nan_scan)
         res = check_sharpness(HALF, EP23, "beta", SMALL_GRID)
     assert not res.passed and math.isnan(res.worst_margin) and len(res.witnesses) == 4
+
+    real_fpp = verifier._Column.fpp_differences
+
+    def nan_fpp(self, delta):
+        values = real_fpp(self, delta)
+        values[1, 5] = math.nan
+        return values
+
+    with monkeypatch.context() as m:
+        m.setattr(verifier._Column, "fpp_differences", nan_fpp)
+        res = check_fpp_positive(HALF, EP23, MID_HALF)
+    assert not res.passed and math.isnan(res.worst_margin)
+    assert res.witnesses[0][0] == verifier._FPP_XS[5] and math.isnan(res.witnesses[0][1])
 
     calls = []
     real_beta = verifier.beta_fn
@@ -758,9 +775,11 @@ def test_task_errors_become_failed_records(monkeypatch, small_report, tmp_path):
 
 
 def test_undeclared_shift_is_computed_when_read():
-    # a column that declared only the threshold shift still serves checks
+    # a column fetched at the threshold shift alone still serves checks
     # at other shifts, and gives the record a fresh column gives
-    col = verifier._Column(HALF, EP23, SMALL_GRID, reads=[(D1_HALF, "scan")])
+    col = verifier._Column(HALF, EP23, SMALL_GRID)
+    verifier._fetch([(col, [D1_HALF])])
+    assert set(col._values) == {None, D1_HALF}
     assert check_sandwich(HALF, EP23, D1_HALF, SMALL_GRID, column=col) == \
         check_sandwich(HALF, EP23, D1_HALF, SMALL_GRID)
     for check in (check_G_monotone, check_sandwich, check_crossing_control):
@@ -776,9 +795,9 @@ def test_undeclared_shift_is_computed_when_read():
 
 
 def test_a_column_fetches_its_values_in_one_call(monkeypatch, small_report):
-    # the shifts a column declares for its tasks cover every value they
-    # read: one evaluate call per pair item, for all of its columns, no
-    # value computed on its own
+    # the shifts _column_shifts gives for a column's tasks cover every
+    # value they read: one evaluate call per pair item, for all of its
+    # columns, no value computed on its own
     calls = []
     real = verifier.evaluate
 
@@ -787,7 +806,7 @@ def test_a_column_fetches_its_values_in_one_call(monkeypatch, small_report):
         return real(kernels, xs)
 
     def unexpected(kernel, xs):
-        raise AssertionError("a value the column did not declare")
+        raise AssertionError("a value the item did not fetch")
 
     monkeypatch.setattr(verifier, "evaluate", counted)
     monkeypatch.setattr(verifier.Hyp2f1Kernel, "array", unexpected)
@@ -838,15 +857,15 @@ def test_a_pair_item_fetches_the_bits_each_column_fetches_alone():
                 continue
             group = [(kind, u) for kind, u in item if (u.get("c"), u.get("d")) == (t["c"], t["d"])]
             pp, ep = ParamPair(t["a"], t["b"]), ExponentPair(t["c"], t["d"])
-            columns[t["c"], t["d"]] = verifier._Column(pp, ep, SMALL_GRID, kernels=kernels_)
+            col = verifier._Column(pp, ep, SMALL_GRID, kernels=kernels_)
+            columns[t["c"], t["d"]] = col, verifier._column_shifts(group, col.gate)
             alone[t["c"], t["d"]] = verifier._Column(pp, ep, SMALL_GRID)
-            for col in (columns[t["c"], t["d"]], alone[t["c"], t["d"]]):
-                col.reads = verifier._column_reads(group, col.gate[1])
         verifier._fetch(list(columns.values()))
-        for key, col in columns.items():
-            assert not col.reads and col._values
-            for (delta, where), values in col._values.items():
-                assert alone[key]._value(delta, where).tobytes() == values.tobytes()
+        for key, (col, shifts) in columns.items():
+            verifier._fetch([(alone[key], shifts)])
+            assert set(col._values) == set(alone[key]._values) == {None, *shifts}
+            for delta, values in col._values.items():
+                assert alone[key]._values[delta].tobytes() == values.tobytes()
                 n += 1
     assert n >= 40
 
@@ -926,6 +945,18 @@ def test_a_column_gates_once_and_derives_its_parameters_once(monkeypatch):
     derived.clear()
     delta1(HALF, EP23)
     assert len(derived) == 1
+
+
+def test_a_suite_calls_find_crossing_once_per_crossing_task(monkeypatch, small_report):
+    # sharpness reads its sign changes off _sign_scan: find_crossing runs
+    # for the crossing tasks alone, once each
+    calls = []
+    real = verifier.find_crossing
+    monkeypatch.setattr(verifier, "find_crossing",
+                        lambda *args, **kwargs: calls.append(args[2]) or real(*args, **kwargs))
+    assert run_suite(SMALL_CONFIG).checks == small_report.checks
+    shifts = [t["delta"] for kind, t in build_tasks(SMALL_CONFIG) if kind == "crossing"]
+    assert len(shifts) >= 8 and sorted(calls) == sorted(shifts)
 
 
 def test_sharpness_localizes_no_crossing_of_its_own(monkeypatch, small_report):
