@@ -352,11 +352,12 @@ def _check_index(n, name: str) -> None:
         raise DomainError(f"{name} needs an integer n >= 1, got {n!r}")
 
 
-def _q_factor(n, pp: ParamPair, ep: ExponentPair, delta: float):
-    """The polynomial factor (c/d - 1)(u+v+n) + u(v+1) of Q(n)."""
+def _q_factor(n, pp: ParamPair, ratio, delta):
+    """The polynomial factor (c/d - 1)(u+v+n) + u(v+1) of Q(n), with c/d
+    given as ratio; ratio and delta may be arrays that broadcast with n."""
     u = pp.a - delta
     v = pp.b + delta
-    return (ep.ratio - 1.0) * (u + v + n) + u * (v + 1.0)
+    return (ratio - 1.0) * (u + v + n) + u * (v + 1.0)
 
 
 def Q(n: int, pp: ParamPair, ep: ExponentPair, delta: float) -> float:
@@ -369,7 +370,7 @@ def Q(n: int, pp: ParamPair, ep: ExponentPair, delta: float) -> float:
     Strictly decreasing in n and eventually below any bound, which is what
     forces the series-coefficient comparison."""
     _check_index(n, "Q")
-    return Q_ratio(n, pp, delta) * _q_factor(n, pp, ep, delta)
+    return Q_ratio(n, pp, delta) * _q_factor(n, pp, ep.ratio, delta)
 
 
 def Q_ratio(n: int, pp: ParamPair, delta: float) -> float:

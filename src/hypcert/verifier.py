@@ -39,7 +39,6 @@ from .constants import (
     Case,
     ExponentPair,
     ParamPair,
-    _check_index,
     _q_factor,
     c1,
     c2,
@@ -368,10 +367,11 @@ class _Column:
                 self._args_c if delta is None else self._args_d)
         return self._values[delta]
 
-    def G(self, delta):
-        """G at the grid abscissas."""
+    def G(self, *deltas):
+        """G at the grid abscissas, one row per shift of deltas."""
         n = len(self.grid_xs)
-        return (self._value(delta)[:n] - self._value(None)[:n]) / self._args_c[:n]
+        return (np.stack([self._value(d)[:n] for d in deltas]) - self._value(None)[:n]) \
+            / self._args_c[:n]
 
     def differences(self, delta):
         """F_d - F_c at the scan abscissas."""
@@ -383,12 +383,13 @@ class _Column:
         return (self.kernel_d(delta)(float(_one_minus_pow(self.ep.d_exp, x, self.grid.x_lo)))
                 - self.kernel_c(float(_one_minus_pow(self.ep.c_exp, x, self.grid.x_lo))))
 
-    def fpp_differences(self, delta):
+    def fpp_differences(self, *deltas):
         """f(x) = F(a-1-delta, b+delta; p; t(x)) - F(a-1, b; p; x) at x-step,
-        x and x+step for the fpp points x (_FPP_XS), as a (3, points)
+        x and x+step for the fpp points x (_FPP_XS), a (deltas, 3, points)
         array; with t(x) = 1-(1-x)^(d/c)."""
         n = self._n_scan
-        return (self._value(delta)[n:] - self._value(None)[n:]).reshape(3, -1)
+        return (np.stack([self._value(d)[n:] for d in deltas])
+                - self._value(None)[n:]).reshape(len(deltas), 3, -1)
 
 
 def _gate(pp, ep):
@@ -414,6 +415,69 @@ def _theorem_params(pp, ep, delta):
     return {"a": pp.a, "b": pp.b, "c": ep.c_exp, "d": ep.d_exp, "delta": delta}
 
 
+def _monotone_gate(check_id, params, pp, ep, column):
+    """The skip record of a check on the range a-1 < delta <= d1, or None."""
+    skip, d1 = _admissibility_gate(check_id, params, pp, ep, column)
+    if skip is None and not (pp.a - 1.0 < params["delta"] <= d1):
+        return _skipped(check_id, params, "shift outside monotone range")
+    return skip
+
+
+def _monotone_pass(pp, ep, rows, grid=DEFAULT_GRID, cfg=DEFAULT_SERIES, column=None):
+    """The results of rows, (check id, shift) pairs of G_monotone, sandwich
+    and fpp_positive on (pp, ep), in one pass: one G matrix (a row per
+    shift), with c1, c2 and the kernels' ends once per shift, and one
+    matrix of fpp_positive's second differences.  A row-wise argmin picks
+    what np.argmin picks on the row alone (its first minimum or first
+    NaN), so a record has the bits it has alone; each public check is this
+    pass on one row."""
+    skips = [_monotone_gate(c, _theorem_params(pp, ep, d), pp, ep, column) for c, d in rows]
+    live = {row for row, skip in zip(rows, skips) if skip is None}
+    if not live:
+        return skips
+    col = column if column is not None else _Column(pp, ep, grid, cfg)
+    done = {}
+    shifts = list(dict.fromkeys(d for c, d in rows if (c, d) in live and c != "fpp_positive"))
+    if shifts:
+        quots = col.G(*shifts)
+        steps = np.diff(quots, axis=1)
+        slack = MONOTONE_SLACK - steps
+        lows, highs = [c1(pp, ep, d) for d in shifts], [c2(pp, d) for d in shifts]
+        gap = np.minimum(quots - np.array(lows)[:, None], np.array(highs)[:, None] - quots)
+        margins = gap - INTERIOR_MARGIN
+        firsts = zip(shifts, lows, highs, np.argmin(slack, axis=1).tolist(),
+                     np.argmin(margins, axis=1).tolist())
+        for j, (delta, low, high, i, k) in enumerate(firsts):
+            params, margin = _theorem_params(pp, ep, delta), float(margins[j, k])
+            witnesses = [] if margin > 0.0 else [[float(col.grid_xs[k]), float(gap[j, k])]]
+            done["sandwich", delta] = _result("sandwich", params, margin, witnesses,
+                                              INTERIOR_MARGIN)
+            if ("G_monotone", delta) not in live:
+                continue
+            worst = [float(slack[j, i])]
+            witnesses = [] if worst[0] > 0.0 else [[float(col.grid_xs[i]), float(steps[j, i])]]
+            (one_d, t_d), (one_c, t_c) = col.kernel_d(delta).ends, col.kernel_c.ends
+            for x_end, limit, want in ((0.0, one_d - one_c, high),
+                                       (1.0, ep.d_exp / ep.c_exp * t_d - t_c, low)):
+                err = abs(limit - want)
+                worst.append(ENDPOINT_TOL - err)
+                if not worst[-1] > 0.0:
+                    witnesses.append([x_end, err])
+            done["G_monotone", delta] = _result("G_monotone", params, _worst(*worst),
+                                                witnesses, MONOTONE_SLACK)
+    shifts = list(dict.fromkeys(d for c, d in rows if (c, d) in live and c == "fpp_positive"))
+    if shifts:
+        diffs = col.fpp_differences(*shifts)
+        second = (diffs[:, 0] - 2.0 * diffs[:, 1] + diffs[:, 2]) / _FPP_STEP**2
+        margins = second + 1e-6
+        for j, (delta, i) in enumerate(zip(shifts, np.argmin(margins, axis=1).tolist())):
+            margin = float(margins[j, i])
+            witnesses = [] if margin > 0.0 else [[float(_FPP_XS[i]), float(second[j, i])]]
+            done["fpp_positive", delta] = _result("fpp_positive", _theorem_params(pp, ep, delta),
+                                                  margin, witnesses, 1e-6)
+    return [skip or done[row] for skip, row in zip(skips, rows)]
+
+
 def check_G_monotone(pp: ParamPair, ep: ExponentPair, delta: float,
                      grid: GridSpec = DEFAULT_GRID,
                      cfg: SeriesConfig = DEFAULT_SERIES,
@@ -424,28 +488,7 @@ def check_G_monotone(pp: ParamPair, ep: ExponentPair, delta: float,
 
     This and the checks below read their values from ``column``, the
     _Column of (pp, ep), or from one they build from grid and cfg."""
-    params = _theorem_params(pp, ep, delta)
-    skip, d1 = _admissibility_gate("G_monotone", params, pp, ep, column)
-    if skip is not None:
-        return skip
-    if not (pp.a - 1.0 < delta <= d1):
-        return _skipped("G_monotone", params, "shift outside monotone range")
-
-    col = column if column is not None else _Column(pp, ep, grid, cfg)
-    xs, steps = col.grid_xs, np.diff(col.G(delta))
-    slack = MONOTONE_SLACK - steps
-    i = int(np.argmin(slack))
-    margins = [float(slack[i])]
-    witnesses = [] if margins[0] > 0.0 else [[float(xs[i]), float(steps[i])]]
-
-    (one_d, t_d), (one_c, t_c) = col.kernel_d(delta).ends, col.kernel_c.ends
-    for x_end, limit, want in ((0.0, one_d - one_c, c2(pp, delta)),
-                               (1.0, ep.d_exp / ep.c_exp * t_d - t_c, c1(pp, ep, delta))):
-        err = abs(limit - want)
-        margins.append(ENDPOINT_TOL - err)
-        if not margins[-1] > 0.0:
-            witnesses.append([x_end, err])
-    return _result("G_monotone", params, _worst(*margins), witnesses, MONOTONE_SLACK)
+    return _monotone_pass(pp, ep, [("G_monotone", delta)], grid, cfg, column)[0]
 
 
 def check_sandwich(pp: ParamPair, ep: ExponentPair, delta: float,
@@ -458,21 +501,7 @@ def check_sandwich(pp: ParamPair, ep: ExponentPair, delta: float,
     itself: the raw gap F_d - (F_c + c1*w) collapses like w^2 as x -> 1
     at the threshold shift, while the identical strict inequality keeps
     a ~1e-8 quotient margin there."""
-    params = _theorem_params(pp, ep, delta)
-    skip, d1 = _admissibility_gate("sandwich", params, pp, ep, column)
-    if skip is not None:
-        return skip
-    if not (pp.a - 1.0 < delta <= d1):
-        return _skipped("sandwich", params, "shift outside monotone range")
-
-    col = column if column is not None else _Column(pp, ep, grid, cfg)
-    quots = col.G(delta)
-    gap = np.minimum(quots - c1(pp, ep, delta), c2(pp, delta) - quots)
-    margins = gap - INTERIOR_MARGIN
-    i = int(np.argmin(margins))
-    margin = float(margins[i])
-    witnesses = [] if margin > 0.0 else [[float(col.grid_xs[i]), float(gap[i])]]
-    return _result("sandwich", params, margin, witnesses, INTERIOR_MARGIN)
+    return _monotone_pass(pp, ep, [("sandwich", delta)], grid, cfg, column)[0]
 
 
 def _tail_abscissas(ep, n=160):
@@ -616,7 +645,7 @@ def check_sharpness(pp: ParamPair, ep: ExponentPair, threshold_form: str = "beta
     cand = _sharpness_candidate(pp, ep, threshold_form, d1)
 
     col = column if column is not None else _Column(pp, ep, grid, cfg)
-    quots = col.G(cand)
+    quots = col.G(cand)[0]
     i_min = int(np.argmin(quots))
     margins = [float(quots[i_min]) - INTERIOR_MARGIN]
     witnesses = [] if margins[0] > 0.0 else [[float(col.grid_xs[i_min]), float(quots[i_min])]]
@@ -700,6 +729,21 @@ def check_f4_roots(n_scan: int = 10_000) -> CheckResult:
     return _result("f4_roots", params, margin, witnesses, INTERIOR_MARGIN)
 
 
+def _first_min(vals, n, block=32):
+    """(i, j, value) of the entry np.argmin picks (the first minimum or NaN
+    in C order) in the n-row matrix whose rows lo:hi are vals(lo, hi), read
+    in blocks of rows: 32 rows of 256 are 64 KB, below malloc's 128 KiB."""
+    picks = []
+    for lo in range(0, n, block):
+        rows = vals(lo, lo + block)
+        k = int(np.argmin(rows))
+        picks.append((rows.flat[k], lo + k // rows.shape[1], k % rows.shape[1]))
+    # np.argmin over the blocks' picks: the first block with a NaN, or the
+    # first with the least value
+    v, i, j = picks[int(np.argmin([v for v, _, _ in picks]))]
+    return i, j, float(v)
+
+
 def check_lemma_g(pp: ParamPair) -> CheckResult:
     """Nonnegativity of g on the closed wedge 0 <= x <= (beta+p)/k,
     -beta*x <= y <= 0 (256 x 256 grid), the interior stationary value
@@ -714,12 +758,17 @@ def check_lemma_g(pp: ParamPair) -> CheckResult:
     n = 256
     xmax = (dp.beta + dp.p) / dp.k
     xs = np.linspace(0.0, xmax, n)
-    ys = (-dp.beta * xs)[:, None] * np.linspace(0.0, 1.0, n)
-    vals = ys * ys + ((dp.p + 1.0) * xs - 1.0)[:, None] * ys \
-        + (dp.alpha * dp.beta * xs ** 2)[:, None]
-    i, j = np.unravel_index(np.argmin(vals), vals.shape)
-    margin = float(vals[i, j]) + INTERIOR_MARGIN
-    witnesses = [] if margin > 0.0 else [[float(xs[i]), float(ys[i, j])]]
+    us = np.linspace(0.0, 1.0, n)
+    slope = (-dp.beta * xs)[:, None]
+    lin, quad = ((dp.p + 1.0) * xs - 1.0)[:, None], (dp.alpha * dp.beta * xs ** 2)[:, None]
+
+    def vals(lo, hi):  # g at the grid rows lo:hi, y = slope * u
+        ys = slope[lo:hi] * us
+        return ys * ys + lin[lo:hi] * ys + quad[lo:hi]
+
+    i, j, low = _first_min(vals, n)
+    margin = low + INTERIOR_MARGIN
+    witnesses = [] if margin > 0.0 else [[float(xs[i]), float(slope[i, 0] * us[j])]]
 
     den = (dp.p + 1.0) ** 2 - 4.0 * dp.alpha * dp.beta
     x0, y0 = (dp.p + 1.0) / den, -2.0 * dp.alpha * dp.beta / den
@@ -774,77 +823,75 @@ def check_lemma_g1(pp: ParamPair) -> CheckResult:
     return _result("lemma_g1", params, margin, witnesses, INTERIOR_MARGIN)
 
 
-def Q_sequence(m: int, pp: ParamPair, ep: ExponentPair, delta: float):
-    """Arrays (R(n), Q(n)) for n = 1..m, R by its recurrence
-
-        R(n+1) = R(n) (u+n-1)(v+n) / ((a+n-1)(b+n))
-
-    from R(1) = Q_ratio(1): one lgamma anchor instead of four lgamma
-    values per n."""
-    _check_index(m, "Q_sequence")
-    u = pp.a - delta
-    v = pp.b + delta
-    ns = np.arange(1.0, m + 1.0)
+def _lemma_Q_pass(pp, rows):
+    """The results of rows, (ep, delta, N, column) tuples of lemma_Q on the
+    pair pp, in one pass of (rows x n) arrays, each margin a reduction
+    along axis 1.  The gamma ratio R of Q comes from its recurrence
+    R(n+1) = R(n) (u+n-1)(v+n) / ((a+n-1)(b+n)) from the anchor
+    R(1) = Q_ratio(1); the anchors, Q1 and the horizon probes stay per
+    row.  A row's ``column`` lends its gate; check_lemma_Q is this pass
+    on one row."""
+    results, live = [], []
+    for ep, delta, N, column in rows:
+        params = {**_theorem_params(pp, ep, delta), "N": N}
+        results.append(_monotone_gate("lemma_Q", params, pp, ep, column))
+        if results[-1] is None:
+            if N < 2:
+                raise DomainError(f"lemma_Q needs N >= 2, got {N!r}")
+            live.append((len(results) - 1, params, ep, delta, N))
+    if not live:
+        return results
+    shifts = np.array([[delta] for *_, delta, _ in live])
+    u, v = pp.a - shifts, pp.b + shifts
+    ns = np.arange(1.0, max(51, *(N for *_, N in live)) + 1.0)
     n = ns[:-1]
-    steps = (u + n - 1.0) * (v + n) / ((pp.a + n - 1.0) * (pp.b + n))
-    ratios = Q_ratio(1, pp, delta) * np.concatenate([[1.0], np.cumprod(steps)])
-    return ratios, ratios * _q_factor(ns, pp, ep, delta)
+    steps = np.cumprod((u + n - 1.0) * (v + n) / ((pp.a + n - 1.0) * (pp.b + n)), axis=1)
+    ratios = np.array([[Q_ratio(1, pp, d)] for *_, d, _ in live]) \
+        * np.concatenate([np.ones_like(shifts), steps], axis=1)
+    qs = ratios * _q_factor(ns, pp, np.array([[ep.ratio] for _, _, ep, _, _ in live]), shifts)
+    # Q strictly decreasing on 1..N: the differences past N - 1 are left out
+    diffs = np.where(n < np.array([[N] for *_, N in live]), qs[:, 1:] - qs[:, :-1], -np.inf)
+    # Q(n+1) - Q(n) = R(n) / ((a+n-1)(b+n)) * Q1(n) for n = 1..50
+    n = np.arange(1, 51)
+    lhs = qs[:, 1:51] - qs[:, :50]
+    rhs = ratios[:, :50] / ((pp.a + n - 1.0) * (pp.b + n)) \
+        * np.array([Q1(n, pp, ep, d) for _, _, ep, d, _ in live])
+    devs = np.abs(lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    bad = ~(1e-10 - devs > 0.0)
+    firsts = zip(live, np.argmax(diffs, axis=1).tolist(), np.max(devs, axis=1).tolist())
+    for j, ((k, params, ep, delta, N), i, top) in enumerate(firsts):
+        witnesses = []
+        margins = [-float(diffs[j, i]), float(qs[j, 0] - qs[j, N - 1])]
+        if not margins[0] > 0.0:
+            witnesses.append([float(i + 1), float(diffs[j, i])])
+        # eventual Q < -1: the horizon doubled up to 64N
+        if not any(Q(N << s, pp, ep, delta) < -1.0 for s in range(7)):
+            margins.append(-1.0)
+            witnesses.append([f"Q({N << 7}) still >= -1", Q(N << 6, pp, ep, delta)])
+        witnesses += [[f"identity at n={i + 1}", float(devs[j, i])]
+                      for i in np.flatnonzero(bad[j]).tolist()]
+        # the recurrence against the direct lgamma ratio, an independent
+        # reference for every gamma factor above
+        for ref in sorted({50, N}):
+            direct = Q_ratio(ref, pp, delta)
+            dev = float(abs(ratios[j, ref - 1] - direct) / direct)
+            margins.append(1e-10 - dev)
+            if not margins[-1] > 0.0:
+                witnesses.append([f"gamma recurrence at n={ref}", dev])
+        margins.append(1e-10 - top)  # the least 1e-10 - dev of the identity
+        results[k] = _result("lemma_Q", params, _worst(*margins), witnesses, 1e-10)
+    return results
 
 
 def check_lemma_Q(pp: ParamPair, ep: ExponentPair, delta: float,
                   N: int = 200, column: _Column | None = None) -> CheckResult:
     """Tail behavior of the coefficient sequence: Q strictly decreasing on
     1..N, Q(N) < Q(1), eventual Q < -1 (horizon doubled up to 64N), and
-    the first-difference identity against Q1 to 1e-10 for n = 1..50.
-
-    On 1..max(N, 51) the gamma ratio of Q comes from its recurrence in n,
-    anchored on one lgamma value; it must agree with the direct lgamma
-    ratio at n = 50 and n = N to 1e-10 as well.  The horizon probes are
-    direct.  A ``column`` of (pp, ep) lends its gate."""
-    params = _theorem_params(pp, ep, delta)
-    params["N"] = N
-    skip, d1 = _admissibility_gate("lemma_Q", params, pp, ep, column)
-    if skip is not None:
-        return skip
-    if not (pp.a - 1.0 < delta <= d1):
-        return _skipped("lemma_Q", params, "shift outside monotone range")
-
-    if N < 2:
-        raise DomainError(f"lemma_Q needs N >= 2, got {N!r}")
-    ratios, qs = Q_sequence(max(N, 51), pp, ep, delta)
-    witnesses = []
-    diffs = qs[1:N] - qs[:N - 1]
-    i = int(np.argmax(diffs))
-    margins = [-float(diffs[i]), float(qs[0] - qs[N - 1])]
-    if not margins[0] > 0.0:
-        witnesses.append([float(i + 1), float(diffs[i])])
-
-    horizon = N
-    trend_ok = False
-    for _ in range(7):
-        if Q(horizon, pp, ep, delta) < -1.0:
-            trend_ok = True
-            break
-        horizon *= 2
-    if not trend_ok:
-        margins.append(-1.0)
-        witnesses.append([f"Q({horizon}) still >= -1", Q(horizon // 2, pp, ep, delta)])
-
-    # Q(n+1) - Q(n) = R(n) / ((a+n-1)(b+n)) * Q1(n) for n = 1..50
-    n = np.arange(1, 51)
-    lhs = qs[1:51] - qs[:50]
-    rhs = ratios[:50] / ((pp.a + n - 1.0) * (pp.b + n)) * Q1(n, pp, ep, delta)
-    devs = np.abs(lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    # the recurrence against the direct lgamma ratio, an independent
-    # reference for every gamma factor above
-    refs = sorted({50, N})
-    direct = np.array([Q_ratio(k, pp, delta) for k in refs])
-    devs = np.concatenate([devs, np.abs(ratios[np.array(refs) - 1] - direct) / direct])
-    # the smallest 1e-10 - dev: subtraction from a fixed number is monotone
-    margins.append(1e-10 - float(np.max(devs)))
-    witnesses += [[f"identity at n={k + 1}" if k < 50 else f"gamma recurrence at n={refs[k - 50]}",
-                   float(devs[k])] for k in np.flatnonzero(~(1e-10 - devs > 0.0)).tolist()]
-    return _result("lemma_Q", params, _worst(*margins), witnesses, 1e-10)
+    the first-difference identity against Q1 to 1e-10 for n = 1..50.  On
+    1..max(N, 51) the gamma ratio of Q comes from its recurrence in n
+    (_lemma_Q_pass); it must agree with the direct lgamma ratio at n = 50
+    and n = N to 1e-10 as well.  The horizon probes are direct."""
+    return _lemma_Q_pass(pp, [(ep, delta, N, column)])[0]
 
 
 def check_beta_convex(pp: ParamPair) -> CheckResult:
@@ -856,14 +903,13 @@ def check_beta_convex(pp: ParamPair) -> CheckResult:
         return _skipped("beta_convex", params, "requires a <= b")
     a, b, n = pp.a, pp.b, 200
     xs = np.linspace(a / n, a - a / n, n)
-    vals = [beta_fn(a - float(x), b + float(x)) for x in xs]
-    d1s = [vals[i + 1] - vals[i] for i in range(n - 1)]
-    d2s = [d1s[i + 1] - d1s[i] for i in range(n - 2)]
-    margin = _worst(*d1s, *d2s)
-    witnesses = []
-    if not margin > 0.0:
-        i = min(range(n - 1), key=lambda i: d1s[i])
-        witnesses.append([float(xs[i]), d1s[i]])
+    d1s = np.diff([beta_fn(a - float(x), b + float(x)) for x in xs])
+    diffs = np.concatenate([d1s, np.diff(d1s)])
+    # the first smallest difference, or the first NaN; a first difference
+    # is reported at its left point, a second one at its centre
+    i = int(np.argmin(diffs))
+    margin = float(diffs[i])
+    witnesses = [] if margin > 0.0 else [[float(xs[i if i < n - 1 else i - n + 2]), margin]]
     return _result("beta_convex", params, margin, witnesses, 0.0)
 
 
@@ -874,21 +920,7 @@ def check_fpp_positive(pp: ParamPair, ep: ExponentPair, delta: float,
     t(x) = 1-(1-x)^(d/c), second centered differences of
     f(x) = F(a-1-delta, b+delta; p; t(x)) - F(a-1, b; p; x), step _FPP_STEP,
     must exceed -1e-6 at the points _FPP_XS."""
-    params = _theorem_params(pp, ep, delta)
-    skip, d1 = _admissibility_gate("fpp_positive", params, pp, ep, column)
-    if skip is not None:
-        return skip
-    if not (pp.a - 1.0 < delta <= d1):
-        return _skipped("fpp_positive", params, "shift outside monotone range")
-
-    col = column if column is not None else _Column(pp, ep, cfg=cfg)
-    lo, mid, hi = col.fpp_differences(delta)
-    second = (lo - 2.0 * mid + hi) / _FPP_STEP**2
-    margins = second + 1e-6
-    i = int(np.argmin(margins))
-    margin = float(margins[i])
-    witnesses = [] if margin > 0.0 else [[float(_FPP_XS[i]), float(second[i])]]
-    return _result("fpp_positive", params, margin, witnesses, 1e-6)
+    return _monotone_pass(pp, ep, [("fpp_positive", delta)], cfg=cfg, column=column)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1003,6 +1035,21 @@ _CALLS = {
         _pair(t), _exponents(t), t["threshold_form"], cf.grid, cf.series, col),
 }
 
+# check id -> its stacked pass on (tasks, config, columns by _column_key),
+# over the tasks of one pair (lemma_Q) or of one column
+_PASSES = {
+    "lemma_Q": lambda ts, cf, made: _lemma_Q_pass(_pair(ts[0][1]), [
+        (_exponents(t), t["delta"], t["N"], made[_column_key(t)]) for _, t in ts]),
+    **dict.fromkeys(("G_monotone", "sandwich", "fpp_positive"), lambda ts, cf, made: (
+        _monotone_pass(_pair(ts[0][1]), _exponents(ts[0][1]), [(c, t["delta"]) for c, t in ts],
+                       cf.grid, cf.series, made[_column_key(ts[0][1])]))),
+}
+
+
+def _column_key(params):
+    """The (c, d) of a task's column, None for a task with no column."""
+    return (params["c"], params["d"]) if "d" in params else None
+
 
 def _pair(params) -> ParamPair:
     return ParamPair(params["a"], params["b"])
@@ -1063,34 +1110,46 @@ def _fetch(work):
         col._values.update(zip(ks, got))
 
 
+def _run_pass(group, config, made):
+    """The results of a group of tasks from one call of their pass
+    (_PASSES), or of its check (_CALLS) for one task; if that raises a
+    ConvergenceError or DomainError, of each task alone: each task's error
+    record holds the error it meets alone."""
+    try:
+        if len(group) > 1:
+            return _PASSES[group[0][0]](group, config, made)
+        (check_id, t), = group
+        return [_CALLS[check_id](t, config, made.get(_column_key(t)))]
+    except (ConvergenceError, DomainError) as exc:
+        if len(group) == 1:
+            return [_error_result(*group[0], exc)]
+        return [r for task in group for r in _run_pass([task], config, made)]
+
+
 def _run_item(item):
     """Rendered records (see _render) of one pool item, made where its
     checks run.  The tasks of one column share one _Column, which gates
     once; the columns of the item share their kernels and fetch every
     value their tasks read in one evaluate call (_fetch); all of it is
-    dropped on return.  A ConvergenceError or DomainError becomes an error
-    record of the task that raised it."""
+    dropped on return.  The item's lemma_Q tasks run in one pass, each
+    column's G_monotone, sandwich and fpp_positive tasks in one, and every
+    other task alone (_run_pass)."""
     tasks, config = item
     columns = {}
     for check_id, params in tasks:
-        key = (params["c"], params["d"]) if "d" in params else None
-        columns.setdefault(key, []).append((check_id, params))
+        columns.setdefault(_column_key(params), []).append((check_id, params))
     kernels = {}
     made = {key: _Column(_pair(group[0][1]), _exponents(group[0][1]), config.grid,
                          config.series, kernels=kernels)
             for key, group in columns.items() if key is not None}
     # build_tasks makes column tasks for admissible columns only
     _fetch([(column, _column_shifts(columns[key], column.gate)) for key, column in made.items()])
-    records = []
-    for key, group in columns.items():
-        column = made.get(key)
-        for check_id, params in group:
-            try:
-                result = _CALLS[check_id](params, config, column)
-            except (ConvergenceError, DomainError) as exc:
-                result = _error_result(check_id, params, exc)
-            records.append(_render(result))
-    return records
+    passes = {}
+    for check_id, params in tasks:
+        key = (check_id if check_id == "lemma_Q" else _column_key(params)
+               if check_id in _PASSES else object())
+        passes.setdefault(key, []).append((check_id, params))
+    return [_render(r) for group in passes.values() for r in _run_pass(group, config, made)]
 
 
 def _suite_meta(config: VerifyConfig) -> dict:

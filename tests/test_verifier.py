@@ -8,6 +8,7 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -493,9 +494,9 @@ def test_a_nan_constraint_fails_its_check(monkeypatch):
 
     real_fpp = verifier._Column.fpp_differences
 
-    def nan_fpp(self, delta):
-        values = real_fpp(self, delta)
-        values[1, 5] = math.nan
+    def nan_fpp(self, *deltas):
+        values = real_fpp(self, *deltas)
+        values[deltas.index(MID_HALF), 1, 5] = math.nan
         return values
 
     with monkeypatch.context() as m:
@@ -521,6 +522,34 @@ def test_beta_convex_check_and_skip():
     assert check_beta_convex(ParamPair(0.3, 1.5)).passed
     res = check_beta_convex(ParamPair(0.9, 0.5))
     assert res.passed and res.status == "skipped: requires a <= b"
+
+
+def test_beta_convex_reports_where_its_margin_was_attained(monkeypatch):
+    # lifting the 101st of (0.3, 1.5)'s 200 points by 2e-3 makes the second
+    # difference centred there the worst margin, -0.00266: its witness is
+    # that point and that value, not the smallest first difference
+    pp = ParamPair(0.3, 1.5)
+    xs = np.linspace(pp.a / 200, pp.a - pp.a / 200, 200)
+    real_beta = verifier.beta_fn
+
+    def patched(lift):
+        calls = []
+
+        def beta(x, y):
+            calls.append(x)
+            return lift(real_beta(x, y)) if len(calls) == 101 else real_beta(x, y)
+        return beta
+
+    monkeypatch.setattr(verifier, "beta_fn", patched(lambda v: v + 2e-3))
+    res = check_beta_convex(pp)
+    assert not res.passed and res.worst_margin == pytest.approx(-0.00266, abs=1e-5)
+    assert res.witnesses == [[float(xs[100]), res.worst_margin]]
+
+    # a NaN there: the first difference into it is the first NaN
+    monkeypatch.setattr(verifier, "beta_fn", patched(lambda v: math.nan))
+    res = check_beta_convex(pp)
+    assert not res.passed and math.isnan(res.worst_margin)
+    assert res.witnesses[0][0] == float(xs[99]) and math.isnan(res.witnesses[0][1])
 
 
 def test_fpp_positive_check():
@@ -792,6 +821,163 @@ def test_undeclared_shift_is_computed_when_read():
         check_fpp_positive(HALF, EP23, MID_HALF)
     assert check_sharpness(HALF, EP23, "beta", SMALL_GRID, column=col) == \
         check_sharpness(HALF, EP23, "beta", SMALL_GRID)
+
+
+def test_stacked_passes_render_what_each_check_renders_alone(monkeypatch):
+    # each pair item runs its lemma_Q tasks in one pass and each column's
+    # G_monotone, sandwich and fpp_positive tasks in one; every record is
+    # the text of the public check run alone on a fresh column
+    passes = []
+    for name in ("_lemma_Q_pass", "_monotone_pass"):
+        real = getattr(verifier, name)
+        monkeypatch.setattr(verifier, name, lambda *args, real=real, name=name, **kwargs:
+                            passes.append((name, len(args[2] if name == "_monotone_pass"
+                                                     else args[1]))) or real(*args, **kwargs))
+    grid, cfg = SMALL_CONFIG.grid, SMALL_CONFIG.series
+    seen, n_items, n_columns = set(), 0, 0
+    for item in verifier._pair_items(build_tasks(SMALL_CONFIG)):
+        del passes[:]
+        records = verifier._run_item((item, SMALL_CONFIG))
+        columns = {(t["c"], t["d"]) for kind, t in item if kind == "G_monotone"}
+        if columns:
+            n_items += 1
+            n_columns += len(columns)
+            n_q = sum(kind == "lemma_Q" for kind, _ in item)
+            assert passes.count(("_lemma_Q_pass", n_q)) == 1
+            monotone = [n for name, n in passes if name == "_monotone_pass"]
+            assert len(passes) == 1 + len(monotone) and len(monotone) == len(columns)
+            assert sum(monotone) == 3 * n_q
+        for _, text, rec in records:
+            t = rec.params
+            if rec.check_id == "lemma_g":
+                alone = check_lemma_g(ParamPair(t["a"], t["b"]))
+            elif rec.check_id in ("lemma_Q", "G_monotone", "sandwich", "fpp_positive"):
+                pp, ep = ParamPair(t["a"], t["b"]), ExponentPair(t["c"], t["d"])
+                col = verifier._Column(pp, ep, grid, cfg)
+                alone = {"lemma_Q": lambda: check_lemma_Q(pp, ep, t["delta"], t["N"], col),
+                         "G_monotone": lambda: check_G_monotone(pp, ep, t["delta"], grid, cfg, col),
+                         "sandwich": lambda: check_sandwich(pp, ep, t["delta"], grid, cfg, col),
+                         "fpp_positive": lambda: check_fpp_positive(pp, ep, t["delta"], cfg, col),
+                         }[rec.check_id]()
+            else:
+                continue
+            assert verifier._render(alone)[1] == text
+            seen.add(rec.check_id)
+    assert seen == {"lemma_g", "lemma_Q", "G_monotone", "sandwich", "fpp_positive"}
+    assert n_items >= 3 and n_columns >= 8
+
+
+def _monotone_item():
+    """The first pair item of SMALL_CONFIG with at least two columns, its
+    records rendered by _run_item, by sort key, and the params of a lemma_Q
+    task there whose shift no other lemma_Q task of the item has."""
+    item = next(item for item in verifier._pair_items(build_tasks(SMALL_CONFIG))
+                if len({(t["c"], t["d"]) for kind, t in item if kind == "lemma_Q"}) >= 2)
+    shifts = [t["delta"] for kind, t in item if kind == "lemma_Q"]
+    target = next(t for kind, t in item if kind == "lemma_Q" and shifts.count(t["delta"]) == 1)
+    rendered = {key: text for key, text, _ in verifier._run_item((item, SMALL_CONFIG))}
+    return item, rendered, target
+
+
+def _changed(item, want):
+    """The records of item that _run_item now renders other than want."""
+    got = verifier._run_item((item, SMALL_CONFIG))
+    assert {key for key, _, _ in got} == want.keys()
+    return [rec for key, text, rec in got if text != want[key]]
+
+
+def test_a_nan_in_one_stacked_row_fails_only_its_record(monkeypatch):
+    # the Q1 and fpp patches of test_a_nan_constraint_fails_its_check, on
+    # one row of a stacked pass: that record fails with its witnesses, and
+    # the other records of the item keep their bytes
+    item, want, target = _monotone_item()
+    real_q1 = verifier.Q1
+
+    def q1(n, pp, ep, delta):
+        values = real_q1(n, pp, ep, delta)
+        if (ep.c_exp, ep.d_exp, delta) == (target["c"], target["d"], target["delta"]):
+            values[n == 7] = math.nan
+            values[n == 3] *= 2.0
+        return values
+
+    with monkeypatch.context() as m:
+        m.setattr(verifier, "Q1", q1)
+        changed = _changed(item, want)
+    assert [(r.check_id, r.params) for r in changed] == [("lemma_Q", target)]
+    res = changed[0]
+    assert not res.passed and math.isnan(res.worst_margin)
+    assert [w[0] for w in res.witnesses] == ["identity at n=3", "identity at n=7"]
+
+    real_fpp = verifier._Column.fpp_differences
+    stacked = []
+
+    def nan_fpp(self, *deltas):
+        values = real_fpp(self, *deltas)
+        stacked.append(len(deltas))
+        if (self.ep.c_exp, self.ep.d_exp) == (target["c"], target["d"]):
+            values[deltas.index(target["delta"]), 1, 5] = math.nan
+        return values
+
+    with monkeypatch.context() as m:
+        m.setattr(verifier._Column, "fpp_differences", nan_fpp)
+        changed = _changed(item, want)
+    assert max(stacked) >= 2
+    fpp = {**target}
+    del fpp["N"]
+    assert [(r.check_id, r.params) for r in changed] == [("fpp_positive", fpp)]
+    res = changed[0]
+    assert not res.passed and math.isnan(res.worst_margin)
+    assert res.witnesses[0][0] == verifier._FPP_XS[5] and math.isnan(res.witnesses[0][1])
+
+
+def test_a_stacked_pass_that_raises_runs_each_task_alone(monkeypatch):
+    # Q_ratio raising at one shift fails the item's lemma_Q pass: each of
+    # its tasks then runs alone, the one at that shift gets the error record
+    # of its one-row call, and no other record changes
+    item, want, target = _monotone_item()
+    real = verifier.Q_ratio
+
+    def q_ratio(n, pp, delta):
+        if delta == target["delta"]:
+            raise DomainError("forced for one shift")
+        return real(n, pp, delta)
+
+    monkeypatch.setattr(verifier, "Q_ratio", q_ratio)
+    changed = _changed(item, want)
+    pp, ep = ParamPair(target["a"], target["b"]), ExponentPair(target["c"], target["d"])
+    with pytest.raises(DomainError) as alone:
+        check_lemma_Q(pp, ep, target["delta"], target["N"])
+    assert changed == [verifier._error_result("lemma_Q", target, alone.value)]
+    assert changed[0].status == "error: DomainError: forced for one shift"
+
+
+def test_lemma_g_takes_its_minimum_in_small_blocks():
+    # the blocked minimum picks np.argmin's entry of the dense matrix (the
+    # first least value, or the first NaN, in C order) across block edges
+    rng = np.random.default_rng(5)
+    for n_rows in (1, 31, 32, 33, 70, 256):
+        dense = rng.integers(0, 4, size=(n_rows, 9)).astype(float)
+        cases = [dense, np.ones_like(dense)]
+        for at in ((n_rows - 1, 8), (n_rows // 2, 3), (0, 0)):
+            nan = dense.copy()
+            nan[at] = math.nan
+            nan[-1, -1] = math.nan
+            cases.append(nan)
+        for vals in cases:
+            got = verifier._first_min(lambda lo, hi: vals[lo:hi].copy(), n_rows)
+            i, j = np.unravel_index(np.argmin(vals), vals.shape)
+            assert got[:2] == (i, j)
+            assert got[2] == vals[i, j] or (math.isnan(got[2]) and math.isnan(vals[i, j]))
+    # on the wedge grid, no temporary reaches malloc's 128 KiB mapping size
+    # (the dense 256 x 256 matrices were 512 KB each, 1.6 MB at the peak)
+    check_lemma_g(HALF)
+    tracemalloc.start()
+    try:
+        res = check_lemma_g(HALF)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.passed and peak <= 512 * 1024, peak
 
 
 def test_a_column_fetches_its_values_in_one_call(monkeypatch, small_report):
