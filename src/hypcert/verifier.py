@@ -423,7 +423,7 @@ def _monotone_gate(check_id, params, pp, ep, column):
     return skip
 
 
-def _monotone_pass(pp, ep, rows, grid=DEFAULT_GRID, cfg=DEFAULT_SERIES, column=None):
+def _monotone_pass(pp, ep, rows, grid, cfg, column):
     """The results of rows, (check id, shift) pairs of G_monotone, sandwich
     and fpp_positive on (pp, ep), in one pass: one G matrix (a row per
     shift), with c1, c2 and the kernels' ends once per shift, and one
@@ -729,13 +729,13 @@ def check_f4_roots(n_scan: int = 10_000) -> CheckResult:
     return _result("f4_roots", params, margin, witnesses, INTERIOR_MARGIN)
 
 
-def _first_min(vals, n, block=32):
+def _first_min(vals, n):
     """(i, j, value) of the entry np.argmin picks (the first minimum or NaN
     in C order) in the n-row matrix whose rows lo:hi are vals(lo, hi), read
     in blocks of rows: 32 rows of 256 are 64 KB, below malloc's 128 KiB."""
     picks = []
-    for lo in range(0, n, block):
-        rows = vals(lo, lo + block)
+    for lo in range(0, n, 32):
+        rows = vals(lo, lo + 32)
         k = int(np.argmin(rows))
         picks.append((rows.flat[k], lo + k // rows.shape[1], k % rows.shape[1]))
     # np.argmin over the blocks' picks: the first block with a NaN, or the
@@ -920,7 +920,7 @@ def check_fpp_positive(pp: ParamPair, ep: ExponentPair, delta: float,
     t(x) = 1-(1-x)^(d/c), second centered differences of
     f(x) = F(a-1-delta, b+delta; p; t(x)) - F(a-1, b; p; x), step _FPP_STEP,
     must exceed -1e-6 at the points _FPP_XS."""
-    return _monotone_pass(pp, ep, [("fpp_positive", delta)], cfg=cfg, column=column)[0]
+    return _monotone_pass(pp, ep, [("fpp_positive", delta)], DEFAULT_GRID, cfg, column)[0]
 
 
 # ---------------------------------------------------------------------------
