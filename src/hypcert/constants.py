@@ -158,12 +158,9 @@ def _check_ratio(dp: DerivedParams, ep: ExponentPair) -> float:
     return r
 
 
-def _check_delta(pp: ParamPair, delta: float, *, closed_right: bool = True) -> None:
-    hi_ok = delta <= 0.0 if closed_right else delta < 0.0
-    if not (pp.a - 1.0 < delta and hi_ok):
-        raise DomainError(
-            f"shift {delta!r} outside ({pp.a - 1.0!r}, 0{']' if closed_right else ')'}"
-        )
+def _check_delta(pp: ParamPair, delta: float) -> None:
+    if not (pp.a - 1.0 < delta <= 0.0):
+        raise DomainError(f"shift {delta!r} outside ({pp.a - 1.0!r}, 0]")
 
 
 def _threshold_root(pp: ParamPair, r: float, dp: DerivedParams | None = None) -> float:
@@ -343,21 +340,9 @@ def g(x: float, y: float, dp: DerivedParams) -> float:
 
 
 def _check_index(n, name: str) -> None:
-    """n must be an integer >= 1, or an integer array of them."""
-    if hasattr(n, "dtype"):
-        ok = n.dtype.kind in "iu" and n.size > 0 and n.min() >= 1
-    else:
-        ok = isinstance(n, int) and not isinstance(n, bool) and n >= 1
-    if not ok:
+    """n must be an integer >= 1."""
+    if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
         raise DomainError(f"{name} needs an integer n >= 1, got {n!r}")
-
-
-def _q_factor(n, pp: ParamPair, ratio, delta):
-    """The polynomial factor (c/d - 1)(u+v+n) + u(v+1) of Q(n), with c/d
-    given as ratio; ratio and delta may be arrays that broadcast with n."""
-    u = pp.a - delta
-    v = pp.b + delta
-    return (ratio - 1.0) * (u + v + n) + u * (v + 1.0)
 
 
 def Q(n: int, pp: ParamPair, ep: ExponentPair, delta: float) -> float:
@@ -370,7 +355,9 @@ def Q(n: int, pp: ParamPair, ep: ExponentPair, delta: float) -> float:
     Strictly decreasing in n and eventually below any bound, which is what
     forces the series-coefficient comparison."""
     _check_index(n, "Q")
-    return Q_ratio(n, pp, delta) * _q_factor(n, pp, ep.ratio, delta)
+    u = pp.a - delta
+    v = pp.b + delta
+    return Q_ratio(n, pp, delta) * ((ep.ratio - 1.0) * (u + v + n) + u * (v + 1.0))
 
 
 def Q_ratio(n: int, pp: ParamPair, delta: float) -> float:
@@ -402,9 +389,7 @@ def Q1(n: int, pp: ParamPair, ep: ExponentPair, delta: float) -> float:
     """Difference quadratic: Q(n+1) - Q(n) equals
     [G(n+u-1) G(n+v) / (G(n+a) G(n+b+1))] * Q1(n) with
 
-        Q1(n) = (c/d - 1) n^2 + (c/d - 1) f1(delta) n + A;
-
-    n may be an integer array."""
+        Q1(n) = (c/d - 1) n^2 + (c/d - 1) f1(delta) n + A."""
     _check_index(n, "Q1")
     r = ep.ratio
     return (r - 1.0) * n * n + (r - 1.0) * f1(pp, delta) * n + A(pp, ep, delta)

@@ -25,6 +25,7 @@ margin is positive (skipped checks report status and pass vacuously).
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -39,7 +40,6 @@ from .constants import (
     Case,
     ExponentPair,
     ParamPair,
-    _q_factor,
     c1,
     c2,
     condition_case,
@@ -49,9 +49,6 @@ from .constants import (
     f4,
     g,
     g1,
-    Q,
-    Q1,
-    Q_ratio,
 )
 from .errors import ConvergenceError, DomainError
 from .hyp2f1 import DEFAULT_SERIES, SeriesConfig
@@ -504,19 +501,19 @@ def check_sandwich(pp: ParamPair, ep: ExponentPair, delta: float,
     return _monotone_pass(pp, ep, [("sandwich", delta)], grid, cfg, column)[0]
 
 
-def _tail_abscissas(ep, n=160):
-    """Abscissas crowding x = 1: w_c from 1e-8 up to 0.3, mapped back
+def _tail_abscissas(ep):
+    """160 abscissas crowding x = 1: w_c from 1e-8 up to 0.3, mapped back
     through x = (1-w_c)^(1/c).  The sign change for shifts just above the
     threshold lives in this tail."""
-    ws = np.logspace(-8.0, math.log10(0.3), n)
+    ws = np.logspace(-8.0, math.log10(0.3), 160)
     return np.exp(np.log1p(-ws) / ep.c_exp)
 
 
-def _head_abscissas(ep, x_lo, n=64):
-    """Abscissas below the grid, log-spaced from max(1e-12, 10^(-15/d)), where
-    x^d >= 1e-15, up to x_lo, left out: for shifts just above the threshold
-    the sign change can lie here."""
-    xs = np.logspace(math.log10(max(1e-12, 10.0 ** (-15.0 / ep.d_exp))), math.log10(x_lo), n + 1)
+def _head_abscissas(ep, x_lo):
+    """64 abscissas below the grid, log-spaced from max(1e-12, 10^(-15/d)),
+    where x^d >= 1e-15, up to x_lo, left out: for shifts just above the
+    threshold the sign change can lie here."""
+    xs = np.logspace(math.log10(max(1e-12, 10.0 ** (-15.0 / ep.d_exp))), math.log10(x_lo), 65)
     return xs[xs < x_lo]
 
 
@@ -823,75 +820,44 @@ def check_lemma_g1(pp: ParamPair) -> CheckResult:
     return _result("lemma_g1", params, margin, witnesses, INTERIOR_MARGIN)
 
 
-def _lemma_Q_pass(pp, rows):
-    """The results of rows, (ep, delta, N, column) tuples of lemma_Q on the
-    pair pp, in one pass of (rows x n) arrays, each margin a reduction
-    along axis 1.  The gamma ratio R of Q comes from its recurrence
-    R(n+1) = R(n) (u+n-1)(v+n) / ((a+n-1)(b+n)) from the anchor
-    R(1) = Q_ratio(1); the anchors, Q1 and the horizon probes stay per
-    row.  A row's ``column`` lends its gate; check_lemma_Q is this pass
-    on one row."""
-    results, live = [], []
-    for ep, delta, N, column in rows:
-        params = {**_theorem_params(pp, ep, delta), "N": N}
-        results.append(_monotone_gate("lemma_Q", params, pp, ep, column))
-        if results[-1] is None:
-            if N < 2:
-                raise DomainError(f"lemma_Q needs N >= 2, got {N!r}")
-            live.append((len(results) - 1, params, ep, delta, N))
-    if not live:
-        return results
-    shifts = np.array([[delta] for *_, delta, _ in live])
-    u, v = pp.a - shifts, pp.b + shifts
-    ns = np.arange(1.0, max(51, *(N for *_, N in live)) + 1.0)
-    n = ns[:-1]
-    steps = np.cumprod((u + n - 1.0) * (v + n) / ((pp.a + n - 1.0) * (pp.b + n)), axis=1)
-    ratios = np.array([[Q_ratio(1, pp, d)] for *_, d, _ in live]) \
-        * np.concatenate([np.ones_like(shifts), steps], axis=1)
-    qs = ratios * _q_factor(ns, pp, np.array([[ep.ratio] for _, _, ep, _, _ in live]), shifts)
-    # Q strictly decreasing on 1..N: the differences past N - 1 are left out
-    diffs = np.where(n < np.array([[N] for *_, N in live]), qs[:, 1:] - qs[:, :-1], -np.inf)
-    # Q(n+1) - Q(n) = R(n) / ((a+n-1)(b+n)) * Q1(n) for n = 1..50
-    n = np.arange(1, 51)
-    lhs = qs[:, 1:51] - qs[:, :50]
-    rhs = ratios[:, :50] / ((pp.a + n - 1.0) * (pp.b + n)) \
-        * np.array([Q1(n, pp, ep, d) for _, _, ep, d, _ in live])
-    devs = np.abs(lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    bad = ~(1e-10 - devs > 0.0)
-    firsts = zip(live, np.argmax(diffs, axis=1).tolist(), np.max(devs, axis=1).tolist())
-    for j, ((k, params, ep, delta, N), i, top) in enumerate(firsts):
-        witnesses = []
-        margins = [-float(diffs[j, i]), float(qs[j, 0] - qs[j, N - 1])]
-        if not margins[0] > 0.0:
-            witnesses.append([float(i + 1), float(diffs[j, i])])
-        # eventual Q < -1: the horizon doubled up to 64N
-        if not any(Q(N << s, pp, ep, delta) < -1.0 for s in range(7)):
-            margins.append(-1.0)
-            witnesses.append([f"Q({N << 7}) still >= -1", Q(N << 6, pp, ep, delta)])
-        witnesses += [[f"identity at n={i + 1}", float(devs[j, i])]
-                      for i in np.flatnonzero(bad[j]).tolist()]
-        # the recurrence against the direct lgamma ratio, an independent
-        # reference for every gamma factor above
-        for ref in sorted({50, N}):
-            direct = Q_ratio(ref, pp, delta)
-            dev = float(abs(ratios[j, ref - 1] - direct) / direct)
-            margins.append(1e-10 - dev)
-            if not margins[-1] > 0.0:
-                witnesses.append([f"gamma recurrence at n={ref}", dev])
-        margins.append(1e-10 - top)  # the least 1e-10 - dev of the identity
-        results[k] = _result("lemma_Q", params, _worst(*margins), witnesses, 1e-10)
-    return results
+def _q1_at_one(pp, ep, delta):
+    """(num, den), den > 0, with num/den = Q1(1) = u(v+1) q(2) - a(b+1) q(1)
+    exactly for the float inputs a, b, delta, c and d, where u = a-delta,
+    v = b+delta and q(n) = (c/d - 1)(u+v+n) + u(v+1) is Q's polynomial
+    factor: each input is an integer over their common (power-of-two)
+    denominator D, and Python ints carry d D^4 Q1(1)."""
+    ratios = [x.as_integer_ratio() for x in (pp.a, pp.b, delta, ep.c_exp, ep.d_exp)]
+    D = math.lcm(*(den for _, den in ratios))
+    a, b, e, c, d = (num * (D // den) for num, den in ratios)
+    f2 = (a - e) * (b + e + D)  # D^2 u(v+1)
+    q1, q2 = ((c - d) * D * (a + b + n * D) + d * f2 for n in (1, 2))  # d D^2 q(n)
+    return f2 * q2 - a * (b + D) * q1, d * D ** 4
 
 
 def check_lemma_Q(pp: ParamPair, ep: ExponentPair, delta: float,
-                  N: int = 200, column: _Column | None = None) -> CheckResult:
-    """Tail behavior of the coefficient sequence: Q strictly decreasing on
-    1..N, Q(N) < Q(1), eventual Q < -1 (horizon doubled up to 64N), and
-    the first-difference identity against Q1 to 1e-10 for n = 1..50.  On
-    1..max(N, 51) the gamma ratio of Q comes from its recurrence in n
-    (_lemma_Q_pass); it must agree with the direct lgamma ratio at n = 50
-    and n = N to 1e-10 as well.  The horizon probes are direct."""
-    return _lemma_Q_pass(pp, [(ep, delta, N, column)])[0]
+                  column: _Column | None = None) -> CheckResult:
+    """Q strictly decreasing in n >= 1 and eventually below any bound,
+    decided exactly by the sign of Q1(1) (_q1_at_one); the margin is
+    -Q1(1) rounded toward zero, so it never overstates the exact one, and a
+    failure's witness is [1.0, Q1(1)].
+
+    Q(n+1) - Q(n) = R(n) / ((a+n-1)(b+n)) * Q1(n), whose factor is
+    positive: the gamma ratio R(n) has positive arguments for n >= 1 on the
+    gate's range a-1 < delta <= d1.  Q1(n) = (c/d - 1)(n^2 + f1 n) + A falls
+    on n >= 1, since c/d < 1 and f1 >= f1(0) = p - 1 >= 0 there; so Q1(1) < 0
+    makes every step of Q negative, and Q1(1) >= 0 makes Q(2) >= Q(1).  As
+    R(n) -> 1, Q(n) ~ (c/d - 1) n -> -inf, with no horizon to probe."""
+    params = _theorem_params(pp, ep, delta)
+    skip = _monotone_gate("lemma_Q", params, pp, ep, column)
+    if skip is not None:
+        return skip
+    num, den = _q1_at_one(pp, ep, delta)
+    margin = -num / den  # int / int rounds to nearest; step back toward 0
+    m, k = margin.as_integer_ratio()
+    if abs(m) * den > abs(num) * k:
+        margin = math.nextafter(margin, 0.0)
+    witnesses = [] if margin > 0.0 else [[1.0, -margin]]
+    return _result("lemma_Q", params, margin, witnesses, 0.0)
 
 
 def check_beta_convex(pp: ParamPair) -> CheckResult:
@@ -951,6 +917,13 @@ class VerifyConfig:
             raise DomainError(f"d_exp must be positive, got {self.d_exp!r}")
         if self.workers is not None and self.workers < 1:
             raise DomainError(f"workers must be >= 1, got {self.workers!r}")
+        for what, values, token in (("a value", self.a_values, None),
+                                    ("b value", self.b_specs, "1-a"),
+                                    ("ratio", self.ratio_specs, "bound")):
+            for v in values:
+                if not (isinstance(v, numbers.Real) or v == token):
+                    also = f" or {token!r}" if token else ""
+                    raise DomainError(f"{what} {v!r} is not a number{also}")
 
 
 DEFAULT_CONFIG = VerifyConfig()
@@ -1002,7 +975,7 @@ def build_tasks(config: VerifyConfig):
                 tasks.append(("G_monotone", dict(t)))
                 tasks.append(("sandwich", dict(t)))
                 tasks.append(("fpp_positive", dict(t)))
-                tasks.append(("lemma_Q", {**t, "N": 200}))
+                tasks.append(("lemma_Q", dict(t)))
             for delta in _crossing_shifts(d1):
                 tasks.append(("crossing", _theorem_params(pp, ep, delta)))
             tasks.append(("crossing_control", _theorem_params(pp, ep, d1 - 1e-6)))
@@ -1019,8 +992,7 @@ _CALLS = {
     "beta_convex": lambda t, cf, col: check_beta_convex(_pair(t)),
     "lemma_g": lambda t, cf, col: check_lemma_g(_pair(t)),
     "lemma_g1": lambda t, cf, col: check_lemma_g1(_pair(t)),
-    "lemma_Q": lambda t, cf, col: check_lemma_Q(
-        _pair(t), _exponents(t), t["delta"], t["N"], col),
+    "lemma_Q": lambda t, cf, col: check_lemma_Q(_pair(t), _exponents(t), t["delta"], col),
     "G_monotone": lambda t, cf, col: check_G_monotone(
         _pair(t), _exponents(t), t["delta"], cf.grid, cf.series, col),
     "sandwich": lambda t, cf, col: check_sandwich(
@@ -1035,15 +1007,8 @@ _CALLS = {
         _pair(t), _exponents(t), t["threshold_form"], cf.grid, cf.series, col),
 }
 
-# check id -> its stacked pass on (tasks, config, columns by _column_key),
-# over the tasks of one pair (lemma_Q) or of one column
-_PASSES = {
-    "lemma_Q": lambda ts, cf, made: _lemma_Q_pass(_pair(ts[0][1]), [
-        (_exponents(t), t["delta"], t["N"], made[_column_key(t)]) for _, t in ts]),
-    **dict.fromkeys(("G_monotone", "sandwich", "fpp_positive"), lambda ts, cf, made: (
-        _monotone_pass(_pair(ts[0][1]), _exponents(ts[0][1]), [(c, t["delta"]) for c, t in ts],
-                       cf.grid, cf.series, made[_column_key(ts[0][1])]))),
-}
+# the checks whose tasks on one column run in one _monotone_pass
+_STACKED = ("G_monotone", "sandwich", "fpp_positive")
 
 
 def _column_key(params):
@@ -1111,13 +1076,15 @@ def _fetch(work):
 
 
 def _run_pass(group, config, made):
-    """The results of a group of tasks from one call of their pass
-    (_PASSES), or of its check (_CALLS) for one task; if that raises a
+    """The results of a group of tasks from one call of _monotone_pass on
+    their column, or of its check (_CALLS) for one task; if that raises a
     ConvergenceError or DomainError, of each task alone: each task's error
     record holds the error it meets alone."""
     try:
         if len(group) > 1:
-            return _PASSES[group[0][0]](group, config, made)
+            t = group[0][1]
+            return _monotone_pass(_pair(t), _exponents(t), [(c, p["delta"]) for c, p in group],
+                                  config.grid, config.series, made[_column_key(t)])
         (check_id, t), = group
         return [_CALLS[check_id](t, config, made.get(_column_key(t)))]
     except (ConvergenceError, DomainError) as exc:
@@ -1131,9 +1098,8 @@ def _run_item(item):
     checks run.  The tasks of one column share one _Column, which gates
     once; the columns of the item share their kernels and fetch every
     value their tasks read in one evaluate call (_fetch); all of it is
-    dropped on return.  The item's lemma_Q tasks run in one pass, each
-    column's G_monotone, sandwich and fpp_positive tasks in one, and every
-    other task alone (_run_pass)."""
+    dropped on return.  Each column's G_monotone, sandwich and fpp_positive
+    tasks run in one pass, and every other task alone (_run_pass)."""
     tasks, config = item
     columns = {}
     for check_id, params in tasks:
@@ -1146,8 +1112,7 @@ def _run_item(item):
     _fetch([(column, _column_shifts(columns[key], column.gate)) for key, column in made.items()])
     passes = {}
     for check_id, params in tasks:
-        key = (check_id if check_id == "lemma_Q" else _column_key(params)
-               if check_id in _PASSES else object())
+        key = _column_key(params) if check_id in _STACKED else object()
         passes.setdefault(key, []).append((check_id, params))
     return [_render(r) for group in passes.values() for r in _run_pass(group, config, made)]
 
@@ -1155,7 +1120,7 @@ def _run_item(item):
 def _suite_meta(config: VerifyConfig) -> dict:
     return {
         "sample": {
-            "a_values": list(config.a_values),
+            "a_values": [float(a) for a in config.a_values],
             "b_specs": [str(s) if isinstance(s, str) else float(s)
                         for s in config.b_specs],
             "ratio_specs": [str(s) if isinstance(s, str) else float(s)

@@ -160,6 +160,24 @@ def case_boundary_exact(a: Fraction) -> Fraction:
     return 4 * h * (beta + p) - p ** 4
 
 
+def q1_exact(a, b, delta, c, d, n: int) -> Fraction:
+    """The difference quadratic of the coefficient-tail sequence,
+
+        Q1(n) = (r-1) n^2 + (r-1) f1 n + A,  r = c/d,
+
+    with f1 = p-1 + (a-b-1) delta - delta^2, f2 = u(v+1), f3 = v(u-1) and
+    A = f3 [(r-1)(p+1) + f2] + beta [(r-1) p + f2], where u = a-delta,
+    v = b+delta, p = a+b and beta = b(1-a); in exact rational arithmetic
+    of the given floats."""
+    a, b, delta = Fraction(a), Fraction(b), Fraction(delta)
+    r = Fraction(c) / Fraction(d)
+    u, v, p, beta = a - delta, b + delta, a + b, b * (1 - a)
+    f1 = p - 1 + (a - b - 1) * delta - delta ** 2
+    f2, f3 = u * (v + 1), v * (u - 1)
+    A = f3 * ((r - 1) * (p + 1) + f2) + beta * ((r - 1) * p + f2)
+    return (r - 1) * n * n + (r - 1) * f1 * n + A
+
+
 def series_exact(a, b, c, x, n: int, extra: int = 40, weights=None):
     """The power series sum_m u_m of F(a, b; c; x), u_m = t_m x^m, in exact
     rational arithmetic, with a, b, c, x the exact values of their floats

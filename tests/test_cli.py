@@ -206,6 +206,26 @@ def test_verify_usage_errors(capsys, tmp_path):
     assert code == 2 and "cannot read" in err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("ratios = 1-a", "ratio '1-a' is not a number or 'bound'"),
+    ("b_values = bound", "b value 'bound' is not a number or '1-a'"),
+    ("a_values = 1-a", "a value '1-a' is not a number"),
+])
+def test_a_token_in_the_wrong_list_is_a_usage_error(capsys, tmp_path, monkeypatch, line, message):
+    # refused with exit 2 before the suite runs, not a traceback with the
+    # exit code of a failed verification
+    from hypcert import verifier
+
+    def never(*args):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr(verifier, "run_suite", never)
+    cfg = tmp_path / "token.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_cli(capsys, "verify", "--suite", "--config", str(cfg))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_verify_out_that_cannot_be_written_is_a_usage_error(capsys, tmp_path):
     # a directory, and a file in a missing directory: exit 2 with a
     # message, not a traceback and not the verification-failure code

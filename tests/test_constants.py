@@ -45,6 +45,7 @@ from _oracles import (
     poly_deriv,
     poly_eval,
     poly_mul,
+    q1_exact,
     sturm_root_count,
 )
 
@@ -530,6 +531,29 @@ def test_Q_difference_matches_Q1():
             rhs = factor * Q1(n, pp, ep, delta)
             scale = max(1.0, abs(lhs), abs(rhs))
             assert abs(lhs - rhs) <= 1e-10 * scale, f"n={n} pp={pp}"
+
+
+def test_Q1_is_the_difference_quadratic_in_rationals():
+    # in exact rationals of the float inputs, for n = 1..50:
+    # Q1(n) = (u+n-1)(v+n) q(n+1) - (a+n-1)(b+n) q(n), with
+    # q(n) = (c/d - 1)(u+v+n) + u(v+1) the polynomial factor of Q, and
+    # Q1(n+1) < Q1(n) on the monotone range a-1 < delta <= delta1
+    rng = random.Random(20261021)
+    for _ in range(20):
+        pp = random_pair(rng)
+        ep = admissible_exponents(pp, rng)
+        delta = pp.a - 1.0 + (delta1(pp, ep) - pp.a + 1.0) * rng.uniform(0.01, 1.0)
+        a, b, e = Fraction(pp.a), Fraction(pp.b), Fraction(delta)
+        r = Fraction(ep.c_exp) / Fraction(ep.d_exp)
+        u, v = a - e, b + e
+
+        def q(n):
+            return (r - 1) * (u + v + n) + u * (v + 1)
+
+        q1s = [q1_exact(pp.a, pp.b, delta, ep.c_exp, ep.d_exp, n) for n in range(1, 52)]
+        for n, (q1, after) in enumerate(zip(q1s, q1s[1:]), start=1):
+            assert q1 == (u + n - 1) * (v + n) * q(n + 1) - (a + n - 1) * (b + n) * q(n)
+            assert after < q1, f"n={n} pp={pp}"
 
 
 def test_A_is_the_constant_term_of_Q1():

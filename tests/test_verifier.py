@@ -59,7 +59,7 @@ from hypcert.verifier import (
 )
 from hypcert.hyp2f1 import DEFAULT_SERIES, SeriesConfig
 
-from _oracles import poly_eval
+from _oracles import poly_eval, q1_exact
 
 HALF = ParamPair(0.5, 0.5)
 EP23 = ExponentPair(2.0, 3.0)
@@ -444,8 +444,61 @@ def test_lemma_Q_check():
     assert res.passed and res.status == "ok"
     res = check_lemma_Q(HALF, EP23, D1_HALF + 1e-3)
     assert res.status == "skipped: shift outside monotone range"
-    with pytest.raises(DomainError):
-        check_lemma_Q(HALF, EP23, D1_HALF, N=1)
+
+
+def _lemma_Q_tasks(monkeypatch):
+    """The params of every lemma_Q task of the default sample and of
+    seed 7's."""
+    return [t for config in (verifier.DEFAULT_CONFIG, _seed7_config(monkeypatch))
+            for kind, t in build_tasks(config) if kind == "lemma_Q"]
+
+
+def test_lemma_Q_decides_Q1_at_one_in_integers(monkeypatch):
+    # d D^4 Q1(1) in Python ints is the rational Q1(1) of Q1's A-form, on
+    # every lemma_Q task of both samples, the non-dyadic c/d of d = 3 included
+    tasks = _lemma_Q_tasks(monkeypatch)
+    assert len(tasks) == 366 + 393
+    assert any((Fraction(t["c"]) / Fraction(t["d"])).denominator % 3 == 0 for t in tasks)
+    for t in tasks:
+        num, den = verifier._q1_at_one(ParamPair(t["a"], t["b"]), ExponentPair(t["c"], t["d"]),
+                                       t["delta"])
+        assert den > 0
+        assert Fraction(num, den) == q1_exact(t["a"], t["b"], t["delta"], t["c"], t["d"], 1)
+
+
+def test_lemma_Q_margin_never_exceeds_the_exact_margin(monkeypatch):
+    # the margin is -Q1(1) rounded toward zero: no larger in size than the
+    # exact one, of its sign, and the float next to it away from zero is
+    # past it; the nearest float would overstate about half of them
+    stepped = 0
+    for t in _lemma_Q_tasks(monkeypatch):
+        res = check_lemma_Q(ParamPair(t["a"], t["b"]), ExponentPair(t["c"], t["d"]), t["delta"])
+        exact = -q1_exact(t["a"], t["b"], t["delta"], t["c"], t["d"], 1)
+        margin = Fraction(res.worst_margin)
+        assert res.passed and res.tolerance_used == 0.0 and res.witnesses == []
+        assert 0 < margin <= exact < Fraction(math.nextafter(res.worst_margin, math.inf))
+        stepped += Fraction(float(exact)) > exact
+    assert stepped >= 100, stepped
+
+
+@pytest.mark.parametrize("a, passed", [(0.2, False), (0.4, True), (0.5, False), (0.6, False),
+                                       (0.7, True), (0.8, True), (0.9, False)])
+def test_lemma_Q_at_the_float_ratio_bound_edge(a, passed):
+    # (a, 1-a) with the "bound" ratio at delta = a-1+1e-9: for a = 0.2,
+    # 0.5, 0.6 and 0.9 the float bound lies far enough above the true one
+    # that Q1(1) is positive, so Q really rises from n = 1 to 2; for 0.4,
+    # 0.7 and 0.8 it is negative by 1e-16 or less
+    pp = ParamPair(a, 1.0 - a)
+    ep = ExponentPair(constants.derive_params(pp).ratio_bound, 1.0)
+    delta = a - 1.0 + 1e-9
+    res = check_lemma_Q(pp, ep, delta)
+    exact = q1_exact(pp.a, pp.b, delta, ep.c_exp, ep.d_exp, 1)
+    assert res.status == "ok" and res.passed is passed and (exact < 0) is passed
+    assert 0 < abs(exact) < Fraction(2, 10 ** 16)
+    # |Q1(1)| rounded toward zero: the margin, or the failure's witness
+    size = res.worst_margin if passed else -res.worst_margin
+    assert 0 < Fraction(size) <= abs(exact) < Fraction(math.nextafter(size, math.inf))
+    assert res.witnesses == ([] if passed else [[1.0, size]])
 
 
 def test_worst_keeps_a_nan():
@@ -458,28 +511,13 @@ def test_worst_keeps_a_nan():
 
 
 def test_a_nan_constraint_fails_its_check(monkeypatch):
-    # a NaN endpoint error, identity deviation, sub-margin or difference
-    # is a failed constraint, with a witness, not a silently passing one
+    # a NaN endpoint error, sub-margin or difference is a failed
+    # constraint, with a witness, not a silently passing one
     with monkeypatch.context() as m:
         m.setattr(verifier, "c2", lambda *args: math.nan)
         res = check_G_monotone(HALF, EP23, MID_HALF, SMALL_GRID)
     assert not res.passed and math.isnan(res.worst_margin)
     assert res.witnesses[0][0] == 0.0 and math.isnan(res.witnesses[0][1])
-
-    real_q1 = verifier.Q1
-
-    def q1(n, *args):
-        values = real_q1(n, *args)
-        values[n == 7] = math.nan
-        values[n == 3] *= 2.0
-        return values
-
-    with monkeypatch.context() as m:
-        m.setattr(verifier, "Q1", q1)
-        res = check_lemma_Q(HALF, EP23, MID_HALF)
-    assert not res.passed and math.isnan(res.worst_margin)
-    # failing identities in label order
-    assert [w[0] for w in res.witnesses] == ["identity at n=3", "identity at n=7"]
 
     real_scan = verifier._sign_scan
 
@@ -718,7 +756,7 @@ def _direct_check(check_id, t, config):
     if check_id == "sharpness":
         return check_sharpness(pp, ep, t["threshold_form"], grid, cfg)
     if check_id == "lemma_Q":
-        return check_lemma_Q(pp, ep, t["delta"], t["N"])
+        return check_lemma_Q(pp, ep, t["delta"])
     if check_id == "fpp_positive":
         return check_fpp_positive(pp, ep, t["delta"], cfg=cfg)
     fn = {"G_monotone": check_G_monotone, "sandwich": check_sandwich,
@@ -824,15 +862,13 @@ def test_undeclared_shift_is_computed_when_read():
 
 
 def test_stacked_passes_render_what_each_check_renders_alone(monkeypatch):
-    # each pair item runs its lemma_Q tasks in one pass and each column's
-    # G_monotone, sandwich and fpp_positive tasks in one; every record is
-    # the text of the public check run alone on a fresh column
+    # each column's G_monotone, sandwich and fpp_positive tasks run in one
+    # pass, and lemma_Q tasks alone; every record is the text of the public
+    # check run alone on a fresh column
     passes = []
-    for name in ("_lemma_Q_pass", "_monotone_pass"):
-        real = getattr(verifier, name)
-        monkeypatch.setattr(verifier, name, lambda *args, real=real, name=name, **kwargs:
-                            passes.append((name, len(args[2] if name == "_monotone_pass"
-                                                     else args[1]))) or real(*args, **kwargs))
+    real = verifier._monotone_pass
+    monkeypatch.setattr(verifier, "_monotone_pass", lambda *args, **kwargs:
+                        passes.append(len(args[2])) or real(*args, **kwargs))
     grid, cfg = SMALL_CONFIG.grid, SMALL_CONFIG.series
     seen, n_items, n_columns = set(), 0, 0
     for item in verifier._pair_items(build_tasks(SMALL_CONFIG)):
@@ -843,10 +879,7 @@ def test_stacked_passes_render_what_each_check_renders_alone(monkeypatch):
             n_items += 1
             n_columns += len(columns)
             n_q = sum(kind == "lemma_Q" for kind, _ in item)
-            assert passes.count(("_lemma_Q_pass", n_q)) == 1
-            monotone = [n for name, n in passes if name == "_monotone_pass"]
-            assert len(passes) == 1 + len(monotone) and len(monotone) == len(columns)
-            assert sum(monotone) == 3 * n_q
+            assert len(passes) == len(columns) and sum(passes) == 3 * n_q
         for _, text, rec in records:
             t = rec.params
             if rec.check_id == "lemma_g":
@@ -854,7 +887,7 @@ def test_stacked_passes_render_what_each_check_renders_alone(monkeypatch):
             elif rec.check_id in ("lemma_Q", "G_monotone", "sandwich", "fpp_positive"):
                 pp, ep = ParamPair(t["a"], t["b"]), ExponentPair(t["c"], t["d"])
                 col = verifier._Column(pp, ep, grid, cfg)
-                alone = {"lemma_Q": lambda: check_lemma_Q(pp, ep, t["delta"], t["N"], col),
+                alone = {"lemma_Q": lambda: check_lemma_Q(pp, ep, t["delta"], col),
                          "G_monotone": lambda: check_G_monotone(pp, ep, t["delta"], grid, cfg, col),
                          "sandwich": lambda: check_sandwich(pp, ep, t["delta"], grid, cfg, col),
                          "fpp_positive": lambda: check_fpp_positive(pp, ep, t["delta"], cfg, col),
@@ -869,12 +902,12 @@ def test_stacked_passes_render_what_each_check_renders_alone(monkeypatch):
 
 def _monotone_item():
     """The first pair item of SMALL_CONFIG with at least two columns, its
-    records rendered by _run_item, by sort key, and the params of a lemma_Q
-    task there whose shift no other lemma_Q task of the item has."""
+    records rendered by _run_item, by sort key, and the params of a
+    G_monotone task there whose shift no other column of the item has."""
     item = next(item for item in verifier._pair_items(build_tasks(SMALL_CONFIG))
-                if len({(t["c"], t["d"]) for kind, t in item if kind == "lemma_Q"}) >= 2)
-    shifts = [t["delta"] for kind, t in item if kind == "lemma_Q"]
-    target = next(t for kind, t in item if kind == "lemma_Q" and shifts.count(t["delta"]) == 1)
+                if len({(t["c"], t["d"]) for kind, t in item if kind == "G_monotone"}) >= 2)
+    shifts = [t["delta"] for kind, t in item if kind == "G_monotone"]
+    target = next(t for kind, t in item if kind == "G_monotone" and shifts.count(t["delta"]) == 1)
     rendered = {key: text for key, text, _ in verifier._run_item((item, SMALL_CONFIG))}
     return item, rendered, target
 
@@ -887,27 +920,10 @@ def _changed(item, want):
 
 
 def test_a_nan_in_one_stacked_row_fails_only_its_record(monkeypatch):
-    # the Q1 and fpp patches of test_a_nan_constraint_fails_its_check, on
-    # one row of a stacked pass: that record fails with its witnesses, and
-    # the other records of the item keep their bytes
+    # the fpp patch of test_a_nan_constraint_fails_its_check, on one row of
+    # a stacked pass: that record fails with its witness, and the other
+    # records of the item keep their bytes
     item, want, target = _monotone_item()
-    real_q1 = verifier.Q1
-
-    def q1(n, pp, ep, delta):
-        values = real_q1(n, pp, ep, delta)
-        if (ep.c_exp, ep.d_exp, delta) == (target["c"], target["d"], target["delta"]):
-            values[n == 7] = math.nan
-            values[n == 3] *= 2.0
-        return values
-
-    with monkeypatch.context() as m:
-        m.setattr(verifier, "Q1", q1)
-        changed = _changed(item, want)
-    assert [(r.check_id, r.params) for r in changed] == [("lemma_Q", target)]
-    res = changed[0]
-    assert not res.passed and math.isnan(res.worst_margin)
-    assert [w[0] for w in res.witnesses] == ["identity at n=3", "identity at n=7"]
-
     real_fpp = verifier._Column.fpp_differences
     stacked = []
 
@@ -922,33 +938,36 @@ def test_a_nan_in_one_stacked_row_fails_only_its_record(monkeypatch):
         m.setattr(verifier._Column, "fpp_differences", nan_fpp)
         changed = _changed(item, want)
     assert max(stacked) >= 2
-    fpp = {**target}
-    del fpp["N"]
-    assert [(r.check_id, r.params) for r in changed] == [("fpp_positive", fpp)]
+    assert [(r.check_id, r.params) for r in changed] == [("fpp_positive", target)]
     res = changed[0]
     assert not res.passed and math.isnan(res.worst_margin)
     assert res.witnesses[0][0] == verifier._FPP_XS[5] and math.isnan(res.witnesses[0][1])
 
 
 def test_a_stacked_pass_that_raises_runs_each_task_alone(monkeypatch):
-    # Q_ratio raising at one shift fails the item's lemma_Q pass: each of
-    # its tasks then runs alone, the one at that shift gets the error record
-    # of its one-row call, and no other record changes
+    # c2 raising at one shift fails its column's monotone pass: each of its
+    # tasks then runs alone, G_monotone and sandwich at that shift get the
+    # error records of their one-row calls, and no other record changes,
+    # fpp_positive at that shift (which reads no c2) included
     item, want, target = _monotone_item()
-    real = verifier.Q_ratio
+    real = verifier.c2
 
-    def q_ratio(n, pp, delta):
+    def c2(pp, delta):
         if delta == target["delta"]:
             raise DomainError("forced for one shift")
-        return real(n, pp, delta)
+        return real(pp, delta)
 
-    monkeypatch.setattr(verifier, "Q_ratio", q_ratio)
+    monkeypatch.setattr(verifier, "c2", c2)
     changed = _changed(item, want)
     pp, ep = ParamPair(target["a"], target["b"]), ExponentPair(target["c"], target["d"])
-    with pytest.raises(DomainError) as alone:
-        check_lemma_Q(pp, ep, target["delta"], target["N"])
-    assert changed == [verifier._error_result("lemma_Q", target, alone.value)]
-    assert changed[0].status == "error: DomainError: forced for one shift"
+    grid, cfg = SMALL_CONFIG.grid, SMALL_CONFIG.series
+    errors = []
+    for check_id, check in (("G_monotone", check_G_monotone), ("sandwich", check_sandwich)):
+        with pytest.raises(DomainError) as alone:
+            check(pp, ep, target["delta"], grid, cfg)
+        errors.append(verifier._error_result(check_id, target, alone.value))
+    assert changed == errors
+    assert {r.status for r in changed} == {"error: DomainError: forced for one shift"}
 
 
 def test_lemma_g_takes_its_minimum_in_small_blocks():
@@ -1262,6 +1281,22 @@ def test_verify_config_validation():
         VerifyConfig(workers=0)
     with pytest.raises(DomainError):
         VerifyConfig(d_exp=-1.0)
+
+
+def test_verify_config_refuses_a_token_in_the_wrong_list():
+    # each list takes numbers and its own token only; a wrong token was a
+    # ValueError from the float() of build_tasks
+    for kwargs, message in (({"a_values": (0.5, "1-a")}, "a value '1-a' is not a number"),
+                            ({"b_specs": ("1-a", "bound")}, "b value 'bound' is not a number"),
+                            ({"ratio_specs": ("bound", "1-a")}, "ratio '1-a' is not a number")):
+        with pytest.raises(DomainError, match=message):
+            VerifyConfig(**kwargs)
+    # any real number is one, and the report's meta holds it as a float
+    config = VerifyConfig(a_values=(Fraction(1, 2), np.float32(0.25)), b_specs=("1-a", 1, 1.5),
+                          ratio_specs=(Fraction(1, 3), "bound"))
+    assert json.loads(verifier._json(verifier._suite_meta(config)))["sample"] == {
+        "a_values": [0.5, 0.25], "b_specs": ["1-a", 1.0, 1.5], "ratio_specs": [1 / 3, "bound"],
+        "d_exp": 3.0, "threshold_form": "beta"}
 
 
 def test_sweep_rows_match_header_and_quotient():
