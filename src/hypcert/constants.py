@@ -51,8 +51,9 @@ CHECK_IDS = (
     "fpp_positive",
 )
 
-# Grid/domain checks may evaluate g and g1 on the closure of their open
-# domains; allow this much overshoot before calling it a domain error.
+# g and g1 may be evaluated on the closure of their open domains, at ends
+# computed in floats; allow this much overshoot before calling it a domain
+# error.
 _EDGE_SLACK = 1e-12
 
 
@@ -306,37 +307,29 @@ def f5(a: float) -> float:
     return ((4.0 * a - 16.0) * a + 15.0) * a * a + 2.0 * a - 2.0
 
 
-def _within(v, lo, hi) -> bool:
-    """lo <= v <= hi for a number, or for every entry of an array."""
-    if hasattr(v, "min"):
-        return bool(lo <= v.min() and v.max() <= hi)
-    return lo <= v <= hi
-
-
 def g1(y: float, dp: DerivedParams) -> float:
     """Boundary quadratic g1(y) = y^2 + (p^2/k) y + h(p+beta)/k^2 on the
-    interval [-h/(alpha k), 0]; y may be an array.
+    interval [-h/(alpha k), 0].
 
     Endpoint values: g1(0) = h(p+beta)/k^2 and
     g1(-h/(alpha k)) = beta^2 p (p+beta) / k^2."""
     lo = -dp.h / (dp.alpha * dp.k)
-    if not _within(y, lo - _EDGE_SLACK, _EDGE_SLACK):
+    if not (lo - _EDGE_SLACK <= y <= _EDGE_SLACK):
         raise DomainError(f"g1 argument {y!r} outside [{lo!r}, 0]")
     return y * y + (dp.p ** 2 / dp.k) * y + dp.h * (dp.p + dp.beta) / dp.k ** 2
 
 
 def g(x: float, y: float, dp: DerivedParams) -> float:
     """Two-variable quadratic g(x,y) = y^2 + ((p+1)x - 1) y + alpha*beta*x^2
-    on the closure of the wedge 0 < x < (beta+p)/k, -beta*x < y < 0; y may
-    be an array.
+    on the closure of the wedge 0 < x < (beta+p)/k, -beta*x < y < 0.
 
     Its slice at x = (beta+p)/k coincides with g1."""
     xmax = (dp.beta + dp.p) / dp.k
     if not (-_EDGE_SLACK <= x <= xmax + _EDGE_SLACK):
         raise DomainError(f"g argument x={x!r} outside [0, {xmax!r}]")
-    if not _within(y, -dp.beta * x - _EDGE_SLACK, _EDGE_SLACK):
+    if not (-dp.beta * x - _EDGE_SLACK <= y <= _EDGE_SLACK):
         raise DomainError(f"g argument y={y!r} outside [{-dp.beta * x!r}, 0]")
-    return y * y + ((dp.p + 1.0) * x - 1.0) * y + dp.alpha * dp.beta * x * x
+    return y * y + ((dp.p + 1) * x - 1) * y + dp.alpha * dp.beta * x * x
 
 
 def _check_index(n, name: str) -> None:

@@ -47,8 +47,6 @@ from .constants import (
     delta1_alpha_variant,
     derive_params,
     f4,
-    g,
-    g1,
 )
 from .errors import ConvergenceError, DomainError
 from .hyp2f1 import DEFAULT_SERIES, SeriesConfig
@@ -726,109 +724,97 @@ def check_f4_roots(n_scan: int = 10_000) -> CheckResult:
     return _result("f4_roots", params, margin, witnesses, INTERIOR_MARGIN)
 
 
-def _first_min(vals, n):
-    """(i, j, value) of the entry np.argmin picks (the first minimum or NaN
-    in C order) in the n-row matrix whose rows lo:hi are vals(lo, hi), read
-    in blocks of rows: 32 rows of 256 are 64 KB, below malloc's 128 KiB."""
-    picks = []
-    for lo in range(0, n, 32):
-        rows = vals(lo, lo + 32)
-        k = int(np.argmin(rows))
-        picks.append((rows.flat[k], lo + k // rows.shape[1], k % rows.shape[1]))
-    # np.argmin over the blocks' picks: the first block with a NaN, or the
-    # first with the least value
-    v, i, j = picks[int(np.argmin([v for v, _, _ in picks]))]
-    return i, j, float(v)
+def _integers(*xs):
+    """(D, [x * D for x in xs]): the floats xs as integers over their
+    common (power-of-two) denominator D."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    D = math.lcm(*(den for _, den in ratios))
+    return D, [num * (D // den) for num, den in ratios]
+
+
+def _toward_zero(num, den):
+    """num/den (den > 0) rounded toward zero, never larger in size than
+    the exact value: int / int rounds to nearest, and one step toward 0
+    undoes an overshoot."""
+    q = num / den
+    m, k = q.as_integer_ratio()
+    return math.nextafter(q, 0.0) if abs(m) * den > abs(num) * k else q
+
+
+def _g1_exact(pp):
+    """(slope, least, lo, y, X) of the boundary quadratic g1 on [lo, 0],
+    lo = -h/(alpha k), exactly for the float inputs a and b: g1'(lo) and
+    g1's least value as (num, den) pairs, den > 0; then lo, the point y
+    where the least value lies and X = (beta+p)/k, as floats.
+
+    With a = A/D, b = B/D (_integers): p = P/D, alpha = At/D^2,
+    beta = Bt/D^2, p+beta = S/D^2 and k = K/D^3.  g1' rises, so the least
+    value is g1(lo) = beta^2 p(p+beta)/k^2 when s = p^2 - 2 beta(p+beta) =
+    k g1'(lo) >= 0, else the vertex value (4h(p+beta) - p^4)/(4k^2) at
+    -p^2/(2k)."""
+    D, (A, B) = _integers(pp.a, pp.b)
+    P, At, Bt = A + B, A * (B + D), B * (D - A)
+    S = P * D + Bt
+    K = Bt * (P + D) + P * D * D
+    s = P * P * D * D - 2 * Bt * S  # D^4 s
+    lo = -Bt * S / (D * K)
+    if s >= 0:
+        least, y = (Bt * Bt * P * S, D * K * K), lo
+    else:
+        least, y = (4 * At * Bt * S * S - P ** 4 * D ** 4, 4 * D * D * K * K), -P * P * D / (2 * K)
+    return (s, D * K), least, lo, y, S * D / K
 
 
 def check_lemma_g(pp: ParamPair) -> CheckResult:
-    """Nonnegativity of g on the closed wedge 0 <= x <= (beta+p)/k,
-    -beta*x <= y <= 0 (256 x 256 grid), the interior stationary value
-    alpha*beta/((p+1)^2 - 4*alpha*beta) when the stationary point falls
-    inside the wedge, and the identity between the right boundary slice
-    and g1."""
+    """Positivity of g on the closed wedge 0 <= x <= X = (beta+p)/k,
+    -beta*x <= y <= 0, off its corner (0, 0), decided exactly (_g1_exact):
+    the margin is g1's least value on [-h/(alpha k), 0] rounded toward
+    zero, and a failure's witness is [X, y], y where that value lies.
+
+    Three facts reduce g to g1.  g's Hessian has determinant
+    4 alpha beta - (p+1)^2 < 0, as alpha + beta = p, so g has no local
+    minimum: its least value on the wedge lies on the boundary.  On the
+    edge y = 0, g = alpha beta x^2, and on y = -beta x, g = beta x (1-x);
+    both are > 0 for 0 < x <= X, and X < 1 as k - beta - p = beta p.  On
+    x = X, g(X, y) = g1(y), and -beta X = -h/(alpha k)."""
     params = {"a": pp.a, "b": pp.b}
     dp = derive_params(pp)
     if condition_case(dp) is Case.INADMISSIBLE:
         return _skipped("lemma_g", params, "inadmissible parameter pair")
-
-    n = 256
-    xmax = (dp.beta + dp.p) / dp.k
-    xs = np.linspace(0.0, xmax, n)
-    us = np.linspace(0.0, 1.0, n)
-    slope = (-dp.beta * xs)[:, None]
-    lin, quad = ((dp.p + 1.0) * xs - 1.0)[:, None], (dp.alpha * dp.beta * xs ** 2)[:, None]
-
-    def vals(lo, hi):  # g at the grid rows lo:hi, y = slope * u
-        ys = slope[lo:hi] * us
-        return ys * ys + lin[lo:hi] * ys + quad[lo:hi]
-
-    i, j, low = _first_min(vals, n)
-    margin = low + INTERIOR_MARGIN
-    witnesses = [] if margin > 0.0 else [[float(xs[i]), float(slope[i, 0] * us[j])]]
-
-    den = (dp.p + 1.0) ** 2 - 4.0 * dp.alpha * dp.beta
-    x0, y0 = (dp.p + 1.0) / den, -2.0 * dp.alpha * dp.beta / den
-    if 0.0 < x0 < xmax and -dp.beta * x0 < y0 < 0.0:
-        expected = dp.alpha * dp.beta / den
-        dev = abs(g(x0, y0, dp) - expected) / expected
-        margin = _worst(margin, 1e-13 - dev, expected)
-        if not 1e-13 - dev > 0.0:
-            witnesses.append([x0, dev])
-
-    ys_b = np.linspace(-dp.beta * xmax, 0.0, n)
-    slice_dev = float(np.max(np.abs(g(xmax, ys_b, dp) - g1(ys_b, dp))))
-    margin = _worst(margin, 1e-13 - slice_dev)
-    if not 1e-13 - slice_dev > 0.0:
-        witnesses.append(["boundary slice deviation", slice_dev])
-
-    return _result("lemma_g", params, margin, witnesses, INTERIOR_MARGIN)
+    _, least, _, y, X = _g1_exact(pp)
+    margin = _toward_zero(*least)
+    witnesses = [] if margin > 0.0 else [[X, y]]
+    return _result("lemma_g", params, margin, witnesses, 0.0)
 
 
 def check_lemma_g1(pp: ParamPair) -> CheckResult:
-    """Per-case behavior of the boundary quadratic at 512 points of
-    [-h/(alpha k), 0]: strictly increasing with the computed endpoint values
-    (to 1e-10) when alpha >= sqrt(3)*beta, nonnegative in the remaining
-    admissible case."""
+    """Per-case behavior of the boundary quadratic g1 on [lo, 0],
+    lo = -h/(alpha k), decided exactly (_g1_exact): strictly increasing
+    when alpha >= sqrt(3)*beta (case A), with margin g1'(lo), and positive
+    in the remaining admissible case, with margin g1's least value.  g1'
+    rises, so g1'(lo) > 0 makes g1 increase on all of [lo, 0]; and
+    k g1'(lo) = p^2 - 2 beta(p+beta) = alpha^2 - 3 beta^2, as
+    alpha + beta = p.  The margin is rounded toward zero, and a failure's
+    witness is [y, margin], y where it was attained."""
     params = {"a": pp.a, "b": pp.b}
     dp = derive_params(pp)
     case = condition_case(dp)
     if case is Case.INADMISSIBLE:
         return _skipped("lemma_g1", params, "inadmissible parameter pair")
-
-    lo = -dp.h / (dp.alpha * dp.k)
-    ys = np.linspace(lo, 0.0, 512)
-    vals = g1(ys, dp).tolist()
-    witnesses = []
-
-    if case is Case.A:
-        diff_min = float(np.min(np.diff(vals)))
-        end_lo = dp.beta ** 2 * dp.p * (dp.p + dp.beta) / dp.k ** 2
-        end_hi = dp.h * (dp.p + dp.beta) / dp.k ** 2
-        err = -_worst(-abs(vals[0] - end_lo), -abs(vals[-1] - end_hi))
-        margin = _worst(diff_min, 1e-10 - err)
-        if not diff_min > 0.0:
-            witnesses.append(["non-increasing step", diff_min])
-        if not 1e-10 - err > 0.0:
-            witnesses.append(["endpoint deviation", err])
-        return _result("lemma_g1", params, margin, witnesses, 1e-10)
-
-    i_min = int(np.argmin(vals))
-    margin = vals[i_min] + INTERIOR_MARGIN
-    if not margin > 0.0:
-        witnesses.append([float(ys[i_min]), vals[i_min]])
-    return _result("lemma_g1", params, margin, witnesses, INTERIOR_MARGIN)
+    slope, least, lo, y, _ = _g1_exact(pp)
+    value, at = (slope, lo) if case is Case.A else (least, y)
+    margin = _toward_zero(*value)
+    witnesses = [] if margin > 0.0 else [[at, margin]]
+    return _result("lemma_g1", params, margin, witnesses, 0.0)
 
 
 def _q1_at_one(pp, ep, delta):
     """(num, den), den > 0, with num/den = Q1(1) = u(v+1) q(2) - a(b+1) q(1)
     exactly for the float inputs a, b, delta, c and d, where u = a-delta,
     v = b+delta and q(n) = (c/d - 1)(u+v+n) + u(v+1) is Q's polynomial
-    factor: each input is an integer over their common (power-of-two)
-    denominator D, and Python ints carry d D^4 Q1(1)."""
-    ratios = [x.as_integer_ratio() for x in (pp.a, pp.b, delta, ep.c_exp, ep.d_exp)]
-    D = math.lcm(*(den for _, den in ratios))
-    a, b, e, c, d = (num * (D // den) for num, den in ratios)
+    factor: each input is an integer over their common denominator D
+    (_integers), and Python ints carry d D^4 Q1(1)."""
+    D, (a, b, e, c, d) = _integers(pp.a, pp.b, delta, ep.c_exp, ep.d_exp)
     f2 = (a - e) * (b + e + D)  # D^2 u(v+1)
     q1, q2 = ((c - d) * D * (a + b + n * D) + d * f2 for n in (1, 2))  # d D^2 q(n)
     return f2 * q2 - a * (b + D) * q1, d * D ** 4
@@ -852,10 +838,7 @@ def check_lemma_Q(pp: ParamPair, ep: ExponentPair, delta: float,
     if skip is not None:
         return skip
     num, den = _q1_at_one(pp, ep, delta)
-    margin = -num / den  # int / int rounds to nearest; step back toward 0
-    m, k = margin.as_integer_ratio()
-    if abs(m) * den > abs(num) * k:
-        margin = math.nextafter(margin, 0.0)
+    margin = _toward_zero(-num, den)
     witnesses = [] if margin > 0.0 else [[1.0, -margin]]
     return _result("lemma_Q", params, margin, witnesses, 0.0)
 

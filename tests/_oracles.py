@@ -178,6 +178,30 @@ def q1_exact(a, b, delta, c, d, n: int) -> Fraction:
     return (r - 1) * n * n + (r - 1) * f1 * n + A
 
 
+def g1_exact(a, b):
+    """(g1'(lo), least value of g1 on [lo, 0]) for the boundary quadratic
+
+        g1(y) = y^2 + (p^2/k) y + h(p+beta)/k^2,  lo = -h/(alpha k),
+
+    with alpha = a(b+1), beta = b(1-a), p = a+b, h = alpha beta (p+beta)
+    and k = beta(p+1) + p; in exact rational arithmetic of the given
+    floats.  The least value of a quadratic with positive leading
+    coefficient on an interval is at its vertex when that lies inside,
+    else at the nearer end."""
+    a, b = Fraction(a), Fraction(b)
+    alpha, beta, p = a * (b + 1), b * (1 - a), a + b
+    h = alpha * beta * (p + beta)
+    k = beta * (p + 1) + p
+    lo = -h / (alpha * k)
+
+    def g1(y):
+        return y * y + p * p / k * y + h * (p + beta) / (k * k)
+
+    vertex = -p * p / (2 * k)
+    least = g1(vertex) if lo <= vertex <= 0 else min(g1(lo), g1(Fraction(0)))
+    return 2 * lo + p * p / k, least
+
+
 def series_exact(a, b, c, x, n: int, extra: int = 40, weights=None):
     """The power series sum_m u_m of F(a, b; c; x), u_m = t_m x^m, in exact
     rational arithmetic, with a, b, c, x the exact values of their floats

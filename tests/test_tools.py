@@ -74,6 +74,32 @@ def test_compare_reports_counts_moves_and_fails_on_verdicts(tmp_path, capsys):
     assert "1 only in old, 1 only in new" in out
 
 
+def test_compare_reports_prints_the_smallest_margins_of_a_moved_check(tmp_path, capsys):
+    # a check whose margins moved from its slack to exact values shows its
+    # smallest margin in each report; a skipped record's 0.0 is not one,
+    # and a check whose margins did not move gets no line
+    tool = _load(TOOL)
+    base = [_record("lemma_g", 0.1, 9.96663e-14), _record("lemma_g", 0.2, 0.25),
+            _record("lemma_g", 0.3, 0.0, status="skipped: inadmissible parameter pair"),
+            _record("sandwich", -0.3, 5e-4)]
+    exact = [dict(r) for r in base]
+    exact[0] = _record("lemma_g", 0.1, 9.7078e-05)
+    exact[1] = _record("lemma_g", 0.2, 0.5)
+    assert tool.main([_write(tmp_path / "old.json", base, "x"),
+                      _write(tmp_path / "new.json", exact, "x")]) == 0
+    out = capsys.readouterr().out
+    line = "  lemma_g: 2 records, largest |delta| 0.25, smallest 9.96663e-14 -> 9.7078e-05\n"
+    assert line in out
+    assert "sandwich" not in out
+
+    # a NaN margin makes the smallest NaN
+    nan = [dict(r) for r in exact]
+    nan[1] = _record("lemma_g", 0.2, math.nan)
+    assert tool.main([_write(tmp_path / "old.json", base, "x"),
+                      _write(tmp_path / "nan.json", nan, "x")]) == 0
+    assert "largest |delta| nan, smallest 9.96663e-14 -> nan" in capsys.readouterr().out
+
+
 def test_every_name_the_tracer_wraps_resolves():
     # a traced name that is renamed or deleted drops its layer from the
     # benchmark's trace ("# absent:"); resolve each the way the tracer does

@@ -8,7 +8,6 @@ import json
 import math
 import random
 import sys
-import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -59,7 +58,7 @@ from hypcert.verifier import (
 )
 from hypcert.hyp2f1 import DEFAULT_SERIES, SeriesConfig
 
-from _oracles import poly_eval, q1_exact
+from _oracles import g1_exact, poly_eval, q1_exact
 
 HALF = ParamPair(0.5, 0.5)
 EP23 = ExponentPair(2.0, 3.0)
@@ -435,6 +434,102 @@ def test_lemma_checks_pass_on_reference_pairs():
         assert check_lemma_g1(pp).passed
     res = check_lemma_g(ParamPair(0.02, 0.98))
     assert res.status == "skipped: inadmissible parameter pair"
+
+
+def _lemma_g_tasks(monkeypatch):
+    """The (a, b) of every lemma_g task of the default sample and of seed
+    7's (lemma_g1 has the same tasks)."""
+    return [(t["a"], t["b"]) for config in (verifier.DEFAULT_CONFIG, _seed7_config(monkeypatch))
+            for kind, t in build_tasks(config) if kind == "lemma_g"]
+
+
+def _toward_zero_of(margin, exact):
+    """margin is exact rounded toward zero: of its size or less, of its
+    sign, and the float next to it away from zero is past it."""
+    if exact < 0:
+        margin, exact = -margin, -exact
+    return 0 <= Fraction(margin) <= exact < Fraction(math.nextafter(margin, math.inf))
+
+
+def test_lemma_g_and_g1_margins_are_the_exact_values_rounded_toward_zero(monkeypatch):
+    # lemma_g's margin is g1's least value on [lo, 0]; lemma_g1's is g1'(lo)
+    # in case A and that least value in case B; both exact for the float
+    # inputs, rounded toward zero, on every task of both samples
+    pairs = _lemma_g_tasks(monkeypatch)
+    assert len(pairs) == 36 + 36
+    cases = set()
+    for a, b in pairs:
+        pp = ParamPair(a, b)
+        slope, least = g1_exact(a, b)
+        case = constants.condition_case(constants.derive_params(pp))
+        cases.add((case, slope >= 0))
+        for res, exact in ((check_lemma_g(pp), least),
+                           (check_lemma_g1(pp), slope if case is constants.Case.A else least)):
+            assert res.passed and res.status == "ok" and res.witnesses == []
+            assert res.tolerance_used == 0.0
+            assert _toward_zero_of(res.worst_margin, exact), (res, exact)
+    # both cases, and both places of the least value (lo, and the vertex)
+    assert cases == {(constants.Case.A, True), (constants.Case.B, False)}
+
+
+def _f4_exact(a):
+    """f4(a) = 4a(2-a)(1-a)^2 (a^2 - 2a + 2)^2 - 1 in Fraction."""
+    return 4 * a * (2 - a) * (1 - a) ** 2 * (a * a - 2 * a + 2) ** 2 - 1
+
+
+def test_the_wedge_reduces_to_g1_in_fractions():
+    # the facts check_lemma_g and check_lemma_g1 rest on, for the package's
+    # g and g1 in exact arithmetic of the float inputs, on seeded pairs
+    rng = random.Random(30)
+    # the dyadic complements are exact, so that b = 1-a holds in Fraction
+    pairs = [(0.5, 0.5), (0.9, 0.1), (0.125, 0.875), (0.25, 0.75), (0.3125, 0.6875)]
+    for _ in range(40):
+        a = rng.uniform(0.04, 0.999)
+        pairs.append((a, 1.0 - a if rng.random() < 0.5 else rng.uniform(1.0 - a, 4.0)))
+    vertex_cases = 0
+    for a, b in pairs:
+        A, B = Fraction(a), Fraction(b)
+        alpha, beta, p = A * (B + 1), B * (1 - A), A + B
+        h, k = alpha * beta * (p + beta), beta * (p + 1) + p
+        dp = constants.DerivedParams(alpha, beta, p, h, k, (beta + p) / k)
+        X, lo = (beta + p) / k, -h / (alpha * k)
+        assert (p + 1) ** 2 - 4 * alpha * beta > 0 and 0 < X < 1
+        assert -beta * X == lo
+        assert constants.g1(0, dp) == h * (p + beta) / k ** 2
+        assert constants.g1(lo, dp) == beta ** 2 * p * (p + beta) / k ** 2
+        for i in range(11):
+            y, x = lo * Fraction(i, 10), X * Fraction(i + 1, 11)
+            assert constants.g(X, y, dp) == constants.g1(y, dp)
+            assert constants.g(x, -beta * x, dp) == beta * x * (1 - x)
+            assert constants.g(x, 0, dp) == alpha * beta * x * x > 0
+        # the integer forms of _g1_exact are the oracle's values
+        slope, least, y_lo, y, x_hi = verifier._g1_exact(ParamPair(a, b))
+        assert (Fraction(*slope), Fraction(*least)) == g1_exact(a, b)
+        assert (y_lo, x_hi) == (float(lo), float(X))
+        if A + B == 1 and 3 * beta ** 2 > alpha ** 2:  # the vertex, on b = 1-a
+            vertex_cases += 1
+            assert Fraction(*least) == _f4_exact(A) / (4 * k ** 2)
+            assert y == float(-p * p / (2 * k))
+    assert vertex_cases >= 3
+
+
+def test_a_non_positive_exact_value_fails_its_record(monkeypatch):
+    # forced exact values: zero and negative margins fail, with the point
+    # where they were attained as witness, and render as the report prints
+    real = verifier._g1_exact
+    # the float nearest -1/10 lies past it, so the margin is the next one in
+    for forced, margin in (((0, 1), 0.0), ((-1, 10), math.nextafter(-0.1, 0.0))):
+        monkeypatch.setattr(verifier, "_g1_exact", lambda pp: (forced, forced) + real(pp)[2:])
+        for pp, case in ((ParamPair(0.9, 1.0), "A"), (ParamPair(0.3, 0.7), "B")):
+            assert constants.condition_case(constants.derive_params(pp)).name == case
+            _, _, lo, y, X = real(pp)
+            g_res, g1_res = check_lemma_g(pp), check_lemma_g1(pp)
+            assert not g_res.passed and g_res.worst_margin == margin
+            assert g_res.witnesses == [[X, y]]
+            assert not g1_res.passed and g1_res.worst_margin == margin
+            assert g1_res.witnesses == [[lo if case == "A" else y, margin]]
+            for res in (g_res, g1_res):
+                assert json.loads(verifier._render(res)[1]) == dataclasses.asdict(res)
 
 
 def test_lemma_Q_check():
@@ -968,35 +1063,6 @@ def test_a_stacked_pass_that_raises_runs_each_task_alone(monkeypatch):
         errors.append(verifier._error_result(check_id, target, alone.value))
     assert changed == errors
     assert {r.status for r in changed} == {"error: DomainError: forced for one shift"}
-
-
-def test_lemma_g_takes_its_minimum_in_small_blocks():
-    # the blocked minimum picks np.argmin's entry of the dense matrix (the
-    # first least value, or the first NaN, in C order) across block edges
-    rng = np.random.default_rng(5)
-    for n_rows in (1, 31, 32, 33, 70, 256):
-        dense = rng.integers(0, 4, size=(n_rows, 9)).astype(float)
-        cases = [dense, np.ones_like(dense)]
-        for at in ((n_rows - 1, 8), (n_rows // 2, 3), (0, 0)):
-            nan = dense.copy()
-            nan[at] = math.nan
-            nan[-1, -1] = math.nan
-            cases.append(nan)
-        for vals in cases:
-            got = verifier._first_min(lambda lo, hi: vals[lo:hi].copy(), n_rows)
-            i, j = np.unravel_index(np.argmin(vals), vals.shape)
-            assert got[:2] == (i, j)
-            assert got[2] == vals[i, j] or (math.isnan(got[2]) and math.isnan(vals[i, j]))
-    # on the wedge grid, no temporary reaches malloc's 128 KiB mapping size
-    # (the dense 256 x 256 matrices were 512 KB each, 1.6 MB at the peak)
-    check_lemma_g(HALF)
-    tracemalloc.start()
-    try:
-        res = check_lemma_g(HALF)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert res.passed and peak <= 512 * 1024, peak
 
 
 def test_a_column_fetches_its_values_in_one_call(monkeypatch, small_report):

@@ -4,10 +4,11 @@
 
 Records are matched on (check_id, params).  The output lists the records
 found in only one report, the records whose ``passed`` or ``status``
-differ, per check id the number of records whose ``worst_margin`` moved
-and the largest |delta worst_margin|, and per check id the records whose
-``witnesses`` changed, each with the first few examples.  ``meta`` is
-not compared.
+differ, per check id the number of records whose ``worst_margin`` moved,
+the largest |delta worst_margin| and, in each report, the smallest
+``worst_margin`` of its records that were not skipped, and per check id
+the records whose ``witnesses`` changed, each with the first few
+examples.  ``meta`` is not compared.
 
 Exit status: 1 when the record sets, ``passed`` or ``status`` differ,
 else 0; moved margins and witnesses are reported without failing.
@@ -42,6 +43,14 @@ def _same(a, b):
     return a == b or (a != a and b != b)
 
 
+def _smallest(records, check_id):
+    """The least worst_margin of check_id's records that were not skipped
+    (a skipped record's 0.0 says nothing), NaN if any is or none is left."""
+    margins = [r["worst_margin"] for k, r in records.items()
+               if k[0] == check_id and not r["status"].startswith("skipped")]
+    return float("nan") if not margins or any(m != m for m in margins) else min(margins)
+
+
 def compare(old, new):
     """(lines of the report, whether record sets, passed or status differ)
     for two {key: record} maps."""
@@ -71,7 +80,8 @@ def compare(old, new):
     lines.append(f"worst_margin moves: {sum(c for c, _ in margins.values())} records")
     for check_id in sorted(margins):
         count, largest = margins[check_id]
-        lines.append(f"  {check_id}: {count} records, largest |delta| {largest:.3g}")
+        lines.append(f"  {check_id}: {count} records, largest |delta| {largest:.3g}, smallest "
+                     f"{_smallest(old, check_id):.6g} -> {_smallest(new, check_id):.6g}")
     lines.append(f"witness changes: {sum(map(len, witnesses.values()))} records")
     for check_id in sorted(witnesses):
         keys = witnesses[check_id]
